@@ -29,6 +29,7 @@ from .attention import (
     attention_forward,
     build_partition,
     energy_gamma,
+    key_scale_factors,
     resolve_targets,
     scaled_logits,
 )
@@ -64,7 +65,6 @@ from .scheduling import (
     WINDOW_PRESETS,
     active_steps,
     block_gate,
-    combined_gate,
     scheduled_attention,
     step_fraction,
     step_mask,
@@ -84,11 +84,10 @@ from .simulate import (
     deviation_bound_check,
     flops_audit,
     make_toy_denoiser,
-    predict_noise,
     run_trajectory,
     sharpening_curve,
 )
 from .tensorio import TensorFormatError, decode_tensor, encode_tensor, read_tensor, write_tensor
-from .verification import SUITE_NAMES, SuiteResult, run_suite, run_suites
+from .verification import SUITE_NAMES, SuiteResult, run_suite, run_suites, run_sweep
 
 __version__ = "0.1.0"

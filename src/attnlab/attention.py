@@ -201,35 +201,48 @@ def attention_forward(q, k, v, d_k: int | None = None) -> AttentionResult:
     return AttentionResult(logits=logits, probabilities=p, output=p @ vm)
 
 
+def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.ndarray:
+    """Per-key factors: ``gamma`` on the flagged groups' indices, exactly 1.0 elsewhere.
+
+    Multiplying K's rows (or, equivalently, the logit columns) by this vector
+    is the one group-scaling operation; keys outside the flagged groups are
+    multiplied by 1.0 and so stay bit-identical. A flag naming a group that is
+    empty in the partition warns and is a no-op.
+    """
+    factors = np.ones(partition.size)
+    for name in sorted(key_groups):
+        idx = partition.group(name)
+        if not idx:
+            warnings.warn(
+                f"key scaling requested for empty group {name!r}; no-op",
+                stacklevel=3,
+            )
+        factors[list(idx)] = gamma
+    return factors
+
+
 def apply_group_scaling(
     q, k, partition: KeyPartition, targets: ScalingTargets, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (Q', K') with the targeted groups scaled by ``gamma``.
 
-    Key flags scale the flagged group's rows of K. A query flag scales the
-    whole Q matrix once if the flagged group is present (nonempty) in the
-    partition: in a factorized stream call the partition holds that stream's
-    keys and Q holds its queries, so this is the per-stream query-side scaling.
-    A flag naming a group that is empty in the partition warns and is a no-op.
-    Inputs are copied; untouched rows are bit-identical to the originals.
+    Key flags scale the flagged group's rows of K (see
+    :func:`key_scale_factors`). A query flag scales the whole Q matrix once if
+    the flagged group is present (nonempty) in the partition: in a factorized
+    stream call the partition holds that stream's keys and Q holds its
+    queries, so this is the per-stream query-side scaling. A flag naming a
+    group that is empty in the partition warns and is a no-op. Inputs are
+    copied; untouched rows are bit-identical to the originals.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     qm = as_matrix(q, "Q").copy()
-    km = as_matrix(k, "K").copy()
+    km = as_matrix(k, "K")
     if partition.size != km.shape[0]:
         raise ValueError(
             f"partition size {partition.size} != K rows {km.shape[0]}"
         )
-    for name in sorted(targets.key_groups):
-        idx = partition.group(name)
-        if not idx:
-            warnings.warn(
-                f"key scaling requested for empty group {name!r}; no-op",
-                stacklevel=2,
-            )
-            continue
-        km[list(idx), :] *= gamma
+    km = km * key_scale_factors(partition, targets.key_groups, gamma)[:, None]
     scale_q = False
     for name in sorted(targets.query_groups):
         if partition.group(name):
@@ -297,3 +310,9 @@ class ModulationConfig:
             raise ValueError(f"gamma_max must be >= 1, got {self.gamma_max}")
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
+
+    @property
+    def effective(self) -> bool:
+        """Whether active cells count as scaled: scalar gamma == 1 folds to
+        the identity; energy mode always counts."""
+        return self.mode == "energy" or self.gamma != 1.0

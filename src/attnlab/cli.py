@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from .analysis import curvature_report, entropy
-from .attention import ScalingTargets
+from .attention import ArchMode, ScalingTargets
 from .calibration import (
     BlockRatioTable,
     calibrate_synthetic,
@@ -30,13 +29,8 @@ from .calibration import (
     validate_mask,
 )
 from .config import ConfigError, RunConfig
-from .numerics import sample_gaussian, softmax_vec
-from .scheduling import (
-    BlockGateTable,
-    ScheduleConfig,
-    WINDOW_PRESETS,
-    active_steps,
-)
+from .numerics import sample_gaussian
+from .scheduling import BlockGateTable, WINDOW_PRESETS, active_steps
 from .simulate import (
     ConflictConfig,
     StepCoefficients,
@@ -46,7 +40,7 @@ from .simulate import (
     run_trajectory,
 )
 from .tensorio import TensorFormatError, read_tensor
-from .verification import SUITE_NAMES, run_suites
+from .verification import SUITE_NAMES, run_suites, run_sweep
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -55,11 +49,6 @@ EXIT_IO = 3
 
 OUT_DIR_ENV = "ATTNLAB_OUT"
 INJECT_BUG_ENV = "ATTNLAB_INJECT_BUG"
-
-# Default sweep grid, in units of 1/Delta: spans the pre-collapse regime up to
-# the 50/Delta collapse point checked by the curvature suite.
-SWEEP_GAP_RATIOS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0)
-COLLAPSE_NORM_LIMIT = 1e-6
 
 
 def _format_value(x) -> str:
@@ -168,106 +157,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(cfg: RunConfig, logit_gap: float):
-    if cfg.alpha_grid:
-        return sorted(cfg.alpha_grid), False
-    return sorted(r / logit_gap for r in SWEEP_GAP_RATIOS), True
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
     out_dir = resolve_out_dir(cfg)
+    z = None
     if args.z:
         try:
-            z_draws = [np.array([float(x) for x in args.z.split(",")], dtype=np.float64)]
+            z = np.array([float(x) for x in args.z.split(",")], dtype=np.float64)
         except ValueError:
             raise ConfigError(f"could not parse --z vector {args.z!r}") from None
-        if z_draws[0].size < 2:
+        if z.size < 2:
             raise ConfigError("--z needs at least two entries")
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        z_draws = []
-        for _ in range(cfg.draws):
-            m = int(rng.integers(2, 17))
-            while True:
-                z = rng.uniform(-10.0, 10.0, size=m)
-                top = np.sort(z)[-2:]
-                if top[1] - top[0] >= 1e-3:
-                    break
-            z_draws.append(z)
-    columns = (
-        "draw",
-        "alpha",
-        "entropy",
-        "variance",
-        "spectral_norm",
-        "tail_mass",
-        "tail_bound",
-        "gershgorin_bound",
-        "decay_bound",
-        "logit_gap",
-        "entropy_monotone_ok",
-        "envelope_ok",
-        "collapse_ok",
-    )
-    rows = []
-    violations = 0
-    detail = None
-    for i, z in enumerate(z_draws):
-        top = np.sort(z)[-2:]
-        gap = float(top[1] - top[0])
-        grid, is_default = _sweep_grid(cfg, gap)
-        entries = []
-        for alpha in grid:
-            rep = curvature_report(z, alpha)
-            p = softmax_vec(alpha * z)
-            mean = float(p @ z)
-            var = float(p @ (z * z)) - mean * mean
-            entries.append((alpha, entropy(p), max(var, 0.0), rep))
-        h_vals = [e[1] for e in entries]
-        monotone_ok = all(
-            h_vals[j + 1] <= h_vals[j] + 1e-12 for j in range(len(h_vals) - 1)
-        )
-        env_pts = [
-            (a, rep.decay_bound) for a, _, _, rep in entries if gap > 0 and a >= 2.0 / gap
-        ]
-        envelope_ok = all(
-            env_pts[j + 1][1] <= env_pts[j][1] + 1e-12 * max(1.0, env_pts[0][1])
-            for j in range(len(env_pts) - 1)
-        )
-        collapse_ok = True
-        if is_default:
-            collapse_ok = entries[-1][3].spectral_norm < COLLAPSE_NORM_LIMIT
-        bound_ok = all(not rep.violations for _, _, _, rep in entries)
-        if not (monotone_ok and envelope_ok and collapse_ok and bound_ok):
-            violations += 1
-            if detail is None:
-                detail = (
-                    f"draw {i}: monotone_ok={monotone_ok} envelope_ok={envelope_ok} "
-                    f"collapse_ok={collapse_ok} bounds_ok={bound_ok}"
-                )
-        for alpha, h, var, rep in entries:
-            rows.append(
-                {
-                    "draw": i,
-                    "alpha": alpha,
-                    "entropy": h,
-                    "variance": var,
-                    "spectral_norm": rep.spectral_norm,
-                    "tail_mass": rep.tail_mass,
-                    "tail_bound": rep.tail_bound,
-                    "gershgorin_bound": rep.gershgorin_bound,
-                    "decay_bound": rep.decay_bound,
-                    "logit_gap": rep.logit_gap,
-                    "entropy_monotone_ok": int(monotone_ok),
-                    "envelope_ok": int(envelope_ok),
-                    "collapse_ok": int(collapse_ok),
-                }
-            )
-    path = write_report(out_dir, "sweep", columns, rows, cfg.format)
-    print(f"sweep: draws={len(z_draws)} rows={len(rows)} violations={violations} -> {path}")
-    if violations:
-        print(f"first failure: {detail}", file=sys.stderr)
+    res = run_sweep(seed=cfg.seed, draws=cfg.draws, alpha_grid=cfg.alpha_grid, z=z)
+    path = write_report(out_dir, "sweep", res.columns, res.rows, cfg.format)
+    n_draws = 1 if z is not None else cfg.draws
+    print(f"sweep: draws={n_draws} rows={len(res.rows)} violations={res.violations} -> {path}")
+    if not res.passed:
+        print(f"first failure: {res.detail}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -342,23 +248,21 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
+    schedule = cfg.schedule()
+    if schedule.modulation.arch is ArchMode.FACTORIZED:
+        raise ConfigError(
+            "simulate runs a joint-attention toy denoiser; arch 'factorized' is not supported"
+        )
     out_dir = resolve_out_dir(cfg)
-    gates = cfg.resolved_gates()
     dims = cfg.dims
     denoiser = make_toy_denoiser(
         cfg.seed,
-        num_blocks=gates.num_blocks,
+        num_blocks=schedule.num_blocks,
         n_text=dims["n_text"],
         n_image=dims["n_image"],
         n_video=dims["n_video"],
         d_k=dims["d_k"],
         d_v=dims["d_v"],
-    )
-    schedule = ScheduleConfig(
-        gates=gates,
-        total_steps=cfg.total_steps,
-        window=cfg.resolved_window(),
-        modulation=cfg.modulation(),
     )
     coeffs = StepCoefficients.linear(cfg.total_steps)
     x0 = sample_gaussian((dims["n_video"], denoiser.d_model), seed=cfg.seed + 1_000_003)
@@ -395,7 +299,7 @@ def cmd_simulate(args) -> int:
     ]
     summary = {
         "total_steps": cfg.total_steps,
-        "num_blocks": gates.num_blocks,
+        "num_blocks": schedule.num_blocks,
         "window": {"low": schedule.window.low, "high": schedule.window.high},
         "active_steps": list(active_steps(cfg.total_steps, schedule.window)),
         "gamma": cfg.gamma,
@@ -425,7 +329,7 @@ def cmd_simulate(args) -> int:
     }
     sum_path = write_json(out_dir, "summary", summary)
     print(
-        f"simulate: steps={cfg.total_steps} blocks={gates.num_blocks} "
+        f"simulate: steps={cfg.total_steps} blocks={schedule.num_blocks} "
         f"scaled_cells={audit.measured_cells} -> {traj_path}, {sum_path}"
     )
     if not audit.exact_match:

@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-POWER_TOLERANCE = 1e-10
-POWER_MAX_ITERATIONS = 10_000
-# Perturb-and-restart period for stalled power iteration (tiny eigengaps).
-_RESTART_PERIOD = 500
-
 SYMMETRY_TOLERANCE = 1e-10
 
 
@@ -69,15 +64,9 @@ def log_sum_exp(z) -> float:
     return m + float(np.log(np.exp(zv - m).sum()))
 
 
-def spectral_norm_sym(a, method: str = "eigh") -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    ``method="eigh"`` (default) takes the full symmetric eigendecomposition.
-    ``method="power"`` runs power iteration on A @ A — squaring removes
-    eigenvalue-sign oscillation and makes the iterate matrix PSD — with
-    tolerance ``POWER_TOLERANCE``, a cap of ``POWER_MAX_ITERATIONS``, and a
-    perturbed restart every ``_RESTART_PERIOD`` stalled iterations. The two
-    routes exist so they can be checked against each other; callers pick one.
+def spectral_norm_sym(a) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, from its full
+    symmetric eigendecomposition.
 
     Raises ``ValueError`` if the input is not square or departs from symmetry
     by more than ``SYMMETRY_TOLERANCE`` in any entry.
@@ -90,40 +79,7 @@ def spectral_norm_sym(a, method: str = "eigh") -> float:
         raise ValueError("empty matrix")
     if np.abs(m - m.T).max() > SYMMETRY_TOLERANCE:
         raise ValueError("matrix is not symmetric within tolerance")
-    m = (m + m.T) / 2.0
-    if method == "eigh":
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
-    if method == "power":
-        return _power_spectral_norm(m)
-    raise ValueError(f"unknown method {method!r}; expected 'eigh' or 'power'")
-
-
-def _power_spectral_norm(m: np.ndarray) -> float:
-    n = m.shape[0]
-    b = m @ m
-    # Fixed internal seed: the start vector must not be a crafted input, and a
-    # constant vector would sit in the kernel of centered/stochastic matrices.
-    rng = np.random.default_rng(0x7A57)
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    lam = 0.0
-    for it in range(POWER_MAX_ITERATIONS):
-        w = b @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = float(v @ (b @ v))
-        if abs(lam - lam_prev) <= POWER_TOLERANCE * max(1.0, abs(lam)):
-            break
-        if (it + 1) % _RESTART_PERIOD == 0:
-            v = v + rng.normal(scale=0.1, size=n)
-            v /= np.linalg.norm(v)
-            lam_prev = np.inf
-        else:
-            lam_prev = lam
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0)).max())
 
 
 def spectral_norm(a) -> float:

@@ -1,9 +1,10 @@
-"""Step windows, block gates, and the combined modulation gate.
+"""Step windows, block gates, and the scheduled attention call.
 
 Steps are 1-based with t=1 the highest-noise step. The normalized position is
 phi(t) = (t-1)/(T-1), defined as 0 for T=1; a window [low, high] is inclusive
-at both ends. Block gates are 0/1 flags per attention block. The combined gate
-g = m(t) * b(l) * (gamma - 1) feeds the scaling factor 1 + g.
+at both ends. Block gates are 0/1 flags per attention block. A (block, step)
+cell is active when both its step mask and its block gate are 1; an active
+cell scales the targeted groups by gamma, an inactive one runs the plain pass.
 """
 
 from __future__ import annotations
@@ -132,17 +133,6 @@ def block_gate(foreground_ratio: float, tau: float, gamma: float) -> float:
     return gamma if foreground_ratio > tau else 1.0
 
 
-def combined_gate(step_flag: int, block_flag: int, gamma: float) -> float:
-    """g = m * b * (gamma - 1); the applied factor is 1 + g."""
-    if step_flag not in (0, 1):
-        raise ValueError(f"step flag must be 0 or 1, got {step_flag}")
-    if block_flag not in (0, 1):
-        raise ValueError(f"block flag must be 0 or 1, got {block_flag}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return step_flag * block_flag * (gamma - 1.0)
-
-
 @dataclass(frozen=True)
 class ScheduleConfig:
     """Full schedule: step window x block gates x modulation settings."""
@@ -180,10 +170,11 @@ def scheduled_attention(
 ) -> AttentionResult:
     """Attention at (block, t) under the schedule.
 
-    When the combined gate is zero the call reduces to the plain forward pass
-    on the same code path, so the result is bit-identical to an unscheduled
-    call. In energy mode the coefficient is derived from this call's own
-    unscaled logits and is only computed when the gate is active.
+    An inactive cell, or an active one whose coefficient is exactly 1,
+    reduces to the plain forward pass on the same code path, so the result is
+    bit-identical to an unscheduled call. In energy mode the coefficient is
+    derived from this call's own unscaled logits and is only computed when the
+    cell is active.
     """
     if config.is_active(block, t):
         mod = config.modulation
@@ -191,8 +182,7 @@ def scheduled_attention(
             gamma = energy_gamma(scaled_logits(q, k, d_k), mod.gamma_max, mod.kappa)
         else:
             gamma = mod.gamma
-        g = combined_gate(1, 1, gamma)
-        if g != 0.0:
-            q2, k2 = apply_group_scaling(q, k, partition, mod.targets, 1.0 + g)
+        if gamma != 1.0:
+            q2, k2 = apply_group_scaling(q, k, partition, mod.targets, gamma)
             return attention_forward(q2, k2, v, d_k)
     return attention_forward(q, k, v, d_k)

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import entropy, group_mass_report
+from .analysis import entropy, flops_overhead, group_mass_report
 from .attention import (
     KeyPartition,
     ScalingTargets,
     attention_forward,
     build_partition,
+    key_scale_factors,
 )
 from .numerics import as_matrix, row_softmax, sample_gaussian, softmax_vec, spectral_norm
 from .scheduling import ScheduleConfig, active_steps, scheduled_attention
@@ -156,17 +157,20 @@ def _forward(
     x,
     t: int,
     schedule: ScheduleConfig | None = None,
-    probe: LogitScaleProbe | None = None,
-):
-    """One denoiser pass; returns (eps, captured) where captured is the probe
-    row's unscaled logits and the value matrix at the probe block (or None)."""
+    observe=None,
+) -> np.ndarray:
+    """One denoiser pass: the block loop shared by every caller; returns eps.
+
+    ``observe(block, q, k, v, result)``, if given, is called at every block
+    after attention and returns the attention output the block continues
+    with (``result.output`` to leave the pass unchanged).
+    """
     h = as_matrix(x, "state")
     if h.shape != (denoiser.n_video, denoiser.d_model):
         raise ValueError(
             f"state shape {h.shape} != ({denoiser.n_video}, {denoiser.d_model})"
         )
     n_cond = denoiser.cond_embed.shape[0]
-    captured = None
     for l, blk in enumerate(denoiser.blocks):
         tokens = np.vstack([denoiser.cond_embed, h])
         q = tokens @ blk.w_q
@@ -176,25 +180,29 @@ def _forward(
             res = attention_forward(q, k, v)
         else:
             res = scheduled_attention(l, t, q, k, v, denoiser.partition, schedule)
-        y = res.output
-        if probe is not None and l == probe.block:
-            row = n_cond + probe.query
-            if not 0 <= probe.query < denoiser.n_video:
-                raise ValueError(f"probe query {probe.query} out of range")
-            z_row = res.logits[row].copy()
-            y = y.copy()
-            y[row] = softmax_vec(probe.alpha * z_row) @ v
-            captured = (z_row, v.copy())
+        y = res.output if observe is None else observe(l, q, k, v, res)
         h = y[n_cond:] @ blk.w_o
-    return h, captured
+    return h
 
 
-def predict_noise(
-    denoiser: ToyDenoiser, x, t: int, schedule: ScheduleConfig | None = None
-) -> np.ndarray:
-    """eps_theta(x, t): the denoiser pass, optionally under a schedule."""
-    eps, _ = _forward(denoiser, x, t, schedule)
-    return eps
+def _probe_observer(denoiser: ToyDenoiser, probe: LogitScaleProbe, captured: list):
+    """Observer that replaces the probe row's output at the probe block by
+    softmax(alpha z) V and appends that row's unscaled logits and V to
+    ``captured``."""
+    row = denoiser.cond_embed.shape[0] + probe.query
+
+    def observe(l, q, k, v, res):
+        if l != probe.block:
+            return res.output
+        if not 0 <= probe.query < denoiser.n_video:
+            raise ValueError(f"probe query {probe.query} out of range")
+        z_row = res.logits[row].copy()
+        y = res.output.copy()
+        y[row] = softmax_vec(probe.alpha * z_row) @ v
+        captured.append((z_row, v.copy()))
+        return y
+
+    return observe
 
 
 def ddim_step(
@@ -209,7 +217,8 @@ def ddim_step(
     if not 1 <= t <= coeffs.total_steps:
         raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
     xm = as_matrix(x, "state")
-    eps, _ = _forward(denoiser, xm, t, schedule, probe)
+    observe = None if probe is None else _probe_observer(denoiser, probe, [])
+    eps = _forward(denoiser, xm, t, schedule, observe)
     return coeffs.a[t - 1] * xm + coeffs.b[t - 1] * eps
 
 
@@ -245,13 +254,15 @@ def deviation_bound_check(
         raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
     xm = as_matrix(x, "state")
     last = len(denoiser.blocks) - 1
-    base_eps, captured = _forward(
-        denoiser, xm, t, probe=LogitScaleProbe(block=last, query=query, alpha=1.0)
-    )
-    mod_eps, _ = _forward(
-        denoiser, xm, t, probe=LogitScaleProbe(block=last, query=query, alpha=alpha)
-    )
-    z_row, v_mat = captured
+    captured = []
+
+    def probed_eps(a: float) -> np.ndarray:
+        probe = LogitScaleProbe(block=last, query=query, alpha=a)
+        return _forward(denoiser, xm, t, observe=_probe_observer(denoiser, probe, captured))
+
+    base_eps = probed_eps(1.0)
+    mod_eps = probed_eps(alpha)
+    z_row, v_mat = captured[0]
     b_t = coeffs.b[t - 1]
     x_base = coeffs.a[t - 1] * xm + b_t * base_eps
     x_mod = coeffs.a[t - 1] * xm + b_t * mod_eps
@@ -346,36 +357,31 @@ def run_trajectory(
     x = as_matrix(x0, "state").copy()
     n_cond = denoiser.cond_embed.shape[0]
     part = denoiser.partition
-    mod = schedule.modulation
-    # Scalar gamma == 1 folds to the identity; energy coefficients always exceed 1.
-    effective = mod.mode == "energy" or mod.gamma != 1.0
+    targets = schedule.modulation.targets
+    effective = schedule.modulation.effective
     rows = []
     for t in range(1, coeffs.total_steps + 1):
-        h = x
         masses = np.zeros(3)
         ent_mod = []
         ent_base = []
         active = 0
         multiplies = 0
-        for l, blk in enumerate(denoiser.blocks):
-            tokens = np.vstack([denoiser.cond_embed, h])
-            q = tokens @ blk.w_q
-            k = tokens @ blk.w_k
-            v = tokens @ blk.w_v
-            res = scheduled_attention(l, t, q, k, v, part, schedule)
+
+        def observe(l, q, k, v, res):
+            nonlocal masses, active, multiplies
             base = attention_forward(q, k, v)
             if schedule.is_active(l, t) and effective:
                 active += 1
-                multiplies += scaling_multiply_count(
-                    part, mod.targets, tokens.shape[0], q.shape[1]
-                )
-            for row in range(n_cond, tokens.shape[0]):
+                multiplies += scaling_multiply_count(part, targets, q.shape[0], q.shape[1])
+            for row in range(n_cond, q.shape[0]):
                 rep = group_mass_report(res.probabilities[row], part)
                 rep_b = group_mass_report(base.probabilities[row], part)
                 masses += (rep.mass_text, rep.mass_image, rep.mass_video)
                 ent_mod.append(rep.entropy_cond)
                 ent_base.append(rep_b.entropy_cond)
-            h = res.output[n_cond:] @ blk.w_o
+            return res.output
+
+        h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
         n_meas = len(denoiser.blocks) * denoiser.n_video
         mean_mod = float(np.mean(ent_mod))
@@ -426,11 +432,10 @@ def flops_audit(trajectory: Trajectory, schedule: ScheduleConfig) -> FlopsAudit:
     t_total = schedule.total_steps
     l_s = sum(schedule.gates.gates)
     t_s = len(active_steps(t_total, schedule.window))
-    mod = schedule.modulation
-    effective = mod.mode == "energy" or mod.gamma != 1.0
+    effective = schedule.modulation.effective
     expected = l_s * t_s if effective else 0
     measured = trajectory.total_active_cells
-    model = (l_s / l_total) * (t_s / t_total) if effective else 0.0
+    model = flops_overhead(l_s, l_total, t_s, t_total) if effective else 0.0
     return FlopsAudit(
         measured_cells=measured,
         expected_cells=expected,
@@ -501,30 +506,12 @@ def conflict_logits(seed: int, config: ConflictConfig) -> tuple[np.ndarray, KeyP
     return z, part
 
 
-def scale_key_columns(
-    z: np.ndarray, partition: KeyPartition, targets: ScalingTargets, gamma: float
-) -> np.ndarray:
-    """Scale the flagged key groups' logit columns by gamma.
-
-    Column scaling is exactly what key-row scaling does to the logits, so the
-    experiment can work at logit level; the equivalence is certified by the
-    attention-level locality tests.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    out = np.array(z, dtype=np.float64, copy=True)
-    for name in targets.key_groups:
-        idx = list(partition.group(name))
-        if idx:
-            out[:, idx] *= gamma
-    return out
-
-
 def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> ConflictReport:
     if config is None:
         config = ConflictConfig()
     z, part = conflict_logits(seed, config)
-    z_mod = scale_key_columns(z, part, config.targets, config.gamma)
+    # Scaling key rows by gamma scales exactly those keys' logit columns.
+    z_mod = z * key_scale_factors(part, config.targets.key_groups, config.gamma)
     p_base = row_softmax(z)
     p_mod = row_softmax(z_mod)
     cond = list(part.conditioning)

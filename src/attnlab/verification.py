@@ -13,10 +13,13 @@ Five suites cover the machinery end to end:
 - deviation: the single-step state deviation bound holds on probed toy
   denoisers.
 
-A suite returns per-draw rows for the CSV report plus a violation count; the
-first failing row is described in ``detail``. ``inject_bug=True`` flips the
-sign of the first row's margin column after the fact — a harness self-test
-proving the violation path is live.
+Each suite is a per-draw generator that yields the draw's report rows and a
+problem string (None when the draw passes); one collector turns the draws into
+a :class:`SuiteResult` with the violation count and the first problem as
+``detail``. The ``sweep`` command's alpha-grid profile runs on the same
+harness (:func:`run_sweep`). ``inject_bug=True`` flips the sign of the first
+row's margin column after the fact — a harness self-test proving the
+violation path is live.
 """
 
 from __future__ import annotations
@@ -51,9 +54,18 @@ PSD_SLACK = 1e-10
 COLLAPSE_NORM_LIMIT = 1e-6
 MIN_LOGIT_GAP = 1e-3
 
+# Default sweep grid, in units of 1/Delta: spans the pre-collapse regime up to
+# the 50/Delta collapse point checked by the curvature suite.
+SWEEP_GAP_RATIOS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0)
+
 
 @dataclass
 class SuiteResult:
+    """Rows for the report, their columns, and the violation count.
+
+    ``columns`` are the keys of the first row, in order (empty with no rows).
+    """
+
     name: str
     columns: tuple[str, ...]
     rows: list[dict]
@@ -80,11 +92,29 @@ def _draw_gapped_logits(rng: np.random.Generator, m: int) -> np.ndarray:
             return z
 
 
-def scale_equivalence_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+def _collect(name: str, draws) -> SuiteResult:
+    """Build a SuiteResult from ``(rows, problem)`` pairs, one per draw."""
     rows = []
     violations = 0
     detail = None
+    for draw_rows, problem in draws:
+        rows.extend(draw_rows)
+        if problem is not None:
+            violations += 1
+            if detail is None:
+                detail = problem
+    columns = tuple(rows[0]) if rows else ()
+    return SuiteResult(name, columns, rows, violations, detail)
+
+
+def _nonincreasing(values, scale: float = 1.0) -> bool:
+    """Each value is at most its predecessor plus MONOTONE_SLACK * scale."""
+    slack = MONOTONE_SLACK * scale
+    return all(b <= a + slack for a, b in zip(values, values[1:]))
+
+
+def _scale_equivalence(seed: int, draws: int):
+    rng = np.random.default_rng(seed)
     for i in range(draws):
         n = int(rng.integers(1, 17))
         m = int(rng.integers(1, 17))
@@ -102,34 +132,24 @@ def scale_equivalence_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
             float(np.abs(p_k - p_t).max()),
         )
         margin = PAIRWISE_TOLERANCE - max_diff
-        if margin < 0 and detail is None:
-            detail = f"draw {i}: pairwise diff {max_diff:.3e} exceeds {PAIRWISE_TOLERANCE}"
-        violations += margin < 0
-        rows.append(
-            {
-                "draw": i,
-                "n": n,
-                "m": m,
-                "d": d,
-                "gamma": gamma,
-                "max_diff": max_diff,
-                "margin": margin,
-            }
+        row = {
+            "draw": i,
+            "n": n,
+            "m": m,
+            "d": d,
+            "gamma": gamma,
+            "max_diff": max_diff,
+            "margin": margin,
+        }
+        yield [row], (
+            f"draw {i}: pairwise diff {max_diff:.3e} exceeds {PAIRWISE_TOLERANCE}"
+            if margin < 0
+            else None
         )
-    return SuiteResult(
-        name="scale-equivalence",
-        columns=("draw", "n", "m", "d", "gamma", "max_diff", "margin"),
-        rows=rows,
-        violations=violations,
-        detail=detail,
-    )
 
 
-def entropy_slope_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
+def _entropy_slope(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    rows = []
-    violations = 0
-    detail = None
     for i in range(draws):
         m = int(rng.integers(2, 17))
         z = rng.uniform(-10.0, 10.0, size=m)
@@ -142,52 +162,29 @@ def entropy_slope_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
         rep = entropy_alpha_report(z, subset, alpha)
         alpha2 = alpha + float(rng.uniform(0.1, 2.0))
         h2 = entropy(softmax_vec(alpha2 * z[list(subset)]))
-        monotone_ok = h2 <= rep.entropy + MONOTONE_SLACK
-        slope_ok = rep.abs_gap < SLOPE_TOLERANCE
-        bad = not (monotone_ok and slope_ok)
-        if bad and detail is None:
-            detail = (
-                f"draw {i}: slope gap {rep.abs_gap:.3e}, "
-                f"H({alpha2:.3f})={h2:.6f} vs H({alpha:.3f})={rep.entropy:.6f}"
-            )
-        violations += bad
-        rows.append(
-            {
-                "draw": i,
-                "m": m,
-                "subset_size": len(subset),
-                "alpha": alpha,
-                "entropy": rep.entropy,
-                "variance": rep.variance,
-                "slope_gap": rep.abs_gap,
-                "margin": SLOPE_TOLERANCE - rep.abs_gap,
-                "monotone_ok": int(monotone_ok),
-            }
+        monotone_ok = _nonincreasing((rep.entropy, h2))
+        bad = not (monotone_ok and rep.abs_gap < SLOPE_TOLERANCE)
+        row = {
+            "draw": i,
+            "m": m,
+            "subset_size": len(subset),
+            "alpha": alpha,
+            "entropy": rep.entropy,
+            "variance": rep.variance,
+            "slope_gap": rep.abs_gap,
+            "margin": SLOPE_TOLERANCE - rep.abs_gap,
+            "monotone_ok": int(monotone_ok),
+        }
+        yield [row], (
+            f"draw {i}: slope gap {rep.abs_gap:.3e}, "
+            f"H({alpha2:.3f})={h2:.6f} vs H({alpha:.3f})={rep.entropy:.6f}"
+            if bad
+            else None
         )
-    return SuiteResult(
-        name="entropy-slope",
-        columns=(
-            "draw",
-            "m",
-            "subset_size",
-            "alpha",
-            "entropy",
-            "variance",
-            "slope_gap",
-            "margin",
-            "monotone_ok",
-        ),
-        rows=rows,
-        violations=violations,
-        detail=detail,
-    )
 
 
-def curvature_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
+def _curvature(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    rows = []
-    violations = 0
-    detail = None
     for i in range(draws):
         m = int(rng.integers(2, 17))
         z = _draw_gapped_logits(rng, m)
@@ -203,58 +200,32 @@ def curvature_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
             np.abs(np.linalg.eigvalsh(attention_hessian(z, 50.0 / delta))).max()
         )
         collapse_ok = collapse_norm < COLLAPSE_NORM_LIMIT
+        row = {
+            "draw": i,
+            "m": m,
+            "alpha": alpha,
+            "logit_gap": delta,
+            "spectral_norm": rep.spectral_norm,
+            "decay_bound": rep.decay_bound,
+            "tail_mass": rep.tail_mass,
+            "tail_bound": rep.tail_bound,
+            "gershgorin_bound": rep.gershgorin_bound,
+            "margin": rep.decay_bound - rep.spectral_norm,
+            "collapse_norm": collapse_norm,
+            "psd_ok": int(psd_ok),
+            "envelope_ok": int(env_ok),
+        }
         bad = bool(rep.violations) or not (psd_ok and env_ok and collapse_ok)
-        if bad and detail is None:
-            detail = (
-                f"draw {i}: bound violations {rep.violations}, psd_ok={psd_ok}, "
-                f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}"
-            )
-        violations += bad
-        rows.append(
-            {
-                "draw": i,
-                "m": m,
-                "alpha": alpha,
-                "logit_gap": delta,
-                "spectral_norm": rep.spectral_norm,
-                "decay_bound": rep.decay_bound,
-                "tail_mass": rep.tail_mass,
-                "tail_bound": rep.tail_bound,
-                "gershgorin_bound": rep.gershgorin_bound,
-                "margin": rep.decay_bound - rep.spectral_norm,
-                "collapse_norm": collapse_norm,
-                "psd_ok": int(psd_ok),
-                "envelope_ok": int(env_ok),
-            }
+        yield [row], (
+            f"draw {i}: bound violations {rep.violations}, psd_ok={psd_ok}, "
+            f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}"
+            if bad
+            else None
         )
-    return SuiteResult(
-        name="curvature",
-        columns=(
-            "draw",
-            "m",
-            "alpha",
-            "logit_gap",
-            "spectral_norm",
-            "decay_bound",
-            "tail_mass",
-            "tail_bound",
-            "gershgorin_bound",
-            "margin",
-            "collapse_norm",
-            "psd_ok",
-            "envelope_ok",
-        ),
-        rows=rows,
-        violations=violations,
-        detail=detail,
-    )
 
 
-def lipschitz_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
+def _lipschitz(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    rows = []
-    violations = 0
-    detail = None
     for i in range(draws):
         m = int(rng.integers(2, 17))
         d_v = int(rng.integers(1, 9))
@@ -263,39 +234,28 @@ def lipschitz_suite(seed: int = 0, draws: int = 1000) -> SuiteResult:
         alpha1 = float(rng.uniform(0.5, 3.0))
         alpha2 = float(rng.uniform(0.5, 3.0))
         rep = lipschitz_report(z, v, alpha1, alpha2)
-        bad = rep.margin < 0
-        if bad and detail is None:
-            detail = f"draw {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
-        violations += bad
-        rows.append(
-            {
-                "draw": i,
-                "m": m,
-                "d_v": d_v,
-                "alpha1": alpha1,
-                "alpha2": alpha2,
-                "deviation": rep.deviation,
-                "bound": rep.bound,
-                "margin": rep.margin,
-            }
+        row = {
+            "draw": i,
+            "m": m,
+            "d_v": d_v,
+            "alpha1": alpha1,
+            "alpha2": alpha2,
+            "deviation": rep.deviation,
+            "bound": rep.bound,
+            "margin": rep.margin,
+        }
+        yield [row], (
+            f"draw {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
+            if rep.margin < 0
+            else None
         )
-    return SuiteResult(
-        name="lipschitz",
-        columns=("draw", "m", "d_v", "alpha1", "alpha2", "deviation", "bound", "margin"),
-        rows=rows,
-        violations=violations,
-        detail=detail,
-    )
 
 
 DEVIATION_ALPHA_GRID = (1.15, 1.25, 1.35)
 
 
-def deviation_suite(seed: int = 0, probes: int = 120) -> SuiteResult:
+def _deviation(seed: int, probes: int):
     """Half the probes use the sweep grid alphas, half continuous [0.5, 3]."""
-    rows = []
-    violations = 0
-    detail = None
     total_steps = 8
     coeffs = StepCoefficients.linear(total_steps)
     for i in range(probes):
@@ -318,46 +278,31 @@ def deviation_suite(seed: int = 0, probes: int = 120) -> SuiteResult:
             alpha = float(rng.uniform(0.5, 3.0))
         query = int(rng.integers(0, n_video))
         rep = deviation_bound_check(den, coeffs, t, x, alpha, query=query)
-        bad = rep.margin < 0
-        if bad and detail is None:
-            detail = f"probe {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
-        violations += bad
-        rows.append(
-            {
-                "probe": i,
-                "alpha": alpha,
-                "t": t,
-                "b_t": rep.b_t,
-                "deviation": rep.deviation,
-                "bound": rep.bound,
-                "margin": rep.margin,
-                "lipschitz_upper": rep.lipschitz_upper,
-            }
+        row = {
+            "probe": i,
+            "alpha": alpha,
+            "t": t,
+            "b_t": rep.b_t,
+            "deviation": rep.deviation,
+            "bound": rep.bound,
+            "margin": rep.margin,
+            "lipschitz_upper": rep.lipschitz_upper,
+        }
+        yield [row], (
+            f"probe {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
+            if rep.margin < 0
+            else None
         )
-    return SuiteResult(
-        name="deviation",
-        columns=(
-            "probe",
-            "alpha",
-            "t",
-            "b_t",
-            "deviation",
-            "bound",
-            "margin",
-            "lipschitz_upper",
-        ),
-        rows=rows,
-        violations=violations,
-        detail=detail,
-    )
 
 
+# Per-draw generators by suite name; each takes (seed, count), where count is
+# the probe count for the deviation suite and the draw count for the others.
 _SUITE_FUNCS = {
-    "scale-equivalence": scale_equivalence_suite,
-    "entropy-slope": entropy_slope_suite,
-    "curvature": curvature_suite,
-    "lipschitz": lipschitz_suite,
-    "deviation": deviation_suite,
+    "scale-equivalence": _scale_equivalence,
+    "entropy-slope": _entropy_slope,
+    "curvature": _curvature,
+    "lipschitz": _lipschitz,
+    "deviation": _deviation,
 }
 
 
@@ -366,10 +311,8 @@ def run_suite(
 ) -> SuiteResult:
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; valid: {sorted(_SUITE_FUNCS)}")
-    if name == "deviation":
-        result = deviation_suite(seed=seed, probes=probes)
-    else:
-        result = _SUITE_FUNCS[name](seed=seed, draws=draws)
+    count = probes if name == "deviation" else draws
+    result = _collect(name, _SUITE_FUNCS[name](seed, count))
     if inject_bug and result.rows:
         first = result.rows[0]
         if "margin" in first:
@@ -395,3 +338,69 @@ def run_suites(
             )
         )
     return results
+
+
+def _sweep(z_draws, alpha_grid):
+    for i, z in enumerate(z_draws):
+        top = np.sort(z)[-2:]
+        gap = float(top[1] - top[0])
+        if alpha_grid:
+            grid = sorted(alpha_grid)
+        else:
+            grid = sorted(r / gap for r in SWEEP_GAP_RATIOS)
+        entries = []
+        for alpha in grid:
+            rep = curvature_report(z, alpha)
+            p = softmax_vec(alpha * z)
+            mean = float(p @ z)
+            var = float(p @ (z * z)) - mean * mean
+            entries.append((alpha, entropy(p), max(var, 0.0), rep))
+        monotone_ok = _nonincreasing([h for _, h, _, _ in entries])
+        env = [rep.decay_bound for a, _, _, rep in entries if gap > 0 and a >= 2.0 / gap]
+        envelope_ok = _nonincreasing(env, max(1.0, env[0]) if env else 1.0)
+        # The default grid ends at 50/Delta, where the curvature has collapsed.
+        collapse_ok = bool(alpha_grid) or entries[-1][3].spectral_norm < COLLAPSE_NORM_LIMIT
+        bound_ok = all(not rep.violations for _, _, _, rep in entries)
+        rows = [
+            {
+                "draw": i,
+                "alpha": alpha,
+                "entropy": h,
+                "variance": var,
+                "spectral_norm": rep.spectral_norm,
+                "tail_mass": rep.tail_mass,
+                "tail_bound": rep.tail_bound,
+                "gershgorin_bound": rep.gershgorin_bound,
+                "decay_bound": rep.decay_bound,
+                "logit_gap": rep.logit_gap,
+                "entropy_monotone_ok": int(monotone_ok),
+                "envelope_ok": int(envelope_ok),
+                "collapse_ok": int(collapse_ok),
+            }
+            for alpha, h, var, rep in entries
+        ]
+        bad = not (monotone_ok and envelope_ok and collapse_ok and bound_ok)
+        yield rows, (
+            f"draw {i}: monotone_ok={monotone_ok} envelope_ok={envelope_ok} "
+            f"collapse_ok={collapse_ok} bounds_ok={bound_ok}"
+            if bad
+            else None
+        )
+
+
+def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> SuiteResult:
+    """Entropy/curvature profile of each logit draw over an alpha grid.
+
+    The draws are the single vector ``z`` when given, else ``draws`` seeded
+    gapped logit vectors of length 2..16. The grid is ``alpha_grid`` when
+    given, else SWEEP_GAP_RATIOS / Delta per draw (Delta the top-two gap). A
+    draw fails when entropy increases along the grid, the decay envelope
+    increases past 2/Delta, any curvature bound is violated, or (default grid
+    only) the curvature at 50/Delta is not below COLLAPSE_NORM_LIMIT.
+    """
+    if z is not None:
+        z_draws = [z]
+    else:
+        rng = np.random.default_rng(seed)
+        z_draws = [_draw_gapped_logits(rng, int(rng.integers(2, 17))) for _ in range(draws)]
+    return _collect("sweep", _sweep(z_draws, alpha_grid))

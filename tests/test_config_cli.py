@@ -346,3 +346,16 @@ def test_simulate_byte_deterministic(tmp_path):
         assert main(["simulate", "--steps", "6", "--blocks", "2", "--out", str(d)]) == 0
     assert (d1 / "trajectory.csv").read_bytes() == (d2 / "trajectory.csv").read_bytes()
     assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+
+
+def test_simulate_rejects_factorized_arch(tmp_path, capsys):
+    # The toy denoiser is a joint layout: a factorized position would scale all
+    # of Q, i.e. run a global temperature change under a group-local name.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"arch": "factorized", "position": "query-text"}))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--steps", "4", "--blocks", "2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "joint-attention toy denoiser" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()

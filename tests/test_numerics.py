@@ -143,26 +143,8 @@ def test_spectral_norm_sym_3x3_charpoly_oracle():
         assert spectral_norm_sym(m) == pytest.approx(_charpoly_norm_3x3(m), rel=1e-8)
 
 
-def test_spectral_norm_power_matches_eigh():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 5, 12):
-        m = rng.normal(size=(n, n))
-        m = (m + m.T) / 2.0
-        assert spectral_norm_sym(m, method="power") == pytest.approx(
-            spectral_norm_sym(m, method="eigh"), rel=1e-8, abs=1e-10
-        )
-
-
-def test_spectral_norm_power_handles_kernel_start():
-    # centered matrices kill the constant vector; power iteration must survive
-    p = np.full(4, 0.25)
-    c = np.diag(p) - np.outer(p, p)
-    assert spectral_norm_sym(c, method="power") == pytest.approx(0.25, abs=1e-9)
-
-
 def test_spectral_norm_zero_matrix():
     assert spectral_norm_sym(np.zeros((3, 3))) == 0.0
-    assert spectral_norm_sym(np.zeros((3, 3)), method="power") == 0.0
 
 
 def test_spectral_norm_sym_rejects_asymmetry():

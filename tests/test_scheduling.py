@@ -8,7 +8,6 @@ from attnlab.scheduling import (
     StepWindow,
     active_steps,
     block_gate,
-    combined_gate,
     scheduled_attention,
     step_fraction,
     step_mask,
@@ -88,15 +87,6 @@ def test_block_gate_validation():
         block_gate(0.5, -0.1, 1.35)
     with pytest.raises(ValueError, match="gamma"):
         block_gate(0.6, 0.5, 0.0)
-
-
-def test_combined_gate_values():
-    assert combined_gate(1, 1, 1.35) == pytest.approx(0.35)
-    assert combined_gate(0, 1, 1.35) == 0.0
-    assert combined_gate(1, 0, 1.35) == 0.0
-    assert combined_gate(1, 1, 1.0) == 0.0
-    with pytest.raises(ValueError, match="step flag"):
-        combined_gate(2, 1, 1.35)
 
 
 def test_gate_table_construction():
@@ -179,6 +169,20 @@ def test_active_cell_sharpens_conditioning_columns():
         res.logits[:, :4], 1.35 * plain.logits[:, :4], atol=1e-13
     )
     assert np.array_equal(res.logits[:, 4:], plain.logits[:, 4:])
+
+
+def test_active_cell_applies_gamma_itself_below_one_half():
+    # 1 + (gamma - 1) rounds away from gamma below 0.5; the cell must use gamma.
+    from attnlab.attention import apply_group_scaling, attention_forward
+
+    q, k, v, part, cfg = _setup(gamma=0.1)
+    assert 1.0 + (0.1 - 1.0) != 0.1
+    res = scheduled_attention(0, 1, q, k, v, part, cfg)
+    q2, k2 = apply_group_scaling(q, k, part, cfg.modulation.targets, 0.1)
+    expected = attention_forward(q2, k2, v)
+    assert np.array_equal(res.logits, expected.logits)
+    assert np.array_equal(res.probabilities, expected.probabilities)
+    assert np.array_equal(res.output, expected.output)
 
 
 def test_energy_mode_uses_per_call_coefficient():

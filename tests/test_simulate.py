@@ -16,9 +16,7 @@ from attnlab.simulate import (
     deviation_bound_check,
     flops_audit,
     make_toy_denoiser,
-    predict_noise,
     run_trajectory,
-    scale_key_columns,
     scaling_multiply_count,
     sharpening_curve,
 )
@@ -63,20 +61,22 @@ def test_make_toy_denoiser_validation():
         make_toy_denoiser(seed=0, n_text=0, n_image=0)
 
 
-def test_predict_noise_shape_and_state_check():
+def test_ddim_step_state_shape_check():
     den = make_toy_denoiser(seed=2)
     x = sample_gaussian((den.n_video, den.d_model), seed=5)
-    eps = predict_noise(den, x, t=1)
-    assert eps.shape == x.shape
+    coeffs = StepCoefficients.linear(4)
+    assert ddim_step(den, x, 1, coeffs).shape == x.shape
     with pytest.raises(ValueError, match="state shape"):
-        predict_noise(den, x.T, t=1)
+        ddim_step(den, x.T, 1, coeffs)
 
 
 def test_ddim_step_linear_update():
     den = make_toy_denoiser(seed=2)
     x = sample_gaussian((den.n_video, den.d_model), seed=5)
+    # a = 0, b = 1 makes the step return the predicted noise itself
+    eps = ddim_step(den, x, 2, StepCoefficients(a=(0.0,) * 4, b=(1.0,) * 4))
+    assert eps.shape == x.shape
     coeffs = StepCoefficients(a=(0.9,) * 4, b=(0.1,) * 4)
-    eps = predict_noise(den, x, t=2)
     np.testing.assert_allclose(ddim_step(den, x, 2, coeffs), 0.9 * x + 0.1 * eps, atol=1e-14)
     with pytest.raises(ValueError, match="out of range"):
         ddim_step(den, x, 5, coeffs)
@@ -255,19 +255,22 @@ def test_conflict_logits_layout():
     assert z[:, list(part.image)].mean() > z[:, list(part.text)].mean() + 1.0
 
 
-def test_scale_key_columns_matches_group_scaling():
-    from attnlab.attention import apply_group_scaling, scaled_logits
+def test_key_scale_factors_scale_key_rows_and_logit_columns_alike():
+    from attnlab.attention import apply_group_scaling, key_scale_factors, scaled_logits
 
     rng = np.random.default_rng(5)
     q = rng.normal(size=(4, 8))
     k = rng.normal(size=(6, 8))
     part = build_partition(2, 2, 2)
     targets = ScalingTargets(key_groups={"text", "image"})
+    factors = key_scale_factors(part, targets.key_groups, 1.35)
+    assert factors.tolist() == [1.35] * 4 + [1.0] * 2
     z = scaled_logits(q, k)
     _, ks = apply_group_scaling(q, k, part, targets, 1.35)
-    np.testing.assert_allclose(
-        scale_key_columns(z, part, targets, 1.35), scaled_logits(q, ks), atol=1e-13
-    )
+    np.testing.assert_array_equal(ks, k * factors[:, None])
+    np.testing.assert_allclose(z * factors, scaled_logits(q, ks), atol=1e-13)
+    # untouched keys keep bit-identical logit columns
+    assert np.array_equal((z * factors)[:, 4:], z[:, 4:])
 
 
 def test_conflict_image_dominates_baseline():
