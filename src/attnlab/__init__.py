@@ -9,6 +9,7 @@ from .analysis import (
     CurvatureReport,
     EntropyReport,
     GroupMassReport,
+    GroupMassRows,
     LipschitzReport,
     attention_hessian,
     curvature_report,
@@ -16,6 +17,7 @@ from .analysis import (
     entropy_alpha_report,
     flops_overhead,
     group_mass_report,
+    group_mass_rows,
     lipschitz_report,
     restricted_softmax,
 )

@@ -243,29 +243,75 @@ class GroupMassReport:
     entropy_cond: float
 
 
-def group_mass_report(p, partition: KeyPartition) -> GroupMassReport:
-    pv = as_vector(p, "distribution")
-    if pv.size != partition.size:
-        raise ValueError(
-            f"distribution length {pv.size} != partition size {partition.size}"
-        )
-    if (pv < 0).any():
+@dataclass(frozen=True)
+class GroupMassRows:
+    """:class:`GroupMassReport` fields for a stack of rows, one array entry per row."""
+
+    mass_text: np.ndarray
+    mass_image: np.ndarray
+    mass_video: np.ndarray
+    entropy_cond: np.ndarray
+
+
+def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
+    """Group masses and conditioning entropy of every row of ``p`` in one pass.
+
+    Row i equals ``group_mass_report(p[i], partition)`` bit for bit, and the
+    same inputs are rejected: a non-finite or negative entry, or a nonzero
+    conditioning row that does not renormalize to a sum of 1 within
+    ``ENTROPY_SUM_TOLERANCE`` (the error gives the first such row's sum).
+    """
+    pm = as_matrix(p, "distribution")
+    n, m = pm.shape
+    if m != partition.size:
+        raise ValueError(f"distribution length {m} != partition size {partition.size}")
+    if (pm < 0).any():
         raise ValueError("invalid distribution: negative entry")
 
-    def mass(idx) -> float:
-        return float(pv[list(idx)].sum()) if idx else 0.0
+    def columns(idx) -> np.ndarray:
+        # p[:, idx] is F-ordered, and its sum(axis=1) rounds differently from
+        # a 1-D row sum; the C-ordered copy sums each row like a vector.
+        return np.ascontiguousarray(pm[:, list(idx)])
 
+    def mass(idx) -> np.ndarray:
+        return columns(idx).sum(axis=1) if idx else np.zeros(n)
+
+    h_cond = np.full(n, math.nan)
     cond = partition.conditioning
-    cond_mass = mass(cond)
-    if not cond or cond_mass <= 0.0:
-        h_cond = math.nan
-    else:
-        h_cond = entropy(pv[list(cond)] / cond_mass)
-    return GroupMassReport(
+    if cond:
+        c = columns(cond)
+        cond_mass = c.sum(axis=1)
+        ok = cond_mass > 0.0
+        q = c[ok] / cond_mass[ok, None]
+        totals = q.sum(axis=1)
+        bad = np.abs(totals - 1.0) > ENTROPY_SUM_TOLERANCE
+        if bad.any():
+            raise ValueError(f"invalid distribution: sum is {float(totals[bad][0])!r}, not 1")
+        positive = q > 0
+        h = -(q * np.log(np.where(positive, q, 1.0))).sum(axis=1)
+        # entropy() sums the positive entries only; a row with zeros sums in
+        # a different order, so it takes the same 1-D path.
+        for i in np.flatnonzero(~positive.all(axis=1)):
+            nz = q[i][positive[i]]
+            h[i] = -(nz * np.log(nz)).sum()
+        h_cond[ok] = h
+    return GroupMassRows(
         mass_text=mass(partition.text),
         mass_image=mass(partition.image),
         mass_video=mass(partition.video),
         entropy_cond=h_cond,
+    )
+
+
+def group_mass_report(p, partition: KeyPartition) -> GroupMassReport:
+    """The single-row case of :func:`group_mass_rows`."""
+    pv = as_vector(p, "distribution")
+    rows = group_mass_rows(pv[None, :], partition)
+    return GroupMassReport(
+        mass_text=float(rows.mass_text[0]),
+        mass_image=float(rows.mass_image[0]),
+        mass_video=float(rows.mass_video[0]),
+        entropy_cond=float(rows.entropy_cond[0]),
     )
 
 

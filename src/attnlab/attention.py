@@ -313,6 +313,9 @@ class ModulationConfig:
 
     @property
     def effective(self) -> bool:
-        """Whether active cells count as scaled: scalar gamma == 1 folds to
-        the identity; energy mode always counts."""
-        return self.mode == "energy" or self.gamma != 1.0
+        """Whether active cells count as scaled: a coefficient of exactly 1
+        folds to the identity, which is scalar gamma == 1 and energy mode
+        with gamma_max == 1."""
+        if self.mode == "energy":
+            return self.gamma_max != 1.0
+        return self.gamma != 1.0

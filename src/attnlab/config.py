@@ -8,11 +8,13 @@ identity on the resulting object.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .attention import ArchMode, ModulationConfig, resolve_targets
 from .calibration import load_block_fixture
@@ -29,6 +31,14 @@ def _schema() -> dict:
 
 
 _SCHEMA = _schema()
+
+
+@functools.cache
+def _validator():
+    """The schema's validator; the schema itself is checked once per process."""
+    cls = validator_for(_SCHEMA)
+    cls.check_schema(_SCHEMA)
+    return cls(_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -72,11 +82,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        try:
-            jsonschema.validate(instance=data, schema=_SCHEMA)
-        except jsonschema.ValidationError as e:
-            path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {e.message}") from None
+        # What jsonschema.validate does, without re-checking the schema per call.
+        error = best_match(_validator().iter_errors(data))
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ConfigError(f"config invalid at {path}: {error.message}")
         merged = {f: getattr(cls(), f) for f in cls.__dataclass_fields__}
         for key in ("window", "block_gates", "dims"):
             if key in data:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import entropy, flops_overhead, group_mass_report
+from .analysis import entropy, flops_overhead, group_mass_rows
 from .attention import (
     KeyPartition,
     ScalingTargets,
@@ -23,7 +23,7 @@ from .attention import (
     key_scale_factors,
 )
 from .numerics import as_matrix, row_softmax, sample_gaussian, softmax_vec, spectral_norm
-from .scheduling import ScheduleConfig, active_steps, scheduled_attention
+from .scheduling import ScheduleConfig, active_steps, scheduled_attention, step_mask
 
 
 @dataclass(frozen=True)
@@ -340,11 +340,13 @@ def run_trajectory(
 ) -> Trajectory:
     """Roll the full schedule and record paired per-step attention statistics.
 
-    At every (block, step) the scheduled call drives the state; a paired
-    unscheduled call on the same Q/K measures the baseline, so the reported
-    entropy ratio compares the same logits (inactive cells have ratio exactly
-    1). Masses and conditioning entropies are averaged over blocks and video
-    query rows of the scheduled pass.
+    At every (block, step) the scheduled call drives the state and is paired
+    with a baseline on the same Q/K, so the reported entropy ratio compares
+    the same logits. Only a scaled cell runs a separate unscheduled call for
+    its baseline; any other cell reuses its scheduled result, which is the
+    plain pass bit for bit (so such cells have ratio exactly 1). Masses and
+    conditioning entropies are averaged over blocks and video query rows,
+    from one :func:`group_mass_rows` pass per step.
     """
     if schedule.total_steps != coeffs.total_steps:
         raise ValueError(
@@ -356,36 +358,43 @@ def run_trajectory(
         )
     x = as_matrix(x0, "state").copy()
     n_cond = denoiser.cond_embed.shape[0]
+    n_video = denoiser.n_video
+    n_meas = len(denoiser.blocks) * n_video
     part = denoiser.partition
     targets = schedule.modulation.targets
     effective = schedule.modulation.effective
+    gates = schedule.gates.gates
     rows = []
     for t in range(1, coeffs.total_steps + 1):
-        masses = np.zeros(3)
-        ent_mod = []
-        ent_base = []
+        # A cell is scaled when its block gate is on in a scaling step.
+        scaling_step = effective and step_mask(t, schedule.total_steps, schedule.window)
+        # Video rows of every block, block-major: scheduled, then baseline.
+        probs = np.empty((2 * n_meas, part.size))
         active = 0
         multiplies = 0
 
         def observe(l, q, k, v, res):
-            nonlocal masses, active, multiplies
-            base = attention_forward(q, k, v)
-            if schedule.is_active(l, t) and effective:
+            nonlocal active, multiplies
+            sched = res.probabilities[n_cond:]
+            base = sched
+            if scaling_step and gates[l]:
                 active += 1
                 multiplies += scaling_multiply_count(part, targets, q.shape[0], q.shape[1])
-            for row in range(n_cond, q.shape[0]):
-                rep = group_mass_report(res.probabilities[row], part)
-                rep_b = group_mass_report(base.probabilities[row], part)
-                masses += (rep.mass_text, rep.mass_image, rep.mass_video)
-                ent_mod.append(rep.entropy_cond)
-                ent_base.append(rep_b.entropy_cond)
+                base = attention_forward(q, k, v).probabilities[n_cond:]
+            probs[l * n_video : (l + 1) * n_video] = sched
+            probs[n_meas + l * n_video : n_meas + (l + 1) * n_video] = base
             return res.output
 
         h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
-        n_meas = len(denoiser.blocks) * denoiser.n_video
-        mean_mod = float(np.mean(ent_mod))
-        mean_base = float(np.mean(ent_base))
+        stats = group_mass_rows(probs, part)
+        # cumsum adds row by row, as a running total would.
+        masses = [
+            np.cumsum(col[:n_meas])[-1]
+            for col in (stats.mass_text, stats.mass_image, stats.mass_video)
+        ]
+        mean_mod = float(np.mean(stats.entropy_cond[:n_meas]))
+        mean_base = float(np.mean(stats.entropy_cond[n_meas:]))
         ratio = mean_mod / mean_base if mean_base > 0 else float("nan")
         rows.append(
             TrajectoryRow(
@@ -424,9 +433,10 @@ class FlopsAudit:
 def flops_audit(trajectory: Trajectory, schedule: ScheduleConfig) -> FlopsAudit:
     """Compare the trajectory's scaled cells with the product-schedule model.
 
-    For a scalar schedule with gamma != 1 (and for energy mode, whose
-    coefficient always exceeds 1) every gated (block, step) cell fires, so the
-    measured fraction equals (L_s/L)(T_s/T) exactly; gamma == 1 fires nothing.
+    For a scalar schedule with gamma != 1, and for energy mode with
+    gamma_max > 1, every gated (block, step) cell fires, so the measured
+    fraction equals (L_s/L)(T_s/T) exactly. A coefficient of exactly 1 (scalar
+    gamma == 1, or energy mode with gamma_max == 1) fires nothing.
     """
     l_total = schedule.num_blocks
     t_total = schedule.total_steps
@@ -519,7 +529,9 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         i for name in config.targets.key_groups for i in part.group(name)
     )
     text_set = set(part.text)
-    ratios = []
+    stats_b = group_mass_rows(p_base, part)
+    stats_m = group_mass_rows(p_mod, part)
+    ratios = stats_m.entropy_cond / stats_b.entropy_cond
     nondeg = []
     scaled_ratios = []
     scaled_nondeg = []
@@ -527,9 +539,6 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
     for i in range(z.shape[0]):
         zb = z[i, cond]
         nondeg.append(bool(np.var(zb) > 1e-12))
-        rep_b = group_mass_report(p_base[i], part)
-        rep_m = group_mass_report(p_mod[i], part)
-        ratios.append(rep_m.entropy_cond / rep_b.entropy_cond)
         if scaled_union:
             zs = z[i, scaled_union]
             scaled_nondeg.append(bool(np.var(zs) > 1e-12))
@@ -541,16 +550,15 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         if argmax_b not in text_set and argmax_m in text_set:
             flips += 1
 
-    def mass_means(p):
-        reps = [group_mass_report(p[i], part) for i in range(p.shape[0])]
+    def mass_means(stats):
         return (
-            float(np.mean([r.mass_text for r in reps])),
-            float(np.mean([r.mass_image for r in reps])),
-            float(np.mean([r.mass_video for r in reps])),
+            float(np.mean(stats.mass_text)),
+            float(np.mean(stats.mass_image)),
+            float(np.mean(stats.mass_video)),
         )
 
-    bt, bi, bv = mass_means(p_base)
-    mt, mi, mv = mass_means(p_mod)
+    bt, bi, bv = mass_means(stats_b)
+    mt, mi, mv = mass_means(stats_m)
     return ConflictReport(
         gamma=config.gamma,
         boost=config.boost,
@@ -560,7 +568,7 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         delta_mass_text=mt - bt,
         delta_mass_image=mi - bi,
         delta_mass_video=mv - bv,
-        entropy_ratios=tuple(ratios),
+        entropy_ratios=tuple(ratios.tolist()),
         nondegenerate=tuple(nondeg),
         scaled_entropy_ratios=tuple(scaled_ratios),
         scaled_nondegenerate=tuple(scaled_nondeg),

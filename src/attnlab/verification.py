@@ -346,8 +346,13 @@ def _sweep(z_draws, alpha_grid):
         gap = float(top[1] - top[0])
         if alpha_grid:
             grid = sorted(alpha_grid)
-        else:
+        elif gap > 0:
             grid = sorted(r / gap for r in SWEEP_GAP_RATIOS)
+        else:
+            raise ValueError(
+                f"draw {i} has a tied maximum (top-two gap 0), so the default grid "
+                "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
+            )
         entries = []
         for alpha in grid:
             rep = curvature_report(z, alpha)
@@ -393,10 +398,11 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
 
     The draws are the single vector ``z`` when given, else ``draws`` seeded
     gapped logit vectors of length 2..16. The grid is ``alpha_grid`` when
-    given, else SWEEP_GAP_RATIOS / Delta per draw (Delta the top-two gap). A
-    draw fails when entropy increases along the grid, the decay envelope
-    increases past 2/Delta, any curvature bound is violated, or (default grid
-    only) the curvature at 50/Delta is not below COLLAPSE_NORM_LIMIT.
+    given, else SWEEP_GAP_RATIOS / Delta per draw (Delta the top-two gap),
+    which needs Delta > 0: a tied maximum raises ``ValueError``. A draw fails
+    when entropy increases along the grid, the decay envelope increases past
+    2/Delta, any curvature bound is violated, or (default grid only) the
+    curvature at 50/Delta is not below COLLAPSE_NORM_LIMIT.
     """
     if z is not None:
         z_draws = [z]

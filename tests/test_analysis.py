@@ -14,6 +14,7 @@ from attnlab.analysis import (
     entropy_alpha_report,
     flops_overhead,
     group_mass_report,
+    group_mass_rows,
     lipschitz_report,
     restricted_softmax,
 )
@@ -320,6 +321,86 @@ def test_group_mass_validation():
         group_mass_report([0.5, 0.5], part)
     with pytest.raises(ValueError, match="negative"):
         group_mass_report([-0.1, 0.6, 0.5], part)
+
+
+def _reference_row(pv, part):
+    """The per-row statistics written out with 1-D sums and entropy()."""
+
+    def mass(idx):
+        return float(pv[list(idx)].sum()) if idx else 0.0
+
+    cond = part.conditioning
+    cond_mass = mass(cond)
+    h = math.nan if not cond or cond_mass <= 0.0 else entropy(pv[list(cond)] / cond_mass)
+    return (mass(part.text), mass(part.image), mass(part.video), h)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@st.composite
+def _stacks(draw):
+    """(p, partition): nonnegative rows, some with exact zeros or zero conditioning mass."""
+    n_cond = draw(st.integers(0, 16))
+    n_text = draw(st.integers(0, n_cond))
+    n_video = draw(st.integers(0 if n_cond else 1, 6))
+    part = build_partition(n_text, n_cond - n_text, n_video)
+    n_rows = draw(st.integers(1, 12))
+    entries = st.one_of(st.just(0.0), st.floats(1e-300, 1e3), st.floats(0.0, 1.0))
+    p = draw(arrays(np.float64, (n_rows, part.size), elements=entries))
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+        p[i, list(part.conditioning)] = 0.0
+    return p, part
+
+
+@seed(11)
+@settings(max_examples=300, deadline=None)
+@given(case=_stacks())
+def test_group_mass_rows_match_row_reports_bit_for_bit(case):
+    p, part = case
+    rows = group_mass_rows(p, part)
+    for i in range(p.shape[0]):
+        got = (rows.mass_text[i], rows.mass_image[i], rows.mass_video[i], rows.entropy_cond[i])
+        rep = group_mass_report(p[i], part)
+        assert _bits(got) == _bits(_reference_row(p[i], part))
+        assert _bits(got) == _bits(
+            (rep.mass_text, rep.mass_image, rep.mass_video, rep.entropy_cond)
+        )
+
+
+@seed(12)
+@settings(max_examples=100, deadline=None)
+@given(
+    case=_stacks(),
+    bad=st.sampled_from([-1e-3, -5e-324, math.nan, math.inf, -math.inf]),
+    data=st.data(),
+)
+def test_group_mass_rows_reject_what_row_reports_reject(case, bad, data):
+    p, part = case
+    i = data.draw(st.integers(0, p.shape[0] - 1))
+    j = data.draw(st.integers(0, part.size - 1))
+    p[i, j] = bad
+    with pytest.raises(ValueError, match="negative|non-finite"):
+        group_mass_rows(p, part)
+    with pytest.raises(ValueError, match="negative|non-finite"):
+        group_mass_report(p[i], part)
+
+
+def test_group_mass_rows_validation():
+    part = build_partition(1, 1, 1)
+    with pytest.raises(ValueError, match="partition size"):
+        group_mass_rows(np.full((2, 2), 0.5), part)
+    with pytest.raises(ValueError, match="2-D"):
+        group_mass_rows([0.2, 0.3, 0.5], part)
+    # A row whose renormalized conditioning block cannot sum to 1 is named
+    # by its sum, as entropy() names it.
+    huge = np.array([[1e308, 1e308, 0.0]])
+    with np.errstate(over="ignore"):  # the conditioning mass overflows to inf
+        with pytest.raises(ValueError, match="sum is 0.0, not 1"):
+            group_mass_rows(huge, part)
+        with pytest.raises(ValueError, match="sum is 0.0, not 1"):
+            group_mass_report(huge[0], part)
 
 
 # -- flops --------------------------------------------------------------------

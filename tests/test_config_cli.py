@@ -1,10 +1,12 @@
+import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from attnlab.cli import main
-from attnlab.config import ConfigError, RunConfig
+from attnlab.config import _SCHEMA, ConfigError, RunConfig
 from attnlab.numerics import row_softmax
 from attnlab.tensorio import write_tensor
 
@@ -35,6 +37,30 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"window": {"name": "early"}})
     with pytest.raises(ConfigError, match="config invalid at dims"):
         RunConfig.from_dict({"dims": {"n_audio": 2}})
+
+
+def test_shipped_schema_passes_check_schema():
+    jsonschema.validators.validator_for(_SCHEMA).check_schema(_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"gama": 1.2},
+        {"gamma": -1.0},
+        {"window": {"name": "early"}},
+        {"dims": {"n_audio": 2}},
+        {"mode": "annealed", "tau": 1.5},
+        {"alpha_grid": ["x"]},
+    ],
+)
+def test_invalid_config_message_is_the_jsonschema_validate_message(data):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(instance=data, schema=_SCHEMA)
+    path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        RunConfig.from_dict(data)
+    assert str(got.value) == f"config invalid at {path}: {want.value.message}"
 
 
 def test_schema_value_constraints():
@@ -190,6 +216,22 @@ def test_sweep_bad_vector_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_tied_maximum_default_grid_is_a_usage_error(tmp_path, capsys):
+    # The default grid is SWEEP_GAP_RATIOS / gap, undefined at gap 0.
+    rc = main(["sweep", "--z", "1,1,0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--alpha-grid" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_tied_maximum_explicit_grid_passes(tmp_path):
+    # The curvature bounds take the "bound not applicable" path at gap 0.
+    rc = main(["sweep", "--z", "1,1,0", "--alpha-grid", "1,2", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    assert len(lines) == 3
+
+
 def test_config_file_plus_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"draws": 12, "seed": 1}')
@@ -330,6 +372,26 @@ def test_simulate_gamma_one_zero_cells(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["flops"]["measured_cells"] == 0
     assert summary["flops"]["model_fraction"] == 0.0
+
+
+def test_simulate_energy_gamma_max_one_scales_nothing(tmp_path, capsys):
+    # The energy coefficient 1 + (gamma_max - 1) * logistic(.) is exactly 1.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "energy", "gamma_max": 1.0}))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--steps", "10", "--blocks", "4",
+               "--out", str(out)])
+    assert rc == 0
+    assert "scaled_cells=0 " in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["flops"]["measured_cells"] == 0
+    assert summary["flops"]["expected_cells"] == 0
+    assert summary["flops"]["multiplies_total"] == 0
+    assert summary["flops"]["exact_match"] is True
+    with open(out / "trajectory.csv", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert all(int(r["active_blocks"]) == 0 and int(r["scaling_multiplies"]) == 0 for r in rows)
+    assert all(float(r["entropy_ratio"]) == 1.0 for r in rows)
 
 
 def test_simulate_preset_flag(tmp_path):

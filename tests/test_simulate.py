@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from attnlab import scheduling, simulate
 from attnlab.attention import ModulationConfig, ScalingTargets, build_partition
 from attnlab.numerics import sample_gaussian, spectral_norm
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
@@ -231,6 +232,27 @@ def test_trajectory_energy_mode_counts_all_gated_cells():
     assert audit.expected_cells == 2 * len(
         [t for t in range(1, 11) if (t - 1) / 9 <= 0.30]
     )
+
+
+def test_trajectory_runs_baseline_only_on_scaled_cells(monkeypatch):
+    # Every cell runs its scheduled call; only a scaled cell adds a baseline.
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    original = simulate.attention_forward
+    monkeypatch.setattr(simulate, "attention_forward", counting_forward)
+    monkeypatch.setattr(scheduling, "attention_forward", counting_forward)
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    coeffs = StepCoefficients.linear(10)
+    traj = run_trajectory(den, coeffs, _schedule(num_blocks=4, total_steps=10),
+                          sample_gaussian((den.n_video, den.d_model), seed=1))
+    cells = 4 * 10
+    assert traj.total_active_cells == 2 * 3  # blocks 0-1 x steps 1-3
+    assert len(calls) == cells + traj.total_active_cells
+    assert len(calls) < 2 * cells
 
 
 def test_trajectory_shape_mismatches_rejected():
