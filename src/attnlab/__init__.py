@@ -7,18 +7,21 @@ verification suites that certify every bound the machinery relies on.
 
 from .analysis import (
     CurvatureReport,
+    CurvatureRows,
     EntropyReport,
     GroupMassReport,
     GroupMassRows,
     LipschitzReport,
     attention_hessian,
     curvature_report,
+    curvature_rows,
     entropy,
     entropy_alpha_report,
     flops_overhead,
     group_mass_report,
     group_mass_rows,
     lipschitz_report,
+    logit_gap,
     restricted_softmax,
 )
 from .attention import (
@@ -52,6 +55,7 @@ from .calibration import (
 )
 from .config import ConfigError, RunConfig
 from .numerics import (
+    eigvalsh_sym,
     log_sum_exp,
     pca_top_k,
     row_softmax,

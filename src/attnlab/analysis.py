@@ -13,12 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import KeyPartition
-from .numerics import as_matrix, as_vector, softmax_vec, spectral_norm, spectral_norm_sym
+from .numerics import as_matrix, as_vector, eigvalsh_sym, row_softmax, softmax_vec, spectral_norm
 
 ENTROPY_SUM_TOLERANCE = 1e-8
 DEFAULT_FD_STEP = 1e-5
 # Float slack for bound checks that are exact in real arithmetic.
 _BOUND_SLACK = 1e-12
+# Largest Hessian stack curvature_rows builds at once, in float64 entries
+# (16 MiB): a long logit vector is solved a few alphas at a time.
+_HESSIAN_STACK_ENTRIES = 1 << 21
+# Curvature violations by bitmask (bit 0 gershgorin, bit 1 tail, bit 2 decay),
+# each listing the violated bounds in that order.
+_CURVATURE_VIOLATIONS = tuple(
+    tuple(name for bit, name in enumerate(("gershgorin", "tail", "decay")) if mask >> bit & 1)
+    for mask in range(8)
+)
 
 
 def entropy(p) -> float:
@@ -35,6 +44,27 @@ def entropy(p) -> float:
         raise ValueError(f"invalid distribution: sum is {total!r}, not 1")
     nz = pv[pv > 0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def _row_entropies(q: np.ndarray) -> np.ndarray:
+    """:func:`entropy` of each row of a nonnegative, finite, C-ordered (n, m) stack.
+
+    Row i equals ``entropy(q[i])`` bit for bit, and a row whose sum is off 1
+    by more than ``ENTROPY_SUM_TOLERANCE`` raises the same error (giving the
+    first such row's sum).
+    """
+    totals = q.sum(axis=1)
+    bad = np.abs(totals - 1.0) > ENTROPY_SUM_TOLERANCE
+    if bad.any():
+        raise ValueError(f"invalid distribution: sum is {float(totals[bad][0])!r}, not 1")
+    positive = q > 0
+    h = -(q * np.log(np.where(positive, q, 1.0))).sum(axis=1)
+    # entropy() sums the positive entries only; a row with zeros sums in a
+    # different order, so it takes the same 1-D path.
+    for i in np.flatnonzero(~positive.all(axis=1)):
+        nz = q[i][positive[i]]
+        h[i] = -(nz * np.log(nz)).sum()
+    return h
 
 
 def _subset_indices(s, size: int) -> np.ndarray:
@@ -99,12 +129,23 @@ def entropy_alpha_report(
     numeric = (h_at(alpha + fd_step) - h_at(alpha - fd_step)) / (2.0 * fd_step)
     return EntropyReport(
         alpha=alpha,
-        entropy=h_at(alpha),
+        entropy=entropy(p),
         variance=max(variance, 0.0),
         analytic_derivative=analytic,
         numeric_derivative=numeric,
         abs_gap=abs(analytic - numeric),
     )
+
+
+def _hessians(p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The (k, m, m) stack alpha_k^2 (diag(p_k) - p_k p_k^T) for the rows p_k of ``p``.
+
+    Every matrix is exactly symmetric in IEEE arithmetic: entry (i, j) and
+    entry (j, i) are the same products of the same operands.
+    """
+    m = p.shape[1]
+    unscaled = p[:, :, None] * np.eye(m) - p[:, :, None] * p[:, None, :]
+    return (alphas * alphas)[:, None, None] * unscaled
 
 
 def attention_hessian(z, alpha: float) -> np.ndarray:
@@ -116,7 +157,16 @@ def attention_hessian(z, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     p = softmax_vec(alpha * zv)
-    return alpha * alpha * (np.diag(p) - np.outer(p, p))
+    return _hessians(p[None, :], np.array([alpha], dtype=np.float64))[0]
+
+
+def logit_gap(z) -> float:
+    """Gap between the two largest logits: 0.0 for a tied maximum or a single logit."""
+    zv = as_vector(z, "logits")
+    if zv.size == 1:
+        return 0.0
+    top_two = np.sort(zv)[-2:]
+    return float(top_two[1] - top_two[0])
 
 
 @dataclass(frozen=True)
@@ -143,46 +193,124 @@ class CurvatureReport:
     violations: tuple[str, ...]
 
 
-def curvature_report(z, alpha: float) -> CurvatureReport:
-    zv = as_vector(z, "logits")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    m = zv.size
-    p = softmax_vec(alpha * zv)
-    j_star = int(np.argmax(zv))
-    if m == 1:
-        delta = 0.0
-        gap_applicable = True  # bounds are exactly 0 and hold trivially
-    else:
-        top_two = np.sort(zv)[-2:]
-        delta = float(top_two[1] - top_two[0])
-        gap_applicable = delta > 0.0
-    tail_mass = float(1.0 - p[j_star])
-    tail_bound = (m - 1) * math.exp(-alpha * delta)
-    gersh = float((2.0 * p * (1.0 - p)).max())
-    decay_bound = 2.0 * alpha * alpha * tail_bound
-    norm = spectral_norm_sym(attention_hessian(zv, alpha))
+@dataclass(frozen=True)
+class CurvatureRows:
+    """:class:`CurvatureReport` fields of one logit vector over a grid of alphas.
 
-    violations = []
-    slack = _BOUND_SLACK * max(1.0, alpha * alpha)
-    if norm > alpha * alpha * gersh + slack:
-        violations.append("gershgorin")
+    ``alpha`` is the grid as given; the other per-alpha fields are arrays with
+    one entry per alpha, and ``violations`` is one tuple per alpha. ``p`` is
+    the (k, m) softmax stack and ``min_eigenvalue`` the smallest Hessian
+    eigenvalue at each alpha. ``logit_gap`` and ``gap_applicable`` belong to
+    the logit vector and hold for every alpha.
+    """
+
+    alpha: tuple
+    p: np.ndarray
+    spectral_norm: np.ndarray
+    min_eigenvalue: np.ndarray
+    gershgorin_bound: np.ndarray
+    tail_mass: np.ndarray
+    tail_bound: np.ndarray
+    decay_bound: np.ndarray
+    logit_gap: float
+    gap_applicable: bool
+    violations: tuple[tuple[str, ...], ...]
+
+    def reports(self) -> list[CurvatureReport]:
+        """One :class:`CurvatureReport` of Python floats per alpha, in grid order."""
+        columns = zip(
+            self.alpha,
+            self.spectral_norm.tolist(),
+            self.gershgorin_bound.tolist(),
+            self.tail_mass.tolist(),
+            self.tail_bound.tolist(),
+            self.decay_bound.tolist(),
+            self.violations,
+        )
+        return [
+            CurvatureReport(
+                alpha=alpha,
+                spectral_norm=norm,
+                gershgorin_bound=gersh,
+                tail_mass=tail_mass,
+                tail_bound=tail_bound,
+                decay_bound=decay_bound,
+                logit_gap=self.logit_gap,
+                gap_applicable=self.gap_applicable,
+                violations=violations,
+            )
+            for alpha, norm, gersh, tail_mass, tail_bound, decay_bound, violations in columns
+        ]
+
+
+def curvature_rows(z, alphas) -> CurvatureRows:
+    """Curvature and its decay bounds at every alpha of a grid, in one stacked pass.
+
+    The stack form of :func:`curvature_report`: row i equals
+    ``curvature_report(z, alphas[i])`` bit for bit, and the same inputs are
+    rejected (non-finite or empty ``z``, any alpha <= 0), as is an empty grid.
+    The (k, m) softmax stack and the (k, m, m) Hessian stack are built in one
+    pass, and one batched :func:`~attnlab.numerics.eigvalsh_sym` call solves
+    every Hessian. Each Hessian is exactly symmetric (see :func:`_hessians`),
+    so its symmetrized solve equals a plain ``eigvalsh`` of it, and stacked
+    and one-at-a-time solves agree. A stack larger than
+    ``_HESSIAN_STACK_ENTRIES`` entries is built and solved in chunks of
+    alphas, so a long logit vector needs no more memory than one Hessian
+    (or one chunk) at a time.
+    """
+    zv = as_vector(z, "logits")
+    grid = tuple(alphas)
+    if not grid:
+        raise ValueError("alpha grid must be nonempty")
+    for alpha in grid:
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+    a = np.array(grid, dtype=np.float64)
+    p = row_softmax(a[:, None] * zv)
+    m = zv.size
+    delta = logit_gap(zv)
+    # With m == 1 the bounds are exactly 0 and hold trivially.
+    gap_applicable = m == 1 or delta > 0.0
+    tail_mass = 1.0 - p[:, int(np.argmax(zv))]
+    tail_bound = np.array([(m - 1) * math.exp(-alpha * delta) for alpha in a.tolist()])
+    gersh = (2.0 * p * (1.0 - p)).max(axis=1)
+    decay_bound = 2.0 * a * a * tail_bound
+    chunk = max(1, _HESSIAN_STACK_ENTRIES // (m * m))
+    eigs = np.concatenate(
+        [
+            eigvalsh_sym(_hessians(p[i : i + chunk], a[i : i + chunk]))
+            for i in range(0, a.size, chunk)
+        ]
+    )
+    norm = np.abs(eigs).max(axis=1)
+
+    slack = _BOUND_SLACK * np.maximum(1.0, a * a)
+    mask = (norm > a * a * gersh + slack).astype(int)
     if gap_applicable:
-        if tail_mass > tail_bound + _BOUND_SLACK:
-            violations.append("tail")
-        if norm > decay_bound + slack:
-            violations.append("decay")
-    return CurvatureReport(
-        alpha=alpha,
+        mask += 2 * (tail_mass > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
+    return CurvatureRows(
+        alpha=grid,
+        p=p,
         spectral_norm=norm,
+        min_eigenvalue=eigs[:, 0],
         gershgorin_bound=gersh,
         tail_mass=tail_mass,
         tail_bound=tail_bound,
         decay_bound=decay_bound,
         logit_gap=delta,
         gap_applicable=gap_applicable,
-        violations=tuple(violations),
+        violations=tuple(_CURVATURE_VIOLATIONS[k] for k in mask.tolist()),
     )
+
+
+def curvature_report(z, alpha: float) -> CurvatureReport:
+    """Curvature of the log-partition at one alpha: the one-alpha case of
+    :func:`curvature_rows`, with its checks and errors.
+
+    The spectral norm comes from a symmetric eigensolve of the exactly
+    symmetric Hessian alpha^2 (diag(p) - p p^T).
+    """
+    return curvature_rows(z, (alpha,)).reports()[0]
 
 
 @dataclass(frozen=True)
@@ -282,19 +410,7 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
         c = columns(cond)
         cond_mass = c.sum(axis=1)
         ok = cond_mass > 0.0
-        q = c[ok] / cond_mass[ok, None]
-        totals = q.sum(axis=1)
-        bad = np.abs(totals - 1.0) > ENTROPY_SUM_TOLERANCE
-        if bad.any():
-            raise ValueError(f"invalid distribution: sum is {float(totals[bad][0])!r}, not 1")
-        positive = q > 0
-        h = -(q * np.log(np.where(positive, q, 1.0))).sum(axis=1)
-        # entropy() sums the positive entries only; a row with zeros sums in
-        # a different order, so it takes the same 1-D path.
-        for i in np.flatnonzero(~positive.all(axis=1)):
-            nz = q[i][positive[i]]
-            h[i] = -(nz * np.log(nz)).sum()
-        h_cond[ok] = h
+        h_cond[ok] = _row_entropies(c[ok] / cond_mass[ok, None])
     return GroupMassRows(
         mass_text=mass(partition.text),
         mass_image=mass(partition.image),

@@ -52,6 +52,12 @@ INJECT_BUG_ENV = "ATTNLAB_INJECT_BUG"
 
 
 def _format_value(x) -> str:
+    # Exact-type fast path for the Python floats and ints that fill most
+    # cells; bool (an int subclass) and numpy scalars take the chain below.
+    if type(x) is float:
+        return format(x, ".17g")
+    if type(x) is int:
+        return str(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):

@@ -64,22 +64,40 @@ def log_sum_exp(z) -> float:
     return m + float(np.log(np.exp(zv - m).sum()))
 
 
-def spectral_norm_sym(a) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, from its full
-    symmetric eigendecomposition.
+def eigvalsh_sym(a) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix in a stack.
 
-    Raises ``ValueError`` if the input is not square or departs from symmetry
-    by more than ``SYMMETRY_TOLERANCE`` in any entry.
+    ``a`` is one n x n matrix or a nonempty (..., n, n) stack; the result has
+    shape (..., n). Every matrix must be square, nonempty and finite, and depart
+    from symmetry by at most ``SYMMETRY_TOLERANCE`` in any entry, else
+    ``ValueError``. Each matrix is solved as (A + A^T) / 2, which is A itself
+    when A is exactly symmetric, so a matrix's eigenvalues do not depend on
+    whether it is solved alone or in a stack.
     """
-    m = as_matrix(a, "matrix")
-    n, c = m.shape
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim < 2:
+        raise ValueError(f"matrix must be at least 2-D, got {m.ndim}-D")
+    if m.size and not np.isfinite(m).all():
+        raise ValueError("non-finite matrix")
+    n, c = m.shape[-2:]
     if n != c:
         raise ValueError(f"matrix must be square, got {n}x{c}")
-    if n == 0:
+    if m.size == 0:
         raise ValueError("empty matrix")
-    if np.abs(m - m.T).max() > SYMMETRY_TOLERANCE:
+    mt = np.swapaxes(m, -1, -2)
+    if np.abs(m - mt).max() > SYMMETRY_TOLERANCE:
         raise ValueError("matrix is not symmetric within tolerance")
-    return float(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0)).max())
+    return np.linalg.eigvalsh((m + mt) / 2.0)
+
+
+def spectral_norm_sym(a) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix: the one-matrix case
+    of :func:`eigvalsh_sym`, whose checks it keeps.
+
+    Raises ``ValueError`` if the input is not a finite square 2-D matrix or
+    departs from symmetry by more than ``SYMMETRY_TOLERANCE`` in any entry.
+    """
+    return float(np.abs(eigvalsh_sym(as_matrix(a, "matrix"))).max())
 
 
 def spectral_norm(a) -> float:

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    attention_hessian,
-    curvature_report,
+    _row_entropies,
+    curvature_rows,
     entropy,
     entropy_alpha_report,
     lipschitz_report,
+    logit_gap,
 )
 from .attention import attention_forward, scaled_logits
 from .numerics import row_softmax, softmax_vec
@@ -85,10 +86,7 @@ def _draw_gapped_logits(rng: np.random.Generator, m: int) -> np.ndarray:
     """
     while True:
         z = rng.uniform(-10.0, 10.0, size=m)
-        if m == 1:
-            return z
-        top = np.sort(z)[-2:]
-        if top[1] - top[0] >= MIN_LOGIT_GAP:
+        if m == 1 or logit_gap(z) >= MIN_LOGIT_GAP:
             return z
 
 
@@ -189,16 +187,15 @@ def _curvature(seed: int, draws: int):
         m = int(rng.integers(2, 17))
         z = _draw_gapped_logits(rng, m)
         alpha = float(rng.uniform(0.1, 10.0))
-        rep = curvature_report(z, alpha)
-        eigs = np.linalg.eigvalsh(attention_hessian(z, alpha))
-        psd_ok = float(eigs.min()) >= -PSD_SLACK
-        delta = rep.logit_gap
+        delta = logit_gap(z)
+        # One stacked solve: the drawn alpha and the collapse point 50/Delta.
+        curv = curvature_rows(z, (alpha, 50.0 / delta))
+        rep = curv.reports()[0]
+        psd_ok = float(curv.min_eigenvalue[0]) >= -PSD_SLACK
         grid = np.linspace(2.0 / delta, 50.0 / delta, 25)
         envelope = 2.0 * grid**2 * (m - 1) * np.exp(-grid * delta)
         env_ok = bool(np.all(np.diff(envelope) <= MONOTONE_SLACK * max(1.0, envelope[0])))
-        collapse_norm = float(
-            np.abs(np.linalg.eigvalsh(attention_hessian(z, 50.0 / delta))).max()
-        )
+        collapse_norm = float(curv.spectral_norm[1])
         collapse_ok = collapse_norm < COLLAPSE_NORM_LIMIT
         row = {
             "draw": i,
@@ -342,8 +339,7 @@ def run_suites(
 
 def _sweep(z_draws, alpha_grid):
     for i, z in enumerate(z_draws):
-        top = np.sort(z)[-2:]
-        gap = float(top[1] - top[0])
+        gap = logit_gap(z)
         if alpha_grid:
             grid = sorted(alpha_grid)
         elif gap > 0:
@@ -353,19 +349,21 @@ def _sweep(z_draws, alpha_grid):
                 f"draw {i} has a tied maximum (top-two gap 0), so the default grid "
                 "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
             )
-        entries = []
-        for alpha in grid:
-            rep = curvature_report(z, alpha)
-            p = softmax_vec(alpha * z)
+        # One stacked pass over the draw's grid; row k is curvature_report(z, grid[k]).
+        curv = curvature_rows(z, grid)
+        reps = curv.reports()
+        entropies = _row_entropies(curv.p).tolist()
+        z2 = z * z
+        variances = []
+        for p in curv.p:
             mean = float(p @ z)
-            var = float(p @ (z * z)) - mean * mean
-            entries.append((alpha, entropy(p), max(var, 0.0), rep))
-        monotone_ok = _nonincreasing([h for _, h, _, _ in entries])
-        env = [rep.decay_bound for a, _, _, rep in entries if gap > 0 and a >= 2.0 / gap]
+            variances.append(max(float(p @ z2) - mean * mean, 0.0))
+        monotone_ok = _nonincreasing(entropies)
+        env = [rep.decay_bound for a, rep in zip(grid, reps) if gap > 0 and a >= 2.0 / gap]
         envelope_ok = _nonincreasing(env, max(1.0, env[0]) if env else 1.0)
         # The default grid ends at 50/Delta, where the curvature has collapsed.
-        collapse_ok = bool(alpha_grid) or entries[-1][3].spectral_norm < COLLAPSE_NORM_LIMIT
-        bound_ok = all(not rep.violations for _, _, _, rep in entries)
+        collapse_ok = bool(alpha_grid) or reps[-1].spectral_norm < COLLAPSE_NORM_LIMIT
+        bound_ok = not any(curv.violations)
         rows = [
             {
                 "draw": i,
@@ -382,7 +380,7 @@ def _sweep(z_draws, alpha_grid):
                 "envelope_ok": int(envelope_ok),
                 "collapse_ok": int(collapse_ok),
             }
-            for alpha, h, var, rep in entries
+            for alpha, h, var, rep in zip(grid, entropies, variances, reps)
         ]
         bad = not (monotone_ok and envelope_ok and collapse_ok and bound_ok)
         yield rows, (

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attnlab.analysis import (
     CurvatureReport,
+    _row_entropies,
     attention_hessian,
     curvature_report,
+    curvature_rows,
     entropy,
     entropy_alpha_report,
     flops_overhead,
@@ -18,6 +20,7 @@ from attnlab.analysis import (
     lipschitz_report,
     restricted_softmax,
 )
+from attnlab import analysis
 from attnlab.attention import build_partition
 from attnlab.numerics import softmax_vec
 
@@ -241,6 +244,178 @@ def test_hessian_validation():
         attention_hessian(np.array([1.0, 0.0]), -1.0)
     with pytest.raises(ValueError, match="alpha"):
         curvature_report(np.array([1.0, 0.0]), 0.0)
+
+
+def _reference_curvature(z, alpha, bound_slack=1e-12):
+    """The per-alpha loop form: one softmax, Hessian and eigensolve per alpha.
+
+    Returns the CurvatureReport fields and the smallest eigenvalue of the
+    unsymmetrized Hessian, the PSD check the curvature suite made.
+    """
+    zv = np.asarray(z, dtype=np.float64)
+    m = zv.size
+    p = softmax_vec(alpha * zv)
+    j_star = int(np.argmax(zv))
+    if m == 1:
+        delta, gap_applicable = 0.0, True
+    else:
+        top_two = np.sort(zv)[-2:]
+        delta = float(top_two[1] - top_two[0])
+        gap_applicable = delta > 0.0
+    tail_mass = float(1.0 - p[j_star])
+    tail_bound = (m - 1) * math.exp(-alpha * delta)
+    gersh = float((2.0 * p * (1.0 - p)).max())
+    decay_bound = 2.0 * alpha * alpha * tail_bound
+    h = alpha * alpha * (np.diag(p) - np.outer(p, p))
+    norm = float(np.abs(np.linalg.eigvalsh((h + h.T) / 2.0)).max())
+    violations = []
+    slack = bound_slack * max(1.0, alpha * alpha)
+    if norm > alpha * alpha * gersh + slack:
+        violations.append("gershgorin")
+    if gap_applicable:
+        if tail_mass > tail_bound + bound_slack:
+            violations.append("tail")
+        if norm > decay_bound + slack:
+            violations.append("decay")
+    rep = CurvatureReport(
+        alpha, norm, gersh, tail_mass, tail_bound, decay_bound, delta, gap_applicable,
+        tuple(violations),
+    )
+    return rep, float(np.linalg.eigvalsh(h).min()), p
+
+
+def _report_floats(rep):
+    return (rep.spectral_norm, rep.gershgorin_bound, rep.tail_mass, rep.tail_bound,
+            rep.decay_bound, rep.logit_gap)
+
+
+def _report_bits(rep):
+    return _bits((rep.alpha,) + _report_floats(rep)), rep.gap_applicable, rep.violations
+
+
+@st.composite
+def _curvature_grids(draw):
+    """(z, alphas): some tied maxima, repeated alphas and alphas that underflow p."""
+    m = draw(st.integers(1, 12))
+    z = draw(arrays(np.float64, (m,), elements=logit_floats))
+    if m > 1 and draw(st.booleans()):
+        z[draw(st.integers(0, m - 1))] = z.max()  # tied maximum
+    alphas = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6))
+    alphas += draw(st.lists(st.sampled_from(alphas), max_size=2))  # repeats
+    return z, alphas
+
+
+@seed(13)
+@settings(max_examples=200, deadline=None)
+@given(case=_curvature_grids())
+@example(case=(np.array([3.0]), [2.0]))
+@example(case=(np.array([1.0, 1.0, 0.0]), [1.0, 2.0]))
+@example(case=(np.array([30.0, 0.0, 0.0]), [2.0, 50.0, 50.0]))
+def test_curvature_rows_match_one_alpha_reports_bit_for_bit(case):
+    z, alphas = case
+    rows = curvature_rows(z, alphas)
+    reps = rows.reports()
+    assert len(reps) == len(alphas)
+    for k, alpha in enumerate(alphas):
+        ref, ref_min_eig, ref_p = _reference_curvature(z, alpha)
+        assert _report_bits(reps[k]) == _report_bits(ref)
+        assert _report_bits(curvature_report(z, alpha)) == _report_bits(ref)
+        assert _bits([rows.min_eigenvalue[k]]) == _bits([ref_min_eig])
+        assert _bits(rows.p[k]) == _bits(ref_p)
+        # Python floats, so the CSV writer takes its exact-type fast path.
+        assert all(type(v) is float for v in _report_floats(reps[k]))
+
+
+def test_curvature_rows_chunk_long_vectors_bit_for_bit(monkeypatch):
+    # A stack budget of 2 Hessians of m = 6 solves a 5-alpha grid in 3 chunks.
+    z = np.array([3.0, 1.0, 0.5, 0.0, -1.0, 2.0])
+    alphas = [0.3, 1.0, 2.0, 5.0, 9.0]
+    whole = curvature_rows(z, alphas)
+    monkeypatch.setattr(analysis, "_HESSIAN_STACK_ENTRIES", 2 * 36)
+    solves = []
+    original = analysis.eigvalsh_sym
+    monkeypatch.setattr(analysis, "eigvalsh_sym", lambda h: solves.append(len(h)) or original(h))
+    chunked = curvature_rows(z, alphas)
+    assert solves == [2, 2, 1]
+    assert _bits(chunked.spectral_norm) == _bits(whole.spectral_norm)
+    assert _bits(chunked.min_eigenvalue) == _bits(whole.min_eigenvalue)
+    assert [_report_bits(r) for r in chunked.reports()] == [_report_bits(r) for r in whole.reports()]
+
+
+def test_curvature_rows_cover_underflow_and_ties():
+    # alpha = 50 on a gap of 30 underflows every tail entry of p to 0.
+    rows = curvature_rows(np.array([30.0, 0.0, 0.0]), [50.0])
+    assert (rows.p[0, 1:] == 0.0).all()
+    assert rows.reports()[0].tail_mass == 0.0
+    tied = curvature_rows(np.array([1.0, 1.0, 0.0]), [1.0, 2.0])
+    assert not tied.gap_applicable
+    assert tied.violations == ((), ())
+
+
+@pytest.mark.parametrize("z", [np.array([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])])
+def test_curvature_rows_violations_match_the_loop_form(monkeypatch, z):
+    # The bounds hold on real inputs, so a negative slack makes the checks
+    # fire and exercises the violation path: which bounds, in which order.
+    monkeypatch.setattr(analysis, "_BOUND_SLACK", -1.0)
+    alphas = [0.1, 1.0, 5.0, 50.0]
+    rows = curvature_rows(z, alphas)
+    expected = [_reference_curvature(z, a, bound_slack=-1.0)[0].violations for a in alphas]
+    assert list(rows.violations) == expected
+    assert [r.violations for r in rows.reports()] == expected
+    if rows.gap_applicable:
+        assert ("gershgorin", "decay") in expected
+        assert ("gershgorin", "tail", "decay") in expected
+    else:
+        assert set(expected) == {("gershgorin",)}
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("alphas", [(0.0,), (1.0, -2.0), (1.0, 0.0, 3.0), (-1e-300,)])
+def test_curvature_rows_reject_nonpositive_alpha_as_the_scalar_path(alphas):
+    z = np.array([1.0, 0.0])
+    bad = next(a for a in alphas if a <= 0)
+    msg = _error(curvature_rows, z, alphas)
+    assert msg == _error(curvature_report, z, bad)
+    assert msg.startswith("alpha must be positive")
+
+
+@pytest.mark.parametrize(
+    "z", [np.array([1.0, math.nan]), np.array([math.inf, 0.0]), np.array([]), np.zeros((2, 2))]
+)
+def test_curvature_rows_reject_bad_logits_as_the_scalar_path(z):
+    assert _error(curvature_rows, z, [1.0, 2.0]) == _error(curvature_report, z, 1.0)
+
+
+def test_curvature_rows_reject_empty_grid():
+    with pytest.raises(ValueError, match="alpha grid must be nonempty"):
+        curvature_rows(np.array([1.0, 0.0]), [])
+
+
+@st.composite
+def _distribution_rows(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    entries = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+    raw = draw(arrays(np.float64, (n, m), elements=entries))
+    raw[:, 0] += 1e-3  # every row has positive mass
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@seed(14)
+@settings(max_examples=150, deadline=None)
+@given(q=_distribution_rows())
+def test_row_entropies_match_entropy_bit_for_bit(q):
+    assert _bits(_row_entropies(q)) == _bits([entropy(row) for row in q])
+
+
+def test_row_entropies_reject_what_entropy_rejects():
+    q = np.array([[0.5, 0.5], [0.5, 0.6], [0.2, 0.2]])
+    assert _error(_row_entropies, q) == _error(entropy, q[1])
 
 
 # -- output sensitivity --------------------------------------------------------

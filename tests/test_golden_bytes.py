@@ -4,7 +4,10 @@ Each case runs one small CLI command and compares the sha256 of every report
 it writes with a digest recorded before the verification harness, the sweep
 and the denoiser block loop were folded into one implementation each. A
 refactor that keeps behaviour keeps these bytes; a deliberate output change
-must re-record the digests and say why in CHANGES.md.
+must re-record the digests and say why in CHANGES.md. The three cases
+``sweep-random-300``, ``verify-curvature-300`` and ``sweep-tied-maximum`` were
+recorded before the curvature pass was stacked per draw (one softmax stack,
+one Hessian stack and one eigensolve per draw), so they pin that change at scale.
 
 Float output depends on the numpy build, so the digests hold only for the
 numpy version they were recorded with; under any other version the test
@@ -51,6 +54,18 @@ CASES = {
     "sweep-vector": (
         ["sweep", "--z", "2,1,0", "--alpha-grid", "1,2"],
         {"sweep.csv": "0060e544dc3ae82a98601a779b16bf5387503bb6ef6125fb8d6a59a257a1bf5d"},
+    ),
+    "sweep-random-300": (
+        ["sweep", "--draws", "300", "--seed", "31"],
+        {"sweep.csv": "3dbf015e899f99f9ceac781ea4b0197f50762dcc2a8bf4e8fb0983460559ae83"},
+    ),
+    "verify-curvature-300": (
+        ["verify", "curvature", "--draws", "300", "--seed", "31"],
+        {"verify_curvature.csv": "c45edbce98f2eeb2a65a4f2f836c1657848a4579546733c5bc26842e362ef4ec"},
+    ),
+    "sweep-tied-maximum": (
+        ["sweep", "--z", "1,1,0", "--alpha-grid", "1,2"],
+        {"sweep.csv": "87f2c7d21b5e837bfeedd74292c92cc57766a0cf5f5dce34600ceef60952af9f"},
     ),
     "simulate-scalar": (
         ["simulate", "--steps", "8", "--blocks", "4", "--seed", "3"],

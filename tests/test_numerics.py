@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attnlab.numerics import (
+    eigvalsh_sym,
     log_sum_exp,
     pca_top_k,
     row_softmax,
@@ -158,6 +159,34 @@ def test_spectral_norm_sym_rejects_asymmetry():
 def test_spectral_norm_sym_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         spectral_norm_sym(np.ones((2, 3)))
+
+
+def test_eigvalsh_sym_stack_matches_one_matrix_solves():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 9):
+        a = rng.normal(size=(4, n, n))
+        stack = a + np.swapaxes(a, -1, -2)  # exactly symmetric
+        got = eigvalsh_sym(stack)
+        assert got.shape == (4, n)
+        for k in range(4):
+            assert got[k].tolist() == eigvalsh_sym(stack[k]).tolist()
+            assert got[k].tolist() == np.linalg.eigvalsh(stack[k]).tolist()
+            assert float(np.abs(got[k]).max()) == spectral_norm_sym(stack[k])
+
+
+def test_eigvalsh_sym_checks_every_matrix_of_a_stack():
+    stack = np.zeros((3, 2, 2))
+    stack[2, 0, 1] = 1e-6  # only the last matrix is asymmetric
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigvalsh_sym(stack)
+    with pytest.raises(ValueError, match="square"):
+        eigvalsh_sym(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        eigvalsh_sym(np.full((2, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="empty"):
+        eigvalsh_sym(np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError, match="at least 2-D"):
+        eigvalsh_sym(np.zeros(3))
 
 
 def test_spectral_norm_general_matches_svd():
