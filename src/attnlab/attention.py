@@ -169,32 +169,34 @@ def resolve_targets(arch: ArchMode, position: str) -> ScalingTargets:
 
 @dataclass(frozen=True)
 class AttentionResult:
-    """One attention call: scaled logits, row-stochastic probabilities, output."""
+    """One attention call: scaled logits, row-stochastic probabilities, output.
+
+    ``gamma`` is the coefficient the call scaled its targeted groups by, or
+    None for a plain pass. Only :func:`~attnlab.scheduling.scheduled_attention`
+    sets it: it alone decides whether a (block, step) cell is scaled.
+    """
 
     logits: np.ndarray
     probabilities: np.ndarray
     output: np.ndarray
+    gamma: float | None = None
 
 
-def scaled_logits(q, k, d_k: int | None = None) -> np.ndarray:
-    """Q K^T / sqrt(d_k) with shape/width validation."""
+def scaled_logits(q, k) -> np.ndarray:
+    """Q K^T / sqrt(d_k), d_k the key width, with shape/width validation."""
     qm = as_matrix(q, "Q")
     km = as_matrix(k, "K")
     if qm.shape[1] != km.shape[1]:
         raise ValueError(f"Q cols ({qm.shape[1]}) != K cols ({km.shape[1]})")
     if qm.shape[1] == 0:
         raise ValueError("Q and K must have at least one column")
-    if d_k is None:
-        d_k = qm.shape[1]
-    elif d_k != qm.shape[1]:
-        raise ValueError(f"d_k={d_k} does not match key width {qm.shape[1]}")
-    return qm @ km.T / math.sqrt(d_k)
+    return qm @ km.T / math.sqrt(qm.shape[1])
 
 
-def attention_forward(q, k, v, d_k: int | None = None) -> AttentionResult:
+def attention_forward(q, k, v) -> AttentionResult:
     """Plain scaled-dot-product attention: softmax(Q K^T / sqrt(d_k)) V."""
     vm = as_matrix(v, "V")
-    logits = scaled_logits(q, k, d_k)
+    logits = scaled_logits(q, k)
     if vm.shape[0] != logits.shape[1]:
         raise ValueError(f"V rows ({vm.shape[0]}) != K rows ({logits.shape[1]})")
     p = row_softmax(logits)
@@ -270,7 +272,11 @@ def energy_gamma(logits, gamma_max: float = 1.5, kappa: float = 1.0) -> float:
 
     gamma_e = 1 + (gamma_max - 1) * logistic(-mean(logits) / kappa), a smooth
     decreasing map: low-energy (diffuse) logits get a coefficient near
-    gamma_max, high-energy logits stay near 1. Always in (1, gamma_max).
+    gamma_max, high-energy logits stay near 1. In exact arithmetic it lies in
+    (1, gamma_max); in floats it is in [1, gamma_max], and it rounds to
+    exactly 1.0 when (gamma_max - 1) * logistic(...) is below half an ulp of
+    1. A gated cell with such a coefficient is still scaled (by 1.0, which
+    leaves its logits bit-identical).
     """
     zm = as_matrix(logits, "logits")
     if zm.size == 0:
@@ -313,9 +319,10 @@ class ModulationConfig:
 
     @property
     def effective(self) -> bool:
-        """Whether active cells count as scaled: a coefficient of exactly 1
-        folds to the identity, which is scalar gamma == 1 and energy mode
-        with gamma_max == 1."""
+        """Whether active cells are scaled: a coefficient of exactly 1 folds
+        to the identity, which is scalar gamma == 1 and energy mode with
+        gamma_max == 1. :func:`~attnlab.scheduling.scheduled_attention` reads
+        it to decide each cell; ``flops_audit`` reads it for its model."""
         if self.mode == "energy":
             return self.gamma_max != 1.0
         return self.gamma != 1.0

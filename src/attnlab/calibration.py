@@ -19,6 +19,8 @@ from .numerics import as_matrix, pca_top_k, row_softmax
 
 DEFAULT_HIGH_QUANTILE = 0.2
 OTSU_BINS = 256
+# (D, T, H, W) of each synthetic calibration latent.
+SYNTHETIC_SHAPE = (6, 2, 8, 8)
 
 
 def pca_pseudo_rgb(latent, batch: int | str = "mean") -> np.ndarray:
@@ -250,7 +252,6 @@ def load_block_fixture(name: str) -> BlockFixture:
 def calibrate_synthetic(
     seed: int,
     num_blocks: int = 8,
-    shape: tuple[int, int, int, int] = (6, 2, 8, 8),
     samples: int = 50,
     high_quantile: float = DEFAULT_HIGH_QUANTILE,
 ) -> BlockRatioTable:
@@ -261,13 +262,13 @@ def calibrate_synthetic(
     synthetic attention maps whose foreground affinity increases linearly with
     block index (from repelled to strongly attracted), so the resulting table
     spans both sides of any reasonable threshold. Fully determined by
-    ``seed``; ``shape`` is (D, T, H, W).
+    ``seed``; each latent has shape (1, *SYNTHETIC_SHAPE).
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    d, t, h, w = shape
+    d, t, h, w = SYNTHETIC_SHAPE
     n = t * h * w
     affinity = np.linspace(-1.0, 2.5, num_blocks)
     totals = np.zeros(num_blocks)

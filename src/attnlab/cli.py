@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .scheduling import BlockGateTable, WINDOW_PRESETS, active_steps
 from .simulate import (
     ConflictConfig,
     StepCoefficients,
+    TrajectoryRow,
     conflict_experiment,
     flops_audit,
     make_toy_denoiser,
@@ -87,18 +89,14 @@ def _jsonable(x):
 
 def write_report(out_dir: str, stem: str, columns, rows, fmt: str) -> str:
     """Write a tabular report; returns the path written."""
-    if fmt == "csv":
-        path = os.path.join(out_dir, stem + ".csv")
-        write_csv(path, columns, rows)
-    else:
-        path = os.path.join(out_dir, stem + ".json")
+    if fmt != "csv":
         payload = {
             "columns": list(columns),
             "rows": [{c: _jsonable(r[c]) for c in columns} for r in rows],
         }
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        return write_json(out_dir, stem, payload)
+    path = os.path.join(out_dir, stem + ".csv")
+    write_csv(path, columns, rows)
     return path
 
 
@@ -283,21 +281,8 @@ def cmd_simulate(args) -> int:
             targets=ScalingTargets(key_groups=key_groups),
         ),
     )
-    columns = (
-        "step",
-        "active_blocks",
-        "scaling_multiplies",
-        "mass_text",
-        "mass_image",
-        "mass_video",
-        "entropy_cond",
-        "entropy_cond_base",
-        "entropy_ratio",
-        "state_norm",
-    )
-    rows = [
-        {c: getattr(r, c) for c in columns} for r in trajectory.rows
-    ]
+    columns = [f.name for f in fields(TrajectoryRow)]
+    rows = [asdict(r) for r in trajectory.rows]
     traj_path = write_report(out_dir, "trajectory", columns, rows, cfg.format)
     nondeg = sum(conflict.nondegenerate)
     ratios_nd = [
@@ -310,14 +295,7 @@ def cmd_simulate(args) -> int:
         "active_steps": list(active_steps(cfg.total_steps, schedule.window)),
         "gamma": cfg.gamma,
         "mode": cfg.mode,
-        "flops": {
-            "measured_cells": audit.measured_cells,
-            "expected_cells": audit.expected_cells,
-            "measured_fraction": audit.measured_fraction,
-            "model_fraction": audit.model_fraction,
-            "multiplies_total": audit.multiplies_total,
-            "exact_match": audit.exact_match,
-        },
+        "flops": asdict(audit),
         "conflict": {
             "gamma": conflict.gamma,
             "boost": conflict.boost,

@@ -4,12 +4,13 @@ Steps are 1-based with t=1 the highest-noise step. The normalized position is
 phi(t) = (t-1)/(T-1), defined as 0 for T=1; a window [low, high] is inclusive
 at both ends. Block gates are 0/1 flags per attention block. A (block, step)
 cell is active when both its step mask and its block gate are 1; an active
-cell scales the targeted groups by gamma, an inactive one runs the plain pass.
+cell scales the targeted groups by gamma unless the modulation cannot scale
+(see ``ModulationConfig.effective``), and any other cell runs the plain pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .attention import (
     AttentionResult,
@@ -166,23 +167,23 @@ def scheduled_attention(
     v,
     partition: KeyPartition,
     config: ScheduleConfig,
-    d_k: int | None = None,
 ) -> AttentionResult:
-    """Attention at (block, t) under the schedule.
+    """Attention at (block, t) under the schedule: the one place that decides
+    whether a cell is scaled.
 
-    An inactive cell, or an active one whose coefficient is exactly 1,
-    reduces to the plain forward pass on the same code path, so the result is
-    bit-identical to an unscheduled call. In energy mode the coefficient is
-    derived from this call's own unscaled logits and is only computed when the
-    cell is active.
+    A cell is scaled exactly when it is active and the modulation is
+    effective; it then scales the targeted groups and returns its coefficient
+    in ``result.gamma``. Any other cell runs the plain forward pass on the
+    same code path (``result.gamma`` is None), so the result is bit-identical
+    to an unscheduled call. In energy mode the coefficient is derived from
+    this call's own unscaled logits and is only computed on a scaled cell.
     """
-    if config.is_active(block, t):
-        mod = config.modulation
-        if mod.mode == "energy":
-            gamma = energy_gamma(scaled_logits(q, k, d_k), mod.gamma_max, mod.kappa)
-        else:
-            gamma = mod.gamma
-        if gamma != 1.0:
-            q2, k2 = apply_group_scaling(q, k, partition, mod.targets, gamma)
-            return attention_forward(q2, k2, v, d_k)
-    return attention_forward(q, k, v, d_k)
+    mod = config.modulation
+    if not (config.is_active(block, t) and mod.effective):
+        return attention_forward(q, k, v)
+    if mod.mode == "energy":
+        gamma = energy_gamma(scaled_logits(q, k), mod.gamma_max, mod.kappa)
+    else:
+        gamma = mod.gamma
+    q2, k2 = apply_group_scaling(q, k, partition, mod.targets, gamma)
+    return replace(attention_forward(q2, k2, v), gamma=gamma)

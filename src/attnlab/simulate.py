@@ -23,7 +23,7 @@ from .attention import (
     key_scale_factors,
 )
 from .numerics import as_matrix, row_softmax, sample_gaussian, softmax_vec, spectral_norm
-from .scheduling import ScheduleConfig, active_steps, scheduled_attention, step_mask
+from .scheduling import ScheduleConfig, active_steps, scheduled_attention
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ def make_toy_denoiser(
     n_video: int = 8,
     d_k: int = 8,
     d_v: int = 6,
-    d_model: int | None = None,
 ) -> ToyDenoiser:
     """Sample a denoiser with N(0, 1/sqrt(d_k))-style weights from one seed.
+
+    The model width equals the value width ``d_v``.
 
     Every post-attention projection is rescaled to spectral norm >= 1 so the
     product over blocks dominates each individual factor; see
@@ -120,8 +121,7 @@ def make_toy_denoiser(
         raise ValueError("num_blocks must be >= 1")
     if min(n_text + n_image, n_video) < 1 or n_video < 1:
         raise ValueError("need at least one conditioning token and one video token")
-    if d_model is None:
-        d_model = d_v
+    d_model = d_v
     partition = build_partition(n_text, n_image, n_video)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(d_k)
@@ -211,14 +211,12 @@ def ddim_step(
     t: int,
     coeffs: StepCoefficients,
     schedule: ScheduleConfig | None = None,
-    probe: LogitScaleProbe | None = None,
 ) -> np.ndarray:
     """One update x <- a_t x + b_t eps_theta(x, t); t is 1-based."""
     if not 1 <= t <= coeffs.total_steps:
         raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
     xm = as_matrix(x, "state")
-    observe = None if probe is None else _probe_observer(denoiser, probe, [])
-    eps = _forward(denoiser, xm, t, schedule, observe)
+    eps = _forward(denoiser, xm, t, schedule)
     return coeffs.a[t - 1] * xm + coeffs.b[t - 1] * eps
 
 
@@ -342,7 +340,9 @@ def run_trajectory(
 
     At every (block, step) the scheduled call drives the state and is paired
     with a baseline on the same Q/K, so the reported entropy ratio compares
-    the same logits. Only a scaled cell runs a separate unscheduled call for
+    the same logits. A cell is scaled when its scheduled call says so
+    (``result.gamma`` is set; see :func:`scheduled_attention`), and only a
+    scaled cell counts its multiplies and runs a separate unscheduled call for
     its baseline; any other cell reuses its scheduled result, which is the
     plain pass bit for bit (so such cells have ratio exactly 1). Masses and
     conditioning entropies are averaged over blocks and video query rows,
@@ -362,12 +362,8 @@ def run_trajectory(
     n_meas = len(denoiser.blocks) * n_video
     part = denoiser.partition
     targets = schedule.modulation.targets
-    effective = schedule.modulation.effective
-    gates = schedule.gates.gates
     rows = []
     for t in range(1, coeffs.total_steps + 1):
-        # A cell is scaled when its block gate is on in a scaling step.
-        scaling_step = effective and step_mask(t, schedule.total_steps, schedule.window)
         # Video rows of every block, block-major: scheduled, then baseline.
         probs = np.empty((2 * n_meas, part.size))
         active = 0
@@ -377,7 +373,7 @@ def run_trajectory(
             nonlocal active, multiplies
             sched = res.probabilities[n_cond:]
             base = sched
-            if scaling_step and gates[l]:
+            if res.gamma is not None:
                 active += 1
                 multiplies += scaling_multiply_count(part, targets, q.shape[0], q.shape[1])
                 base = attention_forward(q, k, v).probabilities[n_cond:]
@@ -433,10 +429,13 @@ class FlopsAudit:
 def flops_audit(trajectory: Trajectory, schedule: ScheduleConfig) -> FlopsAudit:
     """Compare the trajectory's scaled cells with the product-schedule model.
 
-    For a scalar schedule with gamma != 1, and for energy mode with
-    gamma_max > 1, every gated (block, step) cell fires, so the measured
-    fraction equals (L_s/L)(T_s/T) exactly. A coefficient of exactly 1 (scalar
-    gamma == 1, or energy mode with gamma_max == 1) fires nothing.
+    The measured cells are the ones :func:`scheduled_attention` scaled, as
+    counted by :func:`run_trajectory`; the model is computed independently
+    from the schedule and ``ModulationConfig.effective``. For a scalar
+    schedule with gamma != 1, and for energy mode with gamma_max > 1, every
+    gated (block, step) cell fires, so the measured fraction equals
+    (L_s/L)(T_s/T) exactly. A coefficient of exactly 1 (scalar gamma == 1, or
+    energy mode with gamma_max == 1) fires nothing.
     """
     l_total = schedule.num_blocks
     t_total = schedule.total_steps

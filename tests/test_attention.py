@@ -124,8 +124,6 @@ def test_scaled_logits_matches_definition():
 def test_scaled_logits_shape_errors():
     with pytest.raises(ValueError, match="Q cols"):
         scaled_logits(np.ones((2, 3)), np.ones((4, 5)))
-    with pytest.raises(ValueError, match="d_k=9"):
-        scaled_logits(np.ones((2, 3)), np.ones((4, 3)), d_k=9)
 
 
 def test_attention_forward_output_shape_and_rows():

@@ -8,6 +8,9 @@ must re-record the digests and say why in CHANGES.md. The three cases
 ``sweep-random-300``, ``verify-curvature-300`` and ``sweep-tied-maximum`` were
 recorded before the curvature pass was stacked per draw (one softmax stack,
 one Hessian stack and one eigensolve per draw), so they pin that change at scale.
+``simulate-energy-unit-gamma`` was recorded before ``scheduled_attention``
+became the one place that decides whether a cell is scaled: with kappa = 1e-3
+the energy coefficient of its gated cells rounds to exactly 1.0.
 
 Float output depends on the numpy build, so the digests hold only for the
 numpy version they were recorded with; under any other version the test
@@ -24,7 +27,10 @@ from attnlab.cli import main
 
 RECORDED_NUMPY = "2.4.6"
 
-ENERGY_CONFIG = {"mode": "energy", "window": {"preset": "all"}}
+CONFIGS = {
+    "energy": {"mode": "energy", "window": {"preset": "all"}},
+    "energy_unit_gamma": {"mode": "energy", "kappa": 0.001},
+}
 
 CASES = {
     "verify-csv": (
@@ -81,6 +87,13 @@ CASES = {
             "trajectory.csv": "83f56b43d1950b0c0ced242bd2a932d2c36b48114a1ead64ab83a2991c607f29",
         },
     ),
+    "simulate-energy-unit-gamma": (
+        ["simulate", "--config", "{energy_unit_gamma}", "--steps", "10", "--blocks", "2", "--seed", "4"],
+        {
+            "summary.json": "74801d36edbec78f613892ff7ba26fe94af3045b6baf74a0db67c7517b08ba6f",
+            "trajectory.csv": "ac6d64cf43271a8cea60eac148aed4d6803c8f8e9006799b24ca6faedf7b0224",
+        },
+    ),
     "calibrate-synthetic": (
         ["calibrate", "--samples", "5", "--blocks", "6", "--seed", "2"],
         {"block_table.json": "556d1d5e9fad4d13e9115f4f90747564ab416d26cf47d68c4e69539254ac7174"},
@@ -95,10 +108,12 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_recorded_digests(case, tmp_path):
     argv, expected = CASES[case]
-    energy = tmp_path / "energy.json"
-    energy.write_text(json.dumps(ENERGY_CONFIG))
+    paths = {}
+    for name, config in CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
     out = tmp_path / "out"
-    argv = [a.format(energy=energy) for a in argv] + ["--out", str(out)]
+    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
     assert main(argv) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert got == expected

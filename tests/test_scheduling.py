@@ -144,9 +144,12 @@ def test_inactive_cell_bit_identical_to_plain_forward():
     plain = attention_forward(q, k, v)
     for block, t in ((1, 1), (0, 9), (1, 25)):
         res = scheduled_attention(block, t, q, k, v, part, cfg)
+        assert res.gamma is None
         assert np.array_equal(res.output, plain.output)
         assert np.array_equal(res.probabilities, plain.probabilities)
         assert np.array_equal(res.logits, plain.logits)
+    _, _, _, _, energy = _setup(mode="energy")
+    assert scheduled_attention(1, 1, q, k, v, part, energy).gamma is None
 
 
 def test_gamma_one_active_cell_bit_identical():
@@ -155,6 +158,13 @@ def test_gamma_one_active_cell_bit_identical():
     q, k, v, part, cfg = _setup(gamma=1.0)
     plain = attention_forward(q, k, v)
     res = scheduled_attention(0, 1, q, k, v, part, cfg)
+    assert res.gamma is None
+    assert np.array_equal(res.output, plain.output)
+    # energy mode with gamma_max = 1 has the coefficient 1 on every cell
+    mod = ModulationConfig(mode="energy", gamma_max=1.0)
+    energy = ScheduleConfig(gates=cfg.gates, total_steps=25, modulation=mod)
+    res = scheduled_attention(0, 1, q, k, v, part, energy)
+    assert res.gamma is None
     assert np.array_equal(res.output, plain.output)
 
 
@@ -164,6 +174,7 @@ def test_active_cell_sharpens_conditioning_columns():
     from attnlab.attention import attention_forward
 
     plain = attention_forward(q, k, v)
+    assert res.gamma == 1.35
     # conditioning logit columns scaled by gamma, video columns untouched
     np.testing.assert_allclose(
         res.logits[:, :4], 1.35 * plain.logits[:, :4], atol=1e-13
@@ -180,6 +191,7 @@ def test_active_cell_applies_gamma_itself_below_one_half():
     res = scheduled_attention(0, 1, q, k, v, part, cfg)
     q2, k2 = apply_group_scaling(q, k, part, cfg.modulation.targets, 0.1)
     expected = attention_forward(q2, k2, v)
+    assert res.gamma == 0.1
     assert np.array_equal(res.logits, expected.logits)
     assert np.array_equal(res.probabilities, expected.probabilities)
     assert np.array_equal(res.output, expected.output)
@@ -192,6 +204,7 @@ def test_energy_mode_uses_per_call_coefficient():
     res = scheduled_attention(0, 1, q, k, v, part, cfg)
     plain = attention_forward(q, k, v)
     gamma_e = energy_gamma(plain.logits, cfg.modulation.gamma_max, cfg.modulation.kappa)
+    assert res.gamma == gamma_e
     np.testing.assert_allclose(
         res.logits[:, :4], gamma_e * plain.logits[:, :4], rtol=1e-13
     )
@@ -205,5 +218,6 @@ def test_custom_targets_respected():
     from attnlab.attention import attention_forward
 
     plain = attention_forward(q, k, v)
+    assert res.gamma == 1.35
     assert np.array_equal(res.logits[:, :4], plain.logits[:, :4])
     np.testing.assert_allclose(res.logits[:, 4:], 1.35 * plain.logits[:, 4:], atol=1e-13)

@@ -83,15 +83,8 @@ def test_ddim_step_linear_update():
         ddim_step(den, x, 5, coeffs)
 
 
-def test_probe_alpha_one_is_identity():
-    den = make_toy_denoiser(seed=4)
-    x = sample_gaussian((den.n_video, den.d_model), seed=6)
-    coeffs = StepCoefficients.linear(4)
-    plain = ddim_step(den, x, 1, coeffs)
-    probed = ddim_step(
-        den, x, 1, coeffs, probe=LogitScaleProbe(block=len(den.blocks) - 1, query=0, alpha=1.0)
-    )
-    np.testing.assert_allclose(probed, plain, atol=1e-14)
+def test_probe_rejects_nonpositive_alpha():
+    # The alpha = 1 identity is pinned by test_deviation_zero_at_alpha_one.
     with pytest.raises(ValueError, match="alpha must be positive"):
         LogitScaleProbe(block=0, query=0, alpha=0.0)
 
@@ -155,8 +148,8 @@ def test_scaling_multiply_count():
     assert scaling_multiply_count(empty_part, ScalingTargets(key_groups={"image"}), 6, 8) == 0
 
 
-def _schedule(gamma=1.35, mode="scalar", num_blocks=8, total_steps=25):
-    mod = ModulationConfig(mode=mode, gamma=gamma)
+def _schedule(gamma=1.35, mode="scalar", num_blocks=8, total_steps=25, kappa=1.0):
+    mod = ModulationConfig(mode=mode, gamma=gamma, kappa=kappa)
     return ScheduleConfig(
         gates=BlockGateTable.first_half(num_blocks),
         total_steps=total_steps,
@@ -222,16 +215,31 @@ def test_trajectory_active_steps_sharpen_conditioning():
         assert r.mass_text + r.mass_image + r.mass_video == pytest.approx(1.0, abs=1e-9)
 
 
-def test_trajectory_energy_mode_counts_all_gated_cells():
-    den = make_toy_denoiser(seed=0, num_blocks=4)
-    coeffs = StepCoefficients.linear(10)
-    sched = _schedule(mode="energy", num_blocks=4, total_steps=10)
-    traj = run_trajectory(den, coeffs, sched, sample_gaussian((den.n_video, den.d_model), seed=1))
-    audit = flops_audit(traj, sched)
-    assert audit.exact_match
-    assert audit.expected_cells == 2 * len(
-        [t for t in range(1, 11) if (t - 1) / 9 <= 0.30]
-    )
+def test_trajectory_energy_mode_counts_all_gated_cells(monkeypatch):
+    # Every gated cell is scaled, and counted, exactly once: also a cell whose
+    # energy coefficient rounds to 1.0, as all of them do at kappa = 1e-3.
+    gammas = []
+    original = scheduling.apply_group_scaling
+
+    def counting_scaling(q, k, partition, targets, gamma):
+        gammas.append(gamma)
+        return original(q, k, partition, targets, gamma)
+
+    monkeypatch.setattr(scheduling, "apply_group_scaling", counting_scaling)
+    for seed, num_blocks, kappa in ((0, 4, 1.0), (4, 2, 1e-3)):
+        gammas.clear()
+        den = make_toy_denoiser(seed=seed, num_blocks=num_blocks)
+        coeffs = StepCoefficients.linear(10)
+        sched = _schedule(mode="energy", num_blocks=num_blocks, total_steps=10, kappa=kappa)
+        x0 = sample_gaussian((den.n_video, den.d_model), seed=1)
+        traj = run_trajectory(den, coeffs, sched, x0)
+        audit = flops_audit(traj, sched)
+        assert audit.exact_match
+        assert audit.expected_cells == num_blocks // 2 * len(
+            [t for t in range(1, 11) if (t - 1) / 9 <= 0.30]
+        )
+        assert len(gammas) == traj.total_active_cells == audit.measured_cells
+    assert gammas == [1.0] * 3
 
 
 def test_trajectory_runs_baseline_only_on_scaled_cells(monkeypatch):
