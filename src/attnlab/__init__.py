@@ -22,7 +22,6 @@ from .analysis import (
     group_mass_rows,
     lipschitz_report,
     logit_gap,
-    restricted_softmax,
 )
 from .attention import (
     ArchMode,
@@ -56,7 +55,6 @@ from .calibration import (
 from .config import ConfigError, RunConfig
 from .numerics import (
     eigvalsh_sym,
-    log_sum_exp,
     pca_top_k,
     row_softmax,
     sample_gaussian,
@@ -81,7 +79,6 @@ from .simulate import (
     ConflictReport,
     DeviationReport,
     FlopsAudit,
-    LogitScaleProbe,
     StepCoefficients,
     ToyDenoiser,
     Trajectory,

@@ -78,18 +78,6 @@ def _subset_indices(s, size: int) -> np.ndarray:
     return np.sort(idx)
 
 
-def restricted_softmax(z, s, alpha: float) -> np.ndarray:
-    """Softmax of alpha * z renormalized over the subset ``s`` only.
-
-    Returns a distribution over the subset, in ascending index order.
-    """
-    zv = as_vector(z, "logits")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    idx = _subset_indices(s, zv.size)
-    return softmax_vec(alpha * zv[idx])
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """Entropy of p_S(alpha) with its analytic and finite-difference slopes."""
@@ -102,20 +90,17 @@ class EntropyReport:
     abs_gap: float
 
 
-def entropy_alpha_report(
-    z, s, alpha: float, fd_step: float = DEFAULT_FD_STEP
-) -> EntropyReport:
+def entropy_alpha_report(z, s, alpha: float) -> EntropyReport:
     """Compare dH/dalpha = -alpha * Var_{p_S(alpha)}[z_S] with a central difference.
 
     The analytic slope comes from the moment identity; the numeric slope is
-    (H(alpha+h) - H(alpha-h)) / 2h with h = ``fd_step``. Requires
-    alpha - fd_step > 0 so both probe points stay in the valid range.
+    (H(alpha+h) - H(alpha-h)) / 2h with h = ``DEFAULT_FD_STEP``. Requires
+    alpha - h > 0 so both probe points stay in the valid range.
     """
     zv = as_vector(z, "logits")
-    if fd_step <= 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
-    if alpha - fd_step <= 0:
-        raise ValueError(f"alpha={alpha} too small for fd_step={fd_step}")
+    h = DEFAULT_FD_STEP
+    if alpha - h <= 0:
+        raise ValueError(f"alpha={alpha} too small for fd_step={h}")
     idx = _subset_indices(s, zv.size)
     zs = zv[idx]
     p = softmax_vec(alpha * zs)
@@ -126,7 +111,7 @@ def entropy_alpha_report(
     def h_at(a: float) -> float:
         return entropy(softmax_vec(a * zs))
 
-    numeric = (h_at(alpha + fd_step) - h_at(alpha - fd_step)) / (2.0 * fd_step)
+    numeric = (h_at(alpha + h) - h_at(alpha - h)) / (2.0 * h)
     return EntropyReport(
         alpha=alpha,
         entropy=entropy(p),

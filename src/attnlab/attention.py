@@ -123,10 +123,6 @@ class ScalingTargets:
                 f"group(s) {sorted(overlap)} flagged on both query and key side"
             )
 
-    @property
-    def empty(self) -> bool:
-        return not self.query_groups and not self.key_groups
-
 
 def _t(*names: str) -> ScalingTargets:
     q = frozenset(n.split(":", 1)[1] for n in names if n.startswith("q:"))

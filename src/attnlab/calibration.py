@@ -23,13 +23,12 @@ OTSU_BINS = 256
 SYNTHETIC_SHAPE = (6, 2, 8, 8)
 
 
-def pca_pseudo_rgb(latent, batch: int | str = "mean") -> np.ndarray:
+def pca_pseudo_rgb(latent) -> np.ndarray:
     """Project a (B, D, T, H, W) latent to pseudo-RGB channels (3, T, H, W).
 
-    ``batch`` selects one sample index or "mean" for the batch average. Tokens
-    are the T*H*W positions, features the D channels; the top-3 principal
-    components become channels, each min-max normalized to [0, 1] (a
-    zero-range channel maps to all zeros). Requires D >= 3; constant latents
+    The batch is averaged first. Tokens are the T*H*W positions, features
+    the D channels; the top-3 principal components become channels, each
+    min-max normalized to [0, 1] (a zero-range channel maps to all zeros). Requires D >= 3; constant latents
     raise the degenerate-covariance error from the PCA kernel.
     """
     lat = np.asarray(latent, dtype=np.float64)
@@ -37,17 +36,10 @@ def pca_pseudo_rgb(latent, batch: int | str = "mean") -> np.ndarray:
         raise ValueError(f"latent must be 5-D (B, D, T, H, W), got {lat.ndim}-D")
     if not np.isfinite(lat).all():
         raise ValueError("non-finite latent")
-    b, d, t, h, w = lat.shape
+    _, d, t, h, w = lat.shape
     if d < 3:
         raise ValueError(f"need at least 3 channels for pseudo-RGB, got {d}")
-    if batch == "mean":
-        sel = lat.mean(axis=0)
-    else:
-        idx = int(batch)
-        if not 0 <= idx < b:
-            raise ValueError(f"batch index {idx} out of range 0..{b - 1}")
-        sel = lat[idx]
-    tokens = sel.reshape(d, t * h * w).T
+    tokens = lat.mean(axis=0).reshape(d, t * h * w).T
     _, proj = pca_top_k(tokens, 3)
     channels = proj.T.reshape(3, t, h, w)
     out = np.empty_like(channels)
@@ -61,7 +53,7 @@ def pca_pseudo_rgb(latent, batch: int | str = "mean") -> np.ndarray:
     return out
 
 
-def otsu_threshold(values, bins: int = OTSU_BINS) -> float:
+def otsu_threshold(values) -> float:
     """Otsu's threshold: the histogram split maximizing between-class variance.
 
     Returns the bin edge separating background (<= threshold) from foreground
@@ -77,7 +69,7 @@ def otsu_threshold(values, bins: int = OTSU_BINS) -> float:
     vmax = float(v.max())
     if vmin == vmax:
         return vmax
-    counts, edges = np.histogram(v, bins=bins, range=(vmin, vmax))
+    counts, edges = np.histogram(v, bins=OTSU_BINS, range=(vmin, vmax))
     weights = counts / counts.sum()
     centers = (edges[:-1] + edges[1:]) / 2.0
     omega0 = np.cumsum(weights)
@@ -85,7 +77,7 @@ def otsu_threshold(values, bins: int = OTSU_BINS) -> float:
     mu_total = mu_cum[-1]
     omega1 = 1.0 - omega0
     valid = (omega0 > 0) & (omega1 > 0)
-    sigma_b = np.full(bins, -np.inf)
+    sigma_b = np.full(OTSU_BINS, -np.inf)
     with np.errstate(invalid="ignore", divide="ignore"):
         mu0 = mu_cum / omega0
         mu1 = (mu_total - mu_cum) / omega1

@@ -53,47 +53,24 @@ OUT_DIR_ENV = "ATTNLAB_OUT"
 INJECT_BUG_ENV = "ATTNLAB_INJECT_BUG"
 
 
-def _format_value(x) -> str:
-    # Exact-type fast path for the Python floats and ints that fill most
-    # cells; bool (an int subclass) and numpy scalars take the chain below.
-    if type(x) is float:
-        return format(x, ".17g")
-    if type(x) is int:
-        return str(x)
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 def write_csv(path: str, columns, rows) -> None:
+    """One line per row, each cell formatted with ``%.17g``.
+
+    Every cell is a float or an int: ``%.17g`` prints a float exactly as
+    ``format(x, ".17g")`` does, an int of magnitude up to 2**53 as its exact
+    decimal, and a bool as 1 or 0.
+    """
+    row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in columns))
+    lines.extend(row_format % tuple(row[c] for c in columns) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    return x
 
 
 def write_report(out_dir: str, stem: str, columns, rows, fmt: str) -> str:
     """Write a tabular report; returns the path written."""
     if fmt != "csv":
-        payload = {
-            "columns": list(columns),
-            "rows": [{c: _jsonable(r[c]) for c in columns} for r in rows],
-        }
+        payload = {"columns": list(columns), "rows": [{c: r[c] for c in columns} for r in rows]}
         return write_json(out_dir, stem, payload)
     path = os.path.join(out_dir, stem + ".csv")
     write_csv(path, columns, rows)
@@ -183,6 +160,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # The three modes (fixture, files, synthetic) are exclusive; a mix is
+    # rejected before any file is read.
+    files = (("--latent", args.latent), ("--attention", args.attention), ("--mask", args.mask))
+    file_flags = [flag for flag, value in files if value]
+    if args.fixture and file_flags:
+        raise ConfigError(f"--fixture cannot be combined with {', '.join(file_flags)}")
+    if file_flags and not args.latent:
+        raise ConfigError(f"{', '.join(file_flags)} requires --latent with the latent tensor")
+    if args.latent and not args.attention:
+        raise ConfigError("--latent requires --attention with the block stack")
     cfg = load_config(args)
     out_dir = resolve_out_dir(cfg)
     if args.fixture:
@@ -201,8 +188,6 @@ def cmd_calibrate(args) -> int:
         return EXIT_OK
     if args.latent:
         latent = read_tensor(args.latent)
-        if args.attention is None:
-            raise ConfigError("--latent requires --attention with the block stack")
         stack = read_tensor(args.attention)
         if stack.ndim != 3:
             raise ConfigError(

@@ -119,9 +119,6 @@ class RunConfig:
             d["alpha_grid"] = list(d["alpha_grid"])
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def replace(self, **updates) -> "RunConfig":
         d = self.to_dict()
         d.update(updates)

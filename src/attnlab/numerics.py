@@ -1,4 +1,4 @@
-"""Dense float64 numeric kernels: softmax, log-sum-exp, spectral norms, PCA, seeded sampling.
+"""Dense float64 numeric kernels: softmax, spectral norms, PCA, seeded sampling.
 
 Every function is pure: output depends only on the arguments. Randomness is
 confined to :func:`sample_gaussian`, which derives a fresh generator from the
@@ -55,13 +55,6 @@ def softmax_vec(z) -> np.ndarray:
     zv = as_vector(z, "logits")
     e = np.exp(zv - zv.max())
     return e / e.sum()
-
-
-def log_sum_exp(z) -> float:
-    """log(sum(exp(z_j))) evaluated as max(z) + log(sum(exp(z - max(z))))."""
-    zv = as_vector(z, "logits")
-    m = float(zv.max())
-    return m + float(np.log(np.exp(zv - m).sum()))
 
 
 def eigvalsh_sym(a) -> np.ndarray:
@@ -143,13 +136,10 @@ def pca_top_k(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     return components, projections
 
 
-def sample_gaussian(shape, seed: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """Seeded N(mean, std^2) draws of the given shape.
+def sample_gaussian(shape, seed: int) -> np.ndarray:
+    """Seeded standard normal draws of the given shape.
 
     A fresh PCG64 generator is built from ``seed`` on every call; the caller
     owns the seed and equal seeds yield bit-identical arrays.
     """
-    if std < 0:
-        raise ValueError("std must be nonnegative")
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc=mean, scale=std, size=shape)
+    return np.random.default_rng(seed).normal(size=shape)

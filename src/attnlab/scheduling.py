@@ -96,10 +96,6 @@ class BlockGateTable:
     def num_blocks(self) -> int:
         return len(self.gates)
 
-    @property
-    def selected(self) -> tuple[int, ...]:
-        return tuple(l for l, g in enumerate(self.gates) if g == 1)
-
     @classmethod
     def from_selected(cls, selected, num_blocks: int) -> "BlockGateTable":
         sel = {int(l) for l in selected}

@@ -139,19 +139,6 @@ def make_toy_denoiser(
     return ToyDenoiser(partition=partition, cond_embed=cond_embed, blocks=tuple(blocks))
 
 
-@dataclass(frozen=True)
-class LogitScaleProbe:
-    """Uniform logit scaling by alpha at one block, one video query row."""
-
-    block: int
-    query: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
 def _forward(
     denoiser: ToyDenoiser,
     x,
@@ -183,26 +170,6 @@ def _forward(
         y = res.output if observe is None else observe(l, q, k, v, res)
         h = y[n_cond:] @ blk.w_o
     return h
-
-
-def _probe_observer(denoiser: ToyDenoiser, probe: LogitScaleProbe, captured: list):
-    """Observer that replaces the probe row's output at the probe block by
-    softmax(alpha z) V and appends that row's unscaled logits and V to
-    ``captured``."""
-    row = denoiser.cond_embed.shape[0] + probe.query
-
-    def observe(l, q, k, v, res):
-        if l != probe.block:
-            return res.output
-        if not 0 <= probe.query < denoiser.n_video:
-            raise ValueError(f"probe query {probe.query} out of range")
-        z_row = res.logits[row].copy()
-        y = res.output.copy()
-        y[row] = softmax_vec(probe.alpha * z_row) @ v
-        captured.append((z_row, v.copy()))
-        return y
-
-    return observe
 
 
 def ddim_step(
@@ -250,13 +217,29 @@ def deviation_bound_check(
     """
     if not 1 <= t <= coeffs.total_steps:
         raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 <= query < denoiser.n_video:
+        raise ValueError(f"probe query {query} out of range 0..{denoiser.n_video - 1}")
     xm = as_matrix(x, "state")
     last = len(denoiser.blocks) - 1
+    row = denoiser.cond_embed.shape[0] + query
     captured = []
 
     def probed_eps(a: float) -> np.ndarray:
-        probe = LogitScaleProbe(block=last, query=query, alpha=a)
-        return _forward(denoiser, xm, t, observe=_probe_observer(denoiser, probe, captured))
+        """eps with the probe row's output at the last block replaced by
+        softmax(a z) V; appends that row's unscaled logits and V to ``captured``."""
+
+        def observe(l, q, k, v, res):
+            if l != last:
+                return res.output
+            z_row = res.logits[row].copy()
+            y = res.output.copy()
+            y[row] = softmax_vec(a * z_row) @ v
+            captured.append((z_row, v.copy()))
+            return y
+
+        return _forward(denoiser, xm, t, observe=observe)
 
     base_eps = probed_eps(1.0)
     mod_eps = probed_eps(alpha)
@@ -317,9 +300,6 @@ class TrajectoryRow:
 @dataclass(frozen=True)
 class Trajectory:
     rows: tuple[TrajectoryRow, ...]
-    final_state: np.ndarray
-    total_steps: int
-    num_blocks: int
 
     @property
     def total_active_cells(self) -> int:
@@ -406,12 +386,7 @@ def run_trajectory(
                 state_norm=float(np.linalg.norm(x)),
             )
         )
-    return Trajectory(
-        rows=tuple(rows),
-        final_state=x,
-        total_steps=coeffs.total_steps,
-        num_blocks=len(denoiser.blocks),
-    )
+    return Trajectory(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

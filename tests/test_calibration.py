@@ -97,14 +97,12 @@ def test_pca_pseudo_rgb_shape_and_range():
     assert rgb[0].max() == 1.0 and rgb[0].min() == 0.0  # min-max hits both ends
 
 
-def test_pca_pseudo_rgb_batch_selection():
+def test_pca_pseudo_rgb_averages_batch():
     lat, _ = _blob_latent(b=3)
     lat[1] += 10.0
-    rgb_mean = pca_pseudo_rgb(lat, batch="mean")
-    rgb_one = pca_pseudo_rgb(lat, batch=1)
-    assert rgb_mean.shape == rgb_one.shape
-    with pytest.raises(ValueError, match="batch index"):
-        pca_pseudo_rgb(lat, batch=3)
+    np.testing.assert_array_equal(
+        pca_pseudo_rgb(lat), pca_pseudo_rgb(lat.mean(axis=0, keepdims=True))
+    )
 
 
 def test_pca_pseudo_rgb_validation():

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from attnlab.cli import main
+from attnlab.cli import main, write_csv
 from attnlab.config import _SCHEMA, ConfigError, RunConfig
 from attnlab.numerics import row_softmax
 from attnlab.tensorio import write_tensor
@@ -27,7 +27,7 @@ def test_from_dict_round_trip():
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert again.seed == 9
-    assert json.loads(cfg.to_json())["gamma"] == 1.2
+    assert json.loads(json.dumps(cfg.to_dict()))["gamma"] == 1.2
 
 
 def test_unknown_keys_rejected():
@@ -255,6 +255,18 @@ def test_config_file_missing_exit_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_write_csv_cell_text(tmp_path):
+    row = {
+        "a": 0.1, "b": 1 / 3, "c": -0.0, "d": float("nan"), "e": float("inf"),
+        "f": 7, "g": True, "h": np.float64(2.5),
+    }
+    path = tmp_path / "r.csv"
+    write_csv(str(path), list(row), [row])
+    assert path.read_text() == (
+        "a,b,c,d,e,f,g,h\n0.10000000000000001,0.33333333333333331,-0,nan,inf,7,1,2.5\n"
+    )
+
+
 # -- calibrate ------------------------------------------------------------------
 
 
@@ -340,6 +352,24 @@ def test_calibrate_latent_without_attention_exit_2(tmp_path, capsys):
     rc = main(["calibrate", "--latent", str(lat), "--out", str(tmp_path)])
     assert rc == 2
     assert "requires --attention" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--attention", "MISSING"], "--attention requires --latent"),
+        (["--fixture", "wan2.1", "--latent", "MISSING"], "--fixture cannot be combined with --latent"),
+        (["--latent", "MISSING"], "--latent requires --attention"),
+    ],
+    ids=["attention-without-latent", "fixture-with-latent", "missing-latent-without-attention"],
+)
+def test_calibrate_mixed_modes_exit_2_before_reading(tmp_path, capsys, flags, message):
+    # MISSING names no file, so exit 2 (not 3) shows the mix is rejected before any read.
+    missing = str(tmp_path / "missing.atnb")
+    argv = [missing if f == "MISSING" else f for f in flags]
+    assert main(["calibrate", *argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "block_table.json").exists()
 
 
 def test_calibrate_malformed_tensor_exit_3(tmp_path, capsys):

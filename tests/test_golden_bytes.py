@@ -11,6 +11,8 @@ one Hessian stack and one eigensolve per draw), so they pin that change at scale
 ``simulate-energy-unit-gamma`` was recorded before ``scheduled_attention``
 became the one place that decides whether a cell is scaled: with kappa = 1e-3
 the energy coefficient of its gated cells rounds to exactly 1.0.
+``simulate-json`` and ``sweep-json`` were recorded before the JSON writer
+stopped converting row values, so they pin the JSON trajectory and sweep rows.
 
 Float output depends on the numpy build, so the digests hold only for the
 numpy version they were recorded with; under any other version the test
@@ -57,6 +59,10 @@ CASES = {
         ["sweep", "--draws", "20", "--seed", "7"],
         {"sweep.csv": "2b0eae6407becdcccbffcdd459e307ea273fda9b5d0d79c8ba71d3d4c2c81e67"},
     ),
+    "sweep-json": (
+        ["sweep", "--format", "json", "--draws", "20", "--seed", "7"],
+        {"sweep.json": "7a622bdf1d9e59d7db3e75435d8b3ca0db7bda662c09dfef228b3e29c7aca795"},
+    ),
     "sweep-vector": (
         ["sweep", "--z", "2,1,0", "--alpha-grid", "1,2"],
         {"sweep.csv": "0060e544dc3ae82a98601a779b16bf5387503bb6ef6125fb8d6a59a257a1bf5d"},
@@ -78,6 +84,13 @@ CASES = {
         {
             "summary.json": "e97b0bc4663bc879b6e89456f1b1220cd273a8b6b13961f2fc3d248142916b7d",
             "trajectory.csv": "2a5467d268289eeafed5ba3c97bea5a0b0e7030d322e8498ac96ae128b20f585",
+        },
+    ),
+    "simulate-json": (
+        ["simulate", "--format", "json", "--steps", "8", "--blocks", "4", "--seed", "3"],
+        {
+            "summary.json": "e97b0bc4663bc879b6e89456f1b1220cd273a8b6b13961f2fc3d248142916b7d",
+            "trajectory.json": "68f0b19bf44408af7a06237b6a7581763824115a03574ac5c412e4b47a01c399",
         },
     ),
     "simulate-energy": (

@@ -92,7 +92,6 @@ def test_block_gate_validation():
 def test_gate_table_construction():
     tbl = BlockGateTable((1, 0, 1, 0))
     assert tbl.num_blocks == 4
-    assert tbl.selected == (0, 2)
     assert BlockGateTable.from_selected([2, 0], 4).gates == (1, 0, 1, 0)
     assert BlockGateTable.uniform(3).gates == (1, 1, 1)
     assert BlockGateTable.uniform(3, on=False).gates == (0, 0, 0)

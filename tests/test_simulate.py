@@ -9,7 +9,6 @@ from attnlab.numerics import sample_gaussian, spectral_norm
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
 from attnlab.simulate import (
     ConflictConfig,
-    LogitScaleProbe,
     StepCoefficients,
     conflict_experiment,
     conflict_logits,
@@ -85,8 +84,17 @@ def test_ddim_step_linear_update():
 
 def test_probe_rejects_nonpositive_alpha():
     # The alpha = 1 identity is pinned by test_deviation_zero_at_alpha_one.
+    den = make_toy_denoiser(seed=7)
+    x = sample_gaussian((den.n_video, den.d_model), seed=8)
     with pytest.raises(ValueError, match="alpha must be positive"):
-        LogitScaleProbe(block=0, query=0, alpha=0.0)
+        deviation_bound_check(den, StepCoefficients.linear(8), t=1, x=x, alpha=0.0)
+
+
+def test_probe_rejects_query_out_of_range():
+    den = make_toy_denoiser(seed=7)
+    x = sample_gaussian((den.n_video, den.d_model), seed=8)
+    with pytest.raises(ValueError, match="probe query 8 out of range"):
+        deviation_bound_check(den, StepCoefficients.linear(8), 1, x, 1.5, query=den.n_video)
 
 
 # -- deviation bound -----------------------------------------------------------
@@ -162,7 +170,7 @@ def test_trajectory_cell_pattern_matches_product_schedule():
     den = make_toy_denoiser(seed=0, num_blocks=8)
     coeffs = StepCoefficients.linear(25)
     sched = _schedule()
-    x0 = sample_gaussian((den.n_video, den.d_model), seed=1, std=0.5)
+    x0 = 0.5 * sample_gaussian((den.n_video, den.d_model), seed=1)
     traj = run_trajectory(den, coeffs, sched, x0)
     assert traj.total_active_cells == 4 * 8  # floor(8/2) blocks x early steps 1..8
     per_step = [r.active_blocks for r in traj.rows]
@@ -205,7 +213,7 @@ def test_trajectory_active_steps_sharpen_conditioning():
     den = make_toy_denoiser(seed=0, num_blocks=8)
     coeffs = StepCoefficients.linear(25)
     sched = _schedule(gamma=1.35)
-    x0 = sample_gaussian((den.n_video, den.d_model), seed=1, std=0.5)
+    x0 = 0.5 * sample_gaussian((den.n_video, den.d_model), seed=1)
     traj = run_trajectory(den, coeffs, sched, x0)
     active = [r for r in traj.rows if r.active_blocks > 0]
     inactive = [r for r in traj.rows if r.active_blocks == 0]
