@@ -22,6 +22,7 @@ from .analysis import (
     group_mass_rows,
     lipschitz_report,
     logit_gap,
+    variance_rows,
 )
 from .attention import (
     ArchMode,

@@ -78,6 +78,19 @@ def _subset_indices(s, size: int) -> np.ndarray:
     return np.sort(idx)
 
 
+def variance_rows(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Var_{p_i}[z] for each row p_i of a (k, m) softmax stack over the logits ``z``.
+
+    Two passes about z_max, the shift the softmax already subtracts: the
+    mean of d = z - z_max, then the mean square of d about it. Each term is
+    nonnegative, so no E[z^2] - E[z]^2 cancellation occurs and the result is
+    unchanged when a constant shift of ``z`` leaves d and p unchanged.
+    """
+    d = z - z.max()
+    mean = (p * d).sum(axis=1)
+    return (p * (d - mean[:, None]) ** 2).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Entropy of p_S(alpha) with its analytic and finite-difference slopes."""
@@ -104,8 +117,7 @@ def entropy_alpha_report(z, s, alpha: float) -> EntropyReport:
     idx = _subset_indices(s, zv.size)
     zs = zv[idx]
     p = softmax_vec(alpha * zs)
-    mean = float(p @ zs)
-    variance = float(p @ (zs * zs)) - mean * mean
+    variance = float(variance_rows(p[None, :], zs)[0])
     analytic = -alpha * variance
 
     def h_at(a: float) -> float:
@@ -115,7 +127,7 @@ def entropy_alpha_report(z, s, alpha: float) -> EntropyReport:
     return EntropyReport(
         alpha=alpha,
         entropy=entropy(p),
-        variance=max(variance, 0.0),
+        variance=variance,
         analytic_derivative=analytic,
         numeric_derivative=numeric,
         abs_gap=abs(analytic - numeric),

@@ -194,6 +194,15 @@ def test_sweep_explicit_vector_frozen_values(tmp_path):
     assert "0.44105744405816344" in text  # H at alpha=2
 
 
+def test_sweep_report_invariant_under_logit_shift(tmp_path):
+    # softmax ignores a constant shift, so every column (variance included) must too
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["sweep", "--z", "2,1,0", "--alpha-grid", "1,2", "--out", str(d1)]) == 0
+    shifted = ["--z", "10000002,10000001,10000000", "--alpha-grid", "1,2", "--out", str(d2)]
+    assert main(["sweep", *shifted]) == 0
+    assert (d2 / "sweep.csv").read_bytes() == (d1 / "sweep.csv").read_bytes()
+
+
 def test_sweep_random_draws_pass(tmp_path):
     rc = main(["sweep", "--draws", "15", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0

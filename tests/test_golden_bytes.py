@@ -13,6 +13,10 @@ became the one place that decides whether a cell is scaled: with kappa = 1e-3
 the energy coefficient of its gated cells rounds to exactly 1.0.
 ``simulate-json`` and ``sweep-json`` were recorded before the JSON writer
 stopped converting row values, so they pin the JSON trajectory and sweep rows.
+The entropy-slope reports and every sweep report were re-recorded once
+``analysis.variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
+z_max: only their variance column (and, in entropy-slope, the slope_gap and
+margin columns derived from it) changed.
 
 Float output depends on the numpy build, so the digests hold only for the
 numpy version they were recorded with; under any other version the test
@@ -40,7 +44,7 @@ CASES = {
         {
             "verify_curvature.csv": "a8fc592338039801fffc3cc683be157444d8524b380e03d6e03a3f072532149e",
             "verify_deviation.csv": "dc3d6212936d14eaa930eae2cf5001d59710c10cb6088a6723c964ea53f99e13",
-            "verify_entropy-slope.csv": "b4a969b4b7122e2dbeae5f1cb7cb01cdee720620c54c93f425e476c6b02ec9b5",
+            "verify_entropy-slope.csv": "ea8ba2a344052984cecbfc39f5ef2db200050d8568073b9308b9e73cee37702c",
             "verify_lipschitz.csv": "84a7d47b8c2e353efb8df62952a5a35d6d88bf9d50b19755fb223d1907412114",
             "verify_scale-equivalence.csv": "0c48b53445d1c8023e0b50b73445b4acc79a6b5b81dd54e8fb7e9450705eb07f",
         },
@@ -50,26 +54,26 @@ CASES = {
         {
             "verify_curvature.json": "c38e7d94ae90ec0d87003427aa9f4431c6e71beaf4f3ed9573d520b4c03275dc",
             "verify_deviation.json": "73f6b12cd9a38dd3be1095ac1ea217473dcb3b53fc0cc95d15b5b666295ae786",
-            "verify_entropy-slope.json": "a1fd912dd9277dbc78ada215e5bdf0e04af6aa7687f4ec2c724f1c3c0b36574e",
+            "verify_entropy-slope.json": "0c00170515500f6a95112f0dcaa985b558ca7fd1c84a6300c5741199f11c8cbc",
             "verify_lipschitz.json": "914fb2cd54ddbb576fa18e39f1ddcb99f3aa69ce62fa8e6ab5b1d9b0b81c8d45",
             "verify_scale-equivalence.json": "9f17accdd7afcbe222b37a6bc12c319463eb761b4f67f93c52b0a03eeddc0679",
         },
     ),
     "sweep-random": (
         ["sweep", "--draws", "20", "--seed", "7"],
-        {"sweep.csv": "2b0eae6407becdcccbffcdd459e307ea273fda9b5d0d79c8ba71d3d4c2c81e67"},
+        {"sweep.csv": "00442e54164bfeeda5ff542544d53d9708e85a7e449b0eb2e161581dffd657d2"},
     ),
     "sweep-json": (
         ["sweep", "--format", "json", "--draws", "20", "--seed", "7"],
-        {"sweep.json": "7a622bdf1d9e59d7db3e75435d8b3ca0db7bda662c09dfef228b3e29c7aca795"},
+        {"sweep.json": "c9906b76186440ef0da5188572249b12b704e2138d6f20f65ff38068e743e5bb"},
     ),
     "sweep-vector": (
         ["sweep", "--z", "2,1,0", "--alpha-grid", "1,2"],
-        {"sweep.csv": "0060e544dc3ae82a98601a779b16bf5387503bb6ef6125fb8d6a59a257a1bf5d"},
+        {"sweep.csv": "ffa8606d76014794a11b5d42bf41b9ae1ff15858f1739e9a7b7c5f1c8f489e33"},
     ),
     "sweep-random-300": (
         ["sweep", "--draws", "300", "--seed", "31"],
-        {"sweep.csv": "3dbf015e899f99f9ceac781ea4b0197f50762dcc2a8bf4e8fb0983460559ae83"},
+        {"sweep.csv": "7269a3ad3e08a9ea765b19c943305a0e231225b26365ca5a28ae1bb2e0d5a8b7"},
     ),
     "verify-curvature-300": (
         ["verify", "curvature", "--draws", "300", "--seed", "31"],
@@ -77,7 +81,7 @@ CASES = {
     ),
     "sweep-tied-maximum": (
         ["sweep", "--z", "1,1,0", "--alpha-grid", "1,2"],
-        {"sweep.csv": "87f2c7d21b5e837bfeedd74292c92cc57766a0cf5f5dce34600ceef60952af9f"},
+        {"sweep.csv": "434a4d8ac0f641a3784bae071bedea53fab07922b88f5b77b8eea572c8432d7d"},
     ),
     "simulate-scalar": (
         ["simulate", "--steps", "8", "--blocks", "4", "--seed", "3"],
