@@ -54,17 +54,16 @@ INJECT_BUG_ENV = "ATTNLAB_INJECT_BUG"
 
 
 def write_csv(path: str, columns, rows) -> None:
-    """One line per row, each cell formatted with ``%.17g``.
+    """One line per row, each cell formatted with ``%.17g``, streamed to the file.
 
     Every cell is a float or an int: ``%.17g`` prints a float exactly as
     ``format(x, ".17g")`` does, an int of magnitude up to 2**53 as its exact
     decimal, and a bool as 1 or 0.
     """
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(columns)]
-    lines.extend(row_format % tuple(row[c] for c in columns) for row in rows)
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(columns) + "\n")
+        f.writelines(row_format % tuple(row[c] for c in columns) for row in rows)
 
 
 def write_report(out_dir: str, stem: str, columns, rows, fmt: str) -> str:
