@@ -22,7 +22,6 @@ from .analysis import (
     group_mass_rows,
     lipschitz_report,
     logit_gap,
-    variance_rows,
 )
 from .attention import (
     ArchMode,

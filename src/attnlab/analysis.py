@@ -78,7 +78,7 @@ def _subset_indices(s, size: int) -> np.ndarray:
     return np.sort(idx)
 
 
-def variance_rows(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _variance_rows(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Var_{p_i}[z] for each row p_i of a (k, m) softmax stack over the logits ``z``.
 
     Two passes about z_max, the shift the softmax already subtracts: the
@@ -117,7 +117,7 @@ def entropy_alpha_report(z, s, alpha: float) -> EntropyReport:
     idx = _subset_indices(s, zv.size)
     zs = zv[idx]
     p = softmax_vec(alpha * zs)
-    variance = float(variance_rows(p[None, :], zs)[0])
+    variance = float(_variance_rows(p[None, :], zs)[0])
     analytic = -alpha * variance
 
     def h_at(a: float) -> float:

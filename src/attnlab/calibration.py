@@ -28,8 +28,9 @@ def pca_pseudo_rgb(latent) -> np.ndarray:
 
     The batch is averaged first. Tokens are the T*H*W positions, features
     the D channels; the top-3 principal components become channels, each
-    min-max normalized to [0, 1] (a zero-range channel maps to all zeros). Requires D >= 3; constant latents
-    raise the degenerate-covariance error from the PCA kernel.
+    min-max normalized to [0, 1] (a zero-range channel maps to all zeros).
+    Requires D >= 3; constant latents raise the degenerate-covariance error
+    from the PCA kernel.
     """
     lat = np.asarray(latent, dtype=np.float64)
     if lat.ndim != 5:

@@ -30,12 +30,12 @@ import numpy as np
 
 from .analysis import (
     _row_entropies,
+    _variance_rows,
     curvature_rows,
     entropy,
     entropy_alpha_report,
     lipschitz_report,
     logit_gap,
-    variance_rows,
 )
 from .attention import attention_forward, scaled_logits
 from .numerics import row_softmax, softmax_vec
@@ -354,7 +354,7 @@ def _sweep(z_draws, alpha_grid):
         curv = curvature_rows(z, grid)
         reps = curv.reports()
         entropies = _row_entropies(curv.p).tolist()
-        variances = variance_rows(curv.p, z).tolist()
+        variances = _variance_rows(curv.p, z).tolist()
         monotone_ok = _nonincreasing(entropies)
         env = [rep.decay_bound for a, rep in zip(grid, reps) if gap > 0 and a >= 2.0 / gap]
         envelope_ok = _nonincreasing(env, max(1.0, env[0]) if env else 1.0)

@@ -14,7 +14,7 @@ the energy coefficient of its gated cells rounds to exactly 1.0.
 ``simulate-json`` and ``sweep-json`` were recorded before the JSON writer
 stopped converting row values, so they pin the JSON trajectory and sweep rows.
 The entropy-slope reports and every sweep report were re-recorded once
-``analysis.variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
+``analysis._variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
 z_max: only their variance column (and, in entropy-slope, the slope_gap and
 margin columns derived from it) changed.
 
