@@ -13,6 +13,9 @@ became the one place that decides whether a cell is scaled: with kappa = 1e-3
 the energy coefficient of its gated cells rounds to exactly 1.0.
 ``simulate-json`` and ``sweep-json`` were recorded before the JSON writer
 stopped converting row values, so they pin the JSON trajectory and sweep rows.
+``simulate-key-image`` was recorded before the query-side scaling path was
+deleted: it is the one case that scales a single key group, in the denoiser
+and in the conflict experiment.
 The entropy-slope reports and every sweep report were re-recorded once
 ``analysis._variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
 z_max: only their variance column (and, in entropy-slope, the slope_gap and
@@ -36,6 +39,7 @@ RECORDED_NUMPY = "2.4.6"
 CONFIGS = {
     "energy": {"mode": "energy", "window": {"preset": "all"}},
     "energy_unit_gamma": {"mode": "energy", "kappa": 0.001},
+    "key_image": {"position": "key-image"},
 }
 
 CASES = {
@@ -109,6 +113,13 @@ CASES = {
         {
             "summary.json": "74801d36edbec78f613892ff7ba26fe94af3045b6baf74a0db67c7517b08ba6f",
             "trajectory.csv": "ac6d64cf43271a8cea60eac148aed4d6803c8f8e9006799b24ca6faedf7b0224",
+        },
+    ),
+    "simulate-key-image": (
+        ["simulate", "--config", "{key_image}", "--steps", "6", "--blocks", "4"],
+        {
+            "summary.json": "ba0b9954e149695b65b78d138244b754ba84c8624fb54ccdc39ead02112f76b4",
+            "trajectory.csv": "8c09630f611b0d78fee858b9f86b63f5677e13ad87c0f02d30a3f63a6c64fc36",
         },
     ),
     "calibrate-synthetic": (
