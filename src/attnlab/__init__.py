@@ -1,6 +1,6 @@
 """attnlab: a numerical laboratory for temperature-scaled multi-modal attention.
 
-Group-targeted Q/K scaling, block/step guidance scheduling, entropy and
+Group-targeted key scaling, block/step guidance scheduling, entropy and
 curvature diagnostics, a toy scheduled-denoising simulator, and seeded
 verification suites that certify every bound the machinery relies on.
 """
@@ -24,7 +24,6 @@ from .analysis import (
     logit_gap,
 )
 from .attention import (
-    ArchMode,
     AttentionResult,
     KeyPartition,
     ModulationConfig,

@@ -1,10 +1,10 @@
-"""Multi-modal attention with key-group partitioning and group-targeted Q/K scaling.
+"""Multi-modal attention with key-group partitioning and group-targeted key scaling.
 
 Keys are partitioned into text / image / video index groups. Scaling a key
 group's rows by gamma multiplies exactly that group's logit columns by gamma,
-so modulation is local: untouched groups keep bit-identical logits. Scaling Q
-instead multiplies every logit row, which is the per-stream query-side variant
-used by factorized cross-attention backbones.
+so modulation is local: untouched groups keep bit-identical logits. In joint
+self-attention over the whole sequence this is the only per-group scaling:
+scaling the queries would multiply every logit column at once.
 """
 
 from __future__ import annotations
@@ -12,34 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .numerics import as_matrix, row_softmax
 
 GROUP_NAMES = ("text", "image", "video")
-
-
-class ArchMode(Enum):
-    """Backbone attention layout.
-
-    JOINT: one self-attention over the concatenated [text | image | video]
-    sequence. FACTORIZED: video self-attention plus separate per-modality
-    cross-attention streams; query-side scaling only exists here.
-    """
-
-    JOINT = "joint"
-    FACTORIZED = "factorized"
-
-    @classmethod
-    def parse(cls, s: str) -> "ArchMode":
-        try:
-            return cls(s.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown arch mode {s!r}; expected 'joint' or 'factorized'"
-            ) from None
 
 
 def _as_index_tuple(idx, name: str) -> tuple[int, ...]:
@@ -101,66 +79,36 @@ def build_partition(n_text: int, n_image: int, n_video: int) -> KeyPartition:
 
 @dataclass(frozen=True)
 class ScalingTargets:
-    """Which token groups get their query / key embeddings scaled.
+    """Which token groups get their key embeddings scaled."""
 
-    A group may appear on at most one side: per stream the scaling acts on
-    either its queries or its keys, never both.
-    """
-
-    query_groups: frozenset = frozenset()
     key_groups: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "query_groups", frozenset(self.query_groups))
         object.__setattr__(self, "key_groups", frozenset(self.key_groups))
-        for side, groups in (("query", self.query_groups), ("key", self.key_groups)):
-            bad = groups - set(GROUP_NAMES)
-            if bad:
-                raise ValueError(f"unknown {side} group(s): {sorted(bad)}")
-        overlap = self.query_groups & self.key_groups
-        if overlap:
-            raise ValueError(
-                f"group(s) {sorted(overlap)} flagged on both query and key side"
-            )
-
-
-def _t(*names: str) -> ScalingTargets:
-    q = frozenset(n.split(":", 1)[1] for n in names if n.startswith("q:"))
-    k = frozenset(n.split(":", 1)[1] for n in names if n.startswith("k:"))
-    return ScalingTargets(query_groups=q, key_groups=k)
+        bad = self.key_groups - set(GROUP_NAMES)
+        if bad:
+            raise ValueError(f"unknown key group(s): {sorted(bad)}")
 
 
 # Joint self-attention exposes key-side positions only: with a shared softmax
 # over the whole sequence, scaling the queries of one modality is not a
 # well-defined per-group operation, so query-side names are rejected.
-_JOINT_POSITIONS = {
-    "key-image": _t("k:image"),
-    "key-text": _t("k:text"),
-    "key-image and key-text": _t("k:image", "k:text"),
-}
-
-_FACTORIZED_POSITIONS = {
-    "key in self-attention": _t("k:video"),
-    "query-image": _t("q:image"),
-    "key-image": _t("k:image"),
-    "query-text": _t("q:text"),
-    "key-text": _t("k:text"),
-    "key-image and query-text": _t("k:image", "q:text"),
-    "key-image and key-text": _t("k:image", "k:text"),
-    "query-image and key-text": _t("q:image", "k:text"),
+_POSITIONS = {
+    "key-image": ScalingTargets(key_groups=frozenset({"image"})),
+    "key-text": ScalingTargets(key_groups=frozenset({"text"})),
+    "key-image and key-text": ScalingTargets(key_groups=frozenset({"image", "text"})),
 }
 
 
-def resolve_targets(arch: ArchMode, position: str) -> ScalingTargets:
-    """Map a named scaling position to concrete group targets for ``arch``."""
-    table = _JOINT_POSITIONS if arch is ArchMode.JOINT else _FACTORIZED_POSITIONS
+def resolve_targets(position: str) -> ScalingTargets:
+    """Map a named scaling position to the key groups it scales."""
     key = position.strip().lower()
-    if key not in table:
+    if key not in _POSITIONS:
         raise ValueError(
-            f"position {position!r} is not valid for arch {arch.value!r}; "
-            f"valid positions: {sorted(table)}"
+            f"position {position!r} is not valid for arch 'joint'; "
+            f"valid positions: {sorted(_POSITIONS)}"
         )
-    return table[key]
+    return _POSITIONS[key]
 
 
 @dataclass(frozen=True)
@@ -220,39 +168,22 @@ def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.n
 
 
 def apply_group_scaling(
-    q, k, partition: KeyPartition, targets: ScalingTargets, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Q', K') with the targeted groups scaled by ``gamma``.
+    k, partition: KeyPartition, targets: ScalingTargets, gamma: float
+) -> np.ndarray:
+    """Return K' with the targeted key groups' rows scaled by ``gamma``.
 
-    Key flags scale the flagged group's rows of K (see
-    :func:`key_scale_factors`). A query flag scales the whole Q matrix once if
-    the flagged group is present (nonempty) in the partition: in a factorized
-    stream call the partition holds that stream's keys and Q holds its
-    queries, so this is the per-stream query-side scaling. A flag naming a
-    group that is empty in the partition warns and is a no-op. Inputs are
-    copied; untouched rows are bit-identical to the originals.
+    See :func:`key_scale_factors`: a flag naming a group that is empty in the
+    partition warns and is a no-op. K is copied; untouched rows are
+    bit-identical to the originals.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    qm = as_matrix(q, "Q").copy()
     km = as_matrix(k, "K")
     if partition.size != km.shape[0]:
         raise ValueError(
             f"partition size {partition.size} != K rows {km.shape[0]}"
         )
-    km = km * key_scale_factors(partition, targets.key_groups, gamma)[:, None]
-    scale_q = False
-    for name in sorted(targets.query_groups):
-        if partition.group(name):
-            scale_q = True
-        else:
-            warnings.warn(
-                f"query scaling requested for empty group {name!r}; no-op",
-                stacklevel=2,
-            )
-    if scale_q:
-        qm *= gamma
-    return qm, km
+    return km * key_scale_factors(partition, targets.key_groups, gamma)[:, None]
 
 
 def _logistic(u: float) -> float:
@@ -301,7 +232,6 @@ class ModulationConfig:
     targets: ScalingTargets = field(
         default_factory=lambda: ScalingTargets(key_groups=frozenset({"text", "image"}))
     )
-    arch: ArchMode = ArchMode.JOINT
 
     def __post_init__(self):
         if self.mode not in ("scalar", "energy"):

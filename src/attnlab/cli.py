@@ -17,7 +17,6 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .attention import ArchMode, ScalingTargets
 from .calibration import (
     BlockRatioTable,
     calibrate_synthetic,
@@ -237,10 +236,6 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     schedule = cfg.schedule()
-    if schedule.modulation.arch is ArchMode.FACTORIZED:
-        raise ConfigError(
-            "simulate runs a joint-attention toy denoiser; arch 'factorized' is not supported"
-        )
     out_dir = resolve_out_dir(cfg)
     dims = cfg.dims
     denoiser = make_toy_denoiser(
@@ -256,14 +251,9 @@ def cmd_simulate(args) -> int:
     x0 = sample_gaussian((dims["n_video"], denoiser.d_model), seed=cfg.seed + 1_000_003)
     trajectory = run_trajectory(denoiser, coeffs, schedule, x0)
     audit = flops_audit(trajectory, schedule)
-    key_groups = schedule.modulation.targets.key_groups or frozenset({"text", "image"})
     conflict = conflict_experiment(
         cfg.seed,
-        ConflictConfig(
-            boost=cfg.boost,
-            gamma=cfg.gamma,
-            targets=ScalingTargets(key_groups=key_groups),
-        ),
+        ConflictConfig(boost=cfg.boost, gamma=cfg.gamma, targets=schedule.modulation.targets),
     )
     columns = [f.name for f in fields(TrajectoryRow)]
     rows = [asdict(r) for r in trajectory.rows]

@@ -16,7 +16,7 @@ from importlib import resources
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .attention import ArchMode, ModulationConfig, resolve_targets
+from .attention import ModulationConfig, resolve_targets
 from .calibration import load_block_fixture
 from .scheduling import BlockGateTable, ScheduleConfig, StepWindow, window_preset
 
@@ -169,15 +169,12 @@ class RunConfig:
 
     def modulation(self) -> ModulationConfig:
         try:
-            arch = ArchMode.parse(self.arch)
-            targets = resolve_targets(arch, self.position)
             return ModulationConfig(
                 mode=self.mode,
                 gamma=self.gamma,
                 gamma_max=self.gamma_max,
                 kappa=self.kappa,
-                targets=targets,
-                arch=arch,
+                targets=resolve_targets(self.position),
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None

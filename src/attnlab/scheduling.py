@@ -181,5 +181,5 @@ def scheduled_attention(
         gamma = energy_gamma(scaled_logits(q, k), mod.gamma_max, mod.kappa)
     else:
         gamma = mod.gamma
-    q2, k2 = apply_group_scaling(q, k, partition, mod.targets, gamma)
-    return replace(attention_forward(q2, k2, v), gamma=gamma)
+    k2 = apply_group_scaling(k, partition, mod.targets, gamma)
+    return replace(attention_forward(q, k2, v), gamma=gamma)

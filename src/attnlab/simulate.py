@@ -270,17 +270,13 @@ def deviation_bound_check(
 def scaling_multiply_count(
     partition: KeyPartition, targets: ScalingTargets, n_rows: int, d_k: int
 ) -> int:
-    """Extra multiplications one scaled attention call performs.
+    """Extra multiplications one scaled attention call performs: |G| * d_k per
+    flagged key group G.
 
-    Key side: |G| * d_k per flagged nonempty group. Query side: n_rows * d_k
-    once if any flagged group is nonempty in the partition.
+    ``n_rows`` (the call's query rows) does not enter the count, since only
+    keys are scaled; it stays so that callers keep one four-argument form.
     """
-    count = 0
-    for name in targets.key_groups:
-        count += len(partition.group(name)) * d_k
-    if any(partition.group(name) for name in targets.query_groups):
-        count += n_rows * d_k
-    return count
+    return sum(len(partition.group(name)) for name in targets.key_groups) * d_k
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from attnlab.attention import (
-    ArchMode,
     KeyPartition,
     ModulationConfig,
     ScalingTargets,
@@ -53,10 +52,8 @@ def test_partition_group_lookup():
         p.group("audio")
 
 
-def test_scaling_targets_disjoint_sides():
-    ScalingTargets(query_groups={"image"}, key_groups={"text"})
-    with pytest.raises(ValueError, match="both query and key"):
-        ScalingTargets(query_groups={"text"}, key_groups={"text"})
+def test_scaling_targets_reject_unknown_group():
+    assert ScalingTargets(key_groups=["text", "text"]).key_groups == frozenset({"text"})
     with pytest.raises(ValueError, match="unknown key group"):
         ScalingTargets(key_groups={"depth"})
 
@@ -66,46 +63,23 @@ def test_scaling_targets_disjoint_sides():
 
 def test_joint_positions():
     cases = {
-        "Key-image": (set(), {"image"}),
-        "Key-text": (set(), {"text"}),
-        "Key-image and Key-text": (set(), {"image", "text"}),
+        "Key-image": {"image"},
+        " key-text ": {"text"},
+        "Key-image and Key-text": {"image", "text"},
     }
-    for name, (q, k) in cases.items():
-        t = resolve_targets(ArchMode.JOINT, name)
-        assert (set(t.query_groups), set(t.key_groups)) == (q, k)
-
-
-def test_factorized_positions():
-    cases = {
-        "Key in self-attention": (set(), {"video"}),
-        "Query-image": ({"image"}, set()),
-        "Key-image": (set(), {"image"}),
-        "Query-text": ({"text"}, set()),
-        "Key-text": (set(), {"text"}),
-        "Key-image and Query-text": ({"text"}, {"image"}),
-        "Key-image and Key-text": (set(), {"image", "text"}),
-        "Query-image and Key-text": ({"image"}, {"text"}),
-    }
-    for name, (q, k) in cases.items():
-        t = resolve_targets(ArchMode.FACTORIZED, name)
-        assert (set(t.query_groups), set(t.key_groups)) == (q, k)
+    for name, k in cases.items():
+        assert set(resolve_targets(name).key_groups) == k
 
 
 def test_query_side_rejected_for_joint():
     with pytest.raises(ValueError, match="not valid for arch 'joint'"):
-        resolve_targets(ArchMode.JOINT, "Query-image")
+        resolve_targets("Query-image")
 
 
 def test_unknown_position_lists_valid_names():
-    with pytest.raises(ValueError, match="valid positions"):
-        resolve_targets(ArchMode.FACTORIZED, "key-audio")
-
-
-def test_arch_mode_parse():
-    assert ArchMode.parse(" Joint ") is ArchMode.JOINT
-    assert ArchMode.parse("factorized") is ArchMode.FACTORIZED
-    with pytest.raises(ValueError, match="unknown arch mode"):
-        ArchMode.parse("dual")
+    with pytest.raises(ValueError, match="valid positions") as exc:
+        resolve_targets("key-audio")
+    assert "'key-image and key-text'" in str(exc.value)
 
 
 # -- forward pass and group scaling ----------------------------------------
@@ -142,68 +116,50 @@ def test_key_scaling_scales_exactly_those_logit_columns():
     part = build_partition(2, 2, 2)
     gamma = 1.35
     targets = ScalingTargets(key_groups={"image"})
-    qs, ks = apply_group_scaling(q, k, part, targets, gamma)
+    ks = apply_group_scaling(k, part, targets, gamma)
     z0 = scaled_logits(q, k)
-    z1 = scaled_logits(qs, ks)
+    z1 = scaled_logits(q, ks)
     np.testing.assert_allclose(z1[:, [2, 3]], gamma * z0[:, [2, 3]], atol=1e-15)
     assert np.array_equal(z1[:, [0, 1, 4, 5]], z0[:, [0, 1, 4, 5]])
-    assert np.array_equal(qs, q)
 
 
 def test_key_scaling_untouched_rows_bit_identical():
-    q, k, _ = _random_qkv(3, m=6)
+    _, k, _ = _random_qkv(3, m=6)
     part = build_partition(2, 2, 2)
-    _, ks = apply_group_scaling(q, k, part, ScalingTargets(key_groups={"text"}), 2.0)
+    ks = apply_group_scaling(k, part, ScalingTargets(key_groups={"text"}), 2.0)
     assert np.array_equal(ks[2:], k[2:])
     np.testing.assert_array_equal(ks[:2], 2.0 * k[:2])
 
 
-def test_query_scaling_scales_all_logits():
-    q, k, _ = _random_qkv(4, m=6)
-    part = build_partition(2, 2, 2)
-    qs, ks = apply_group_scaling(
-        q, k, part, ScalingTargets(query_groups={"image"}), 1.7
-    )
-    assert np.array_equal(ks, k)
-    np.testing.assert_allclose(scaled_logits(qs, ks), 1.7 * scaled_logits(q, k), atol=1e-14)
-
-
 def test_gamma_one_is_bit_exact_identity():
-    q, k, _ = _random_qkv(5, m=6)
+    _, k, _ = _random_qkv(5, m=6)
     part = build_partition(2, 2, 2)
-    qs, ks = apply_group_scaling(
-        q, k, part, ScalingTargets(key_groups={"text", "image"}), 1.0
-    )
-    assert np.array_equal(qs, q)
+    ks = apply_group_scaling(k, part, ScalingTargets(key_groups={"text", "image"}), 1.0)
     assert np.array_equal(ks, k)
 
 
 def test_scaling_copies_inputs():
-    q, k, _ = _random_qkv(6, m=6)
+    _, k, _ = _random_qkv(6, m=6)
     k_before = k.copy()
-    apply_group_scaling(q, k, build_partition(2, 2, 2), ScalingTargets(key_groups={"text"}), 3.0)
+    apply_group_scaling(k, build_partition(2, 2, 2), ScalingTargets(key_groups={"text"}), 3.0)
     assert np.array_equal(k, k_before)
 
 
 def test_empty_group_scaling_warns_and_noops():
-    q, k, _ = _random_qkv(7, m=5)
+    _, k, _ = _random_qkv(7, m=5)
     part = build_partition(0, 2, 3)
     with pytest.warns(UserWarning, match="empty group 'text'"):
-        qs, ks = apply_group_scaling(q, k, part, ScalingTargets(key_groups={"text"}), 2.0)
-    assert np.array_equal(qs, q)
+        ks = apply_group_scaling(k, part, ScalingTargets(key_groups={"text"}), 2.0)
     assert np.array_equal(ks, k)
-    with pytest.warns(UserWarning, match="empty group 'text'"):
-        qs, _ = apply_group_scaling(q, k, part, ScalingTargets(query_groups={"text"}), 2.0)
-    assert np.array_equal(qs, q)
 
 
 def test_scaling_rejects_bad_gamma_and_size():
-    q, k, _ = _random_qkv(8, m=6)
+    _, k, _ = _random_qkv(8, m=6)
     part = build_partition(2, 2, 2)
     with pytest.raises(ValueError, match="gamma must be positive"):
-        apply_group_scaling(q, k, part, ScalingTargets(key_groups={"text"}), 0.0)
+        apply_group_scaling(k, part, ScalingTargets(key_groups={"text"}), 0.0)
     with pytest.raises(ValueError, match="partition size"):
-        apply_group_scaling(q, k[:-1], part, ScalingTargets(key_groups={"text"}), 2.0)
+        apply_group_scaling(k[:-1], part, ScalingTargets(key_groups={"text"}), 2.0)
 
 
 def test_three_scaling_routes_agree():
@@ -213,9 +169,8 @@ def test_three_scaling_routes_agree():
     part = build_partition(2, 2, 2)
     gamma = 1.35
     all_keys = ScalingTargets(key_groups={"text", "image", "video"})
-    qq, _ = apply_group_scaling(q, k, part, ScalingTargets(query_groups={"image"}), gamma)
-    _, kk = apply_group_scaling(q, k, part, all_keys, gamma)
-    p_q = attention_forward(qq, k, v).probabilities
+    kk = apply_group_scaling(k, part, all_keys, gamma)
+    p_q = attention_forward(gamma * q, k, v).probabilities
     p_k = attention_forward(q, kk, v).probabilities
     from attnlab.numerics import row_softmax
 

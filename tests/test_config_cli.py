@@ -77,9 +77,11 @@ def test_semantic_errors_caught_at_parse():
         RunConfig.from_dict({"arch": "joint", "position": "Query-image"})
     with pytest.raises(ConfigError, match="low <= high"):
         RunConfig.from_dict({"window": {"low": 0.9, "high": 0.1}})
-    # factorized accepts the query-side position
-    cfg = RunConfig.from_dict({"arch": "factorized", "position": "Query-image"})
-    assert set(cfg.modulation().targets.query_groups) == {"image"}
+    # only the joint layout exists: a factorized arch fails the schema
+    with pytest.raises(ConfigError, match="config invalid at arch"):
+        RunConfig.from_dict({"arch": "factorized", "position": "Query-image"})
+    cfg = RunConfig.from_dict({"arch": "joint", "position": "Key-text"})
+    assert cfg.modulation().targets.key_groups == frozenset({"text"})
 
 
 def test_explicit_window_wins_over_preset():
@@ -449,14 +451,23 @@ def test_simulate_byte_deterministic(tmp_path):
     assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
 
-def test_simulate_rejects_factorized_arch(tmp_path, capsys):
-    # The toy denoiser is a joint layout: a factorized position would scale all
-    # of Q, i.e. run a global temperature change under a group-local name.
+TINY_RUNS = {
+    "verify": ["verify", "curvature", "--draws", "2"],
+    "sweep": ["sweep", "--draws", "2"],
+    "calibrate": ["calibrate", "--samples", "1", "--blocks", "2"],
+    "simulate": ["simulate", "--steps", "2", "--blocks", "2"],
+}
+
+
+@pytest.mark.parametrize("arch, code", [("factorized", 2), ("joint", 0)])
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_arch_accepts_joint_only(tmp_path, capsys, command, arch, code):
+    # Scaling is key-side only, which is a per-group operation in joint
+    # attention alone; no command can honour a factorized layout.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"arch": "factorized", "position": "query-text"}))
+    cfg_path.write_text(json.dumps({"arch": arch}))
     out = tmp_path / "out"
-    rc = main(["simulate", "--config", str(cfg_path), "--steps", "4", "--blocks", "2",
-               "--out", str(out)])
-    assert rc == 2
-    assert "joint-attention toy denoiser" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert main([*TINY_RUNS[command], "--config", str(cfg_path), "--out", str(out)]) == code
+    if code:
+        assert "config invalid at arch" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

@@ -188,8 +188,8 @@ def test_active_cell_applies_gamma_itself_below_one_half():
     q, k, v, part, cfg = _setup(gamma=0.1)
     assert 1.0 + (0.1 - 1.0) != 0.1
     res = scheduled_attention(0, 1, q, k, v, part, cfg)
-    q2, k2 = apply_group_scaling(q, k, part, cfg.modulation.targets, 0.1)
-    expected = attention_forward(q2, k2, v)
+    k2 = apply_group_scaling(k, part, cfg.modulation.targets, 0.1)
+    expected = attention_forward(q, k2, v)
     assert res.gamma == 0.1
     assert np.array_equal(res.logits, expected.logits)
     assert np.array_equal(res.probabilities, expected.probabilities)

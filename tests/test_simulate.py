@@ -150,8 +150,8 @@ def test_scaling_multiply_count():
     part = build_partition(2, 3, 4)
     key_ti = ScalingTargets(key_groups={"text", "image"})
     assert scaling_multiply_count(part, key_ti, n_rows=9, d_k=8) == (2 + 3) * 8
-    q_img = ScalingTargets(query_groups={"image"})
-    assert scaling_multiply_count(part, q_img, n_rows=9, d_k=8) == 9 * 8
+    # only keys are scaled, so the query row count does not enter
+    assert scaling_multiply_count(part, key_ti, n_rows=1, d_k=8) == (2 + 3) * 8
     empty_part = build_partition(2, 0, 4)
     assert scaling_multiply_count(empty_part, ScalingTargets(key_groups={"image"}), 6, 8) == 0
 
@@ -229,9 +229,9 @@ def test_trajectory_energy_mode_counts_all_gated_cells(monkeypatch):
     gammas = []
     original = scheduling.apply_group_scaling
 
-    def counting_scaling(q, k, partition, targets, gamma):
+    def counting_scaling(k, partition, targets, gamma):
         gammas.append(gamma)
-        return original(q, k, partition, targets, gamma)
+        return original(k, partition, targets, gamma)
 
     monkeypatch.setattr(scheduling, "apply_group_scaling", counting_scaling)
     for seed, num_blocks, kappa in ((0, 4, 1.0), (4, 2, 1e-3)):
@@ -304,7 +304,7 @@ def test_key_scale_factors_scale_key_rows_and_logit_columns_alike():
     factors = key_scale_factors(part, targets.key_groups, 1.35)
     assert factors.tolist() == [1.35] * 4 + [1.0] * 2
     z = scaled_logits(q, k)
-    _, ks = apply_group_scaling(q, k, part, targets, 1.35)
+    ks = apply_group_scaling(k, part, targets, 1.35)
     np.testing.assert_array_equal(ks, k * factors[:, None])
     np.testing.assert_allclose(z * factors, scaled_logits(q, ks), atol=1e-13)
     # untouched keys keep bit-identical logit columns
