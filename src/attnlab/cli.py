@@ -158,16 +158,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    # The three modes (fixture, files, synthetic) are exclusive; a mix is
-    # rejected before any file is read.
-    files = (("--latent", args.latent), ("--attention", args.attention), ("--mask", args.mask))
-    file_flags = [flag for flag, value in files if value]
-    if args.fixture and file_flags:
-        raise ConfigError(f"--fixture cannot be combined with {', '.join(file_flags)}")
+    # The three modes (fixture, files, synthetic) are exclusive, and a mode
+    # rejects the flags it does not read; both before any file is read.
+    def given(*flags):
+        return [flag for flag in flags if getattr(args, flag[2:]) is not None]
+
+    file_flags = [flag for flag in ("--latent", "--attention", "--mask") if getattr(args, flag[2:])]
+    synthetic_flags = given("--samples", "--blocks")
+    if args.fixture:
+        unread = file_flags + synthetic_flags + given("--quantile", "--tau")
+        if unread:
+            raise ConfigError(f"--fixture cannot be combined with {', '.join(unread)}")
     if file_flags and not args.latent:
         raise ConfigError(f"{', '.join(file_flags)} requires --latent with the latent tensor")
     if args.latent and not args.attention:
         raise ConfigError("--latent requires --attention with the block stack")
+    if file_flags and synthetic_flags:
+        raise ConfigError(
+            f"{', '.join(synthetic_flags)} only applies to synthetic calibration, "
+            f"not with {', '.join(file_flags)}"
+        )
     cfg = load_config(args)
     out_dir = resolve_out_dir(cfg)
     if args.fixture:
@@ -310,10 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON config file (validated against the published schema)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--gamma", type=float, help="scaling coefficient")
-        p.add_argument("--tau", type=float, help="foreground-ratio threshold")
-        p.add_argument("--preset", choices=sorted(WINDOW_PRESETS), help="step-window preset")
         p.add_argument("--out", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then cwd)")
+
+    def add_format(p):
         p.add_argument("--format", choices=("csv", "json"), help="report format")
 
     p_verify = sub.add_parser("verify", help="run the certified-bound suites")
@@ -332,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="harness self-test: flip one margin sign so the run must fail",
     )
     add_common(p_verify)
+    add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="entropy/curvature profile over an alpha grid")
@@ -343,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--draws", type=int, help="random draws when --z is not given")
     add_common(p_sweep)
+    add_format(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="foreground-block calibration")
@@ -353,13 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--samples", type=int, help="synthetic calibration samples")
     p_cal.add_argument("--blocks", type=int, help="synthetic block count")
     p_cal.add_argument("--quantile", type=float, help="high-attention quantile")
+    p_cal.add_argument("--tau", type=float, help="foreground-ratio threshold")
     add_common(p_cal)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_sim = sub.add_parser("simulate", help="scheduled toy denoising trajectory + reports")
     p_sim.add_argument("--steps", type=int, help="total denoising steps")
     p_sim.add_argument("--blocks", type=int, help="denoiser block count (first_half gating)")
+    p_sim.add_argument("--gamma", type=float, help="scaling coefficient")
+    p_sim.add_argument("--preset", choices=sorted(WINDOW_PRESETS), help="step-window preset")
     add_common(p_sim)
+    add_format(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

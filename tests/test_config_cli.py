@@ -179,6 +179,29 @@ def test_verify_unknown_suite_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--gamma", "2"],
+        ["verify", "--tau", "0.9"],
+        ["verify", "--preset", "late"],
+        ["sweep", "--gamma", "2"],
+        ["sweep", "--tau", "0.9"],
+        ["sweep", "--preset", "late"],
+        ["calibrate", "--gamma", "2"],
+        ["calibrate", "--preset", "late"],
+        ["calibrate", "--format", "json"],
+        ["simulate", "--tau", "0.9"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("ATTNLAB_OUT", str(tmp_path / "envout"))
     rc = main(["verify", "curvature", "--draws", "10"])
@@ -381,6 +404,42 @@ def test_calibrate_mixed_modes_exit_2_before_reading(tmp_path, capsys, flags, me
     assert main(["calibrate", *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "block_table.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--fixture", "wan2.1", "--samples", "3", "--blocks", "5"],
+         "--fixture cannot be combined with --samples, --blocks"),
+        (["--latent", "MISSING", "--attention", "MISSING", "--blocks", "5"],
+         "--blocks only applies to synthetic calibration, not with --latent, --attention"),
+    ],
+    ids=["fixture", "files"],
+)
+def test_calibrate_synthetic_flags_outside_synthetic_mode_exit_2(tmp_path, capsys, flags, message):
+    missing = str(tmp_path / "missing.atnb")
+    argv = [missing if f == "MISSING" else f for f in flags]
+    assert main(["calibrate", *argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "block_table.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--quantile", "0.3"], ["--tau", "0.9"]], ids=["quantile", "tau"])
+def test_calibrate_ratio_flags_with_fixture_exit_2(tmp_path, capsys, flags):
+    # A published block table has no ratios to threshold or quantile to apply.
+    assert main(["calibrate", "--fixture", "wan2.1", *flags, "--out", str(tmp_path)]) == 2
+    assert f"--fixture cannot be combined with {flags[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "block_table.json").exists()
+
+
+def test_calibrate_seed_is_accepted_in_every_mode(tmp_path):
+    lat, att, _ = _write_calibration_files(tmp_path)
+    for argv in (
+        ["--fixture", "wan2.1"],
+        ["--latent", str(lat), "--attention", str(att)],
+        ["--samples", "1", "--blocks", "2"],
+    ):
+        assert main(["calibrate", *argv, "--seed", "3", "--out", str(tmp_path)]) == 0
 
 
 def test_calibrate_malformed_tensor_exit_3(tmp_path, capsys):
