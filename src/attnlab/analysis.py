@@ -170,7 +170,8 @@ def logit_gap(z) -> float:
 class CurvatureReport:
     """Curvature of the log-partition at alpha and the decay bounds on it.
 
-    ``tail_mass`` is 1 - p_max; ``tail_bound`` is (m-1) exp(-alpha Delta) with
+    ``tail_mass`` is 1 - p_max, summed over the other entries of p so that it
+    does not cancel to 0; ``tail_bound`` is (m-1) exp(-alpha Delta) with
     Delta the top-two logit gap; ``gershgorin_bound`` bounds the unscaled
     curvature matrix diag(p) - p p^T by max_i 2 p_i (1 - p_i), so the Hessian
     norm is at most alpha^2 * gershgorin_bound; ``decay_bound`` is
@@ -268,7 +269,12 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     delta = logit_gap(zv)
     # With m == 1 the bounds are exactly 0 and hold trivially.
     gap_applicable = m == 1 or delta > 0.0
-    tail_mass = 1.0 - p[:, int(np.argmax(zv))]
+    # The mass off the top logit, s/(1+s) with s = sum_{j != j*} exp(alpha (z_j -
+    # z_max)), as the sum of its own entries: 1 - p_max rounds to 0 once s
+    # falls below half an ulp of 1 (Blanchard, Higham & Higham, IMA J. Numer.
+    # Anal. 2021). Tied maxima leave other maxima in the sum; their bound is
+    # not applicable.
+    tail_mass = np.delete(p, int(np.argmax(zv)), axis=1).sum(axis=1)
     tail_bound = np.array([(m - 1) * math.exp(-alpha * delta) for alpha in a.tolist()])
     gersh = (2.0 * p * (1.0 - p)).max(axis=1)
     decay_bound = 2.0 * a * a * tail_bound

@@ -182,7 +182,7 @@ def test_curvature_report_frozen_values():
     assert isinstance(rep, CurvatureReport)
     assert rep.logit_gap == pytest.approx(1.0)
     assert rep.gap_applicable
-    # tail mass is 1 - p_max; bound is 2 e^{-1}
+    # tail mass is the mass off the maximum, 1 - p_max; bound is 2 e^{-1}
     assert rep.tail_mass == pytest.approx(1.0 - 0.66524096, abs=1e-7)
     assert rep.tail_bound == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
     assert rep.decay_bound == pytest.approx(4.0 * math.exp(-1.0), abs=1e-12)
@@ -220,6 +220,15 @@ def test_curvature_single_logit():
     assert rep.violations == ()
 
 
+def test_curvature_tail_mass_does_not_cancel():
+    # 1 - p_max rounds to 0 here; the tail is s/(1+s) with s = 2 e^{-60}.
+    s = 2.0 * math.exp(-60.0)
+    rep = curvature_report(np.array([30.0, 0.0, 0.0]), 2.0)
+    assert rep.tail_mass == pytest.approx(s / (1.0 + s), rel=1e-15, abs=0.0)
+    assert rep.tail_bound == pytest.approx(s, rel=1e-15)
+    assert rep.violations == ()
+
+
 def test_hessian_validation():
     with pytest.raises(ValueError, match="alpha"):
         attention_hessian(np.array([1.0, 0.0]), -1.0)
@@ -243,7 +252,7 @@ def _reference_curvature(z, alpha, bound_slack=1e-12):
         top_two = np.sort(zv)[-2:]
         delta = float(top_two[1] - top_two[0])
         gap_applicable = delta > 0.0
-    tail_mass = float(1.0 - p[j_star])
+    tail_mass = float(np.delete(p, j_star).sum())
     tail_bound = (m - 1) * math.exp(-alpha * delta)
     gersh = float((2.0 * p * (1.0 - p)).max())
     decay_bound = 2.0 * alpha * alpha * tail_bound

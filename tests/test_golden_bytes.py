@@ -19,7 +19,10 @@ and in the conflict experiment.
 The entropy-slope reports and every sweep report were re-recorded once
 ``analysis._variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
 z_max: only their variance column (and, in entropy-slope, the slope_gap and
-margin columns derived from it) changed.
+margin columns derived from it) changed. The curvature reports and every
+sweep report but ``sweep-tied-maximum`` were re-recorded once ``tail_mass``
+became the sum of the non-maximal probabilities instead of 1 - p_max: only
+that column changed.
 
 Float output depends on the numpy build, so the digests hold only for the
 numpy version they were recorded with; under any other version the test
@@ -46,7 +49,7 @@ CASES = {
     "verify-csv": (
         ["verify", "--draws", "30", "--probes", "6", "--seed", "5"],
         {
-            "verify_curvature.csv": "a8fc592338039801fffc3cc683be157444d8524b380e03d6e03a3f072532149e",
+            "verify_curvature.csv": "dce064df9dd86cd2b204a1d98bcd297a924219fa76c3526ea42a8ba33eeb96a2",
             "verify_deviation.csv": "dc3d6212936d14eaa930eae2cf5001d59710c10cb6088a6723c964ea53f99e13",
             "verify_entropy-slope.csv": "ea8ba2a344052984cecbfc39f5ef2db200050d8568073b9308b9e73cee37702c",
             "verify_lipschitz.csv": "84a7d47b8c2e353efb8df62952a5a35d6d88bf9d50b19755fb223d1907412114",
@@ -56,7 +59,7 @@ CASES = {
     "verify-json": (
         ["verify", "--draws", "20", "--probes", "4", "--format", "json"],
         {
-            "verify_curvature.json": "c38e7d94ae90ec0d87003427aa9f4431c6e71beaf4f3ed9573d520b4c03275dc",
+            "verify_curvature.json": "b8b6f05dbad4dd1ce167a2ef44588b09d56bf32ae3eacf760be4e07717e6b094",
             "verify_deviation.json": "73f6b12cd9a38dd3be1095ac1ea217473dcb3b53fc0cc95d15b5b666295ae786",
             "verify_entropy-slope.json": "0c00170515500f6a95112f0dcaa985b558ca7fd1c84a6300c5741199f11c8cbc",
             "verify_lipschitz.json": "914fb2cd54ddbb576fa18e39f1ddcb99f3aa69ce62fa8e6ab5b1d9b0b81c8d45",
@@ -65,23 +68,23 @@ CASES = {
     ),
     "sweep-random": (
         ["sweep", "--draws", "20", "--seed", "7"],
-        {"sweep.csv": "00442e54164bfeeda5ff542544d53d9708e85a7e449b0eb2e161581dffd657d2"},
+        {"sweep.csv": "8e60cd4d7a7e0e92a551af5d29bdbe225cca4d2e03dea53db2bdb726f30fc6af"},
     ),
     "sweep-json": (
         ["sweep", "--format", "json", "--draws", "20", "--seed", "7"],
-        {"sweep.json": "c9906b76186440ef0da5188572249b12b704e2138d6f20f65ff38068e743e5bb"},
+        {"sweep.json": "f0096f451dc83374c6417d5f6b7d1c638e2475563d9811209069121ab97ce078"},
     ),
     "sweep-vector": (
         ["sweep", "--z", "2,1,0", "--alpha-grid", "1,2"],
-        {"sweep.csv": "ffa8606d76014794a11b5d42bf41b9ae1ff15858f1739e9a7b7c5f1c8f489e33"},
+        {"sweep.csv": "b57a7c49562b616fc71b362e25674ad5dc7714e6ad05cc42adb57a8bc8c69d97"},
     ),
     "sweep-random-300": (
         ["sweep", "--draws", "300", "--seed", "31"],
-        {"sweep.csv": "7269a3ad3e08a9ea765b19c943305a0e231225b26365ca5a28ae1bb2e0d5a8b7"},
+        {"sweep.csv": "5499a32f8cfe2dee2ea193072ee55eee65ebace07cb3948911ee4224f4e91f97"},
     ),
     "verify-curvature-300": (
         ["verify", "curvature", "--draws", "300", "--seed", "31"],
-        {"verify_curvature.csv": "c45edbce98f2eeb2a65a4f2f836c1657848a4579546733c5bc26842e362ef4ec"},
+        {"verify_curvature.csv": "651c41963304f6c9cc57e003c0ba18dbd532f258b4dbf8e74035770bf8a2253a"},
     ),
     "sweep-tied-maximum": (
         ["sweep", "--z", "1,1,0", "--alpha-grid", "1,2"],
