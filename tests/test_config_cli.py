@@ -432,16 +432,6 @@ def test_calibrate_ratio_flags_with_fixture_exit_2(tmp_path, capsys, flags):
     assert not (tmp_path / "block_table.json").exists()
 
 
-def test_calibrate_seed_is_accepted_in_every_mode(tmp_path):
-    lat, att, _ = _write_calibration_files(tmp_path)
-    for argv in (
-        ["--fixture", "wan2.1"],
-        ["--latent", str(lat), "--attention", str(att)],
-        ["--samples", "1", "--blocks", "2"],
-    ):
-        assert main(["calibrate", *argv, "--seed", "3", "--out", str(tmp_path)]) == 0
-
-
 def test_calibrate_malformed_tensor_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.atnb"
     bad.write_bytes(b"garbage bytes")

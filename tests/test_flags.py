@@ -66,6 +66,10 @@ FLAGS = {
 }
 
 OUT_REASON = "names the directory the reports go to, not what they hold"
+SEED_REASON = (
+    "this calibrate mode draws nothing at random; --seed is accepted in every "
+    "mode because the calibrate-files benchmark passes it"
+)
 
 # (base run, flag): why setting the flag leaves the report bytes as they are.
 SAME_BYTES = {
@@ -73,14 +77,15 @@ SAME_BYTES = {
     ("sweep", "--out"): OUT_REASON,
     ("calibrate-synthetic", "--out"): OUT_REASON,
     ("simulate", "--out"): OUT_REASON,
-    ("calibrate-files", "--seed"): (
-        "files-mode calibration draws nothing at random; the flag is accepted in "
-        "every calibrate mode because the calibrate-files benchmark passes it"
-    ),
+    ("calibrate-files", "--seed"): SEED_REASON,
+    ("calibrate-fixture", "--seed"): SEED_REASON,
 }
 
-# Every entry of FLAGS, plus --seed in calibrate's files mode.
-RUNS = list(FLAGS.values()) + [("calibrate-files", ["--seed", "9"])]
+# Every entry of FLAGS, plus --seed in calibrate's other two modes.
+RUNS = list(FLAGS.values()) + [
+    ("calibrate-files", ["--seed", "9"]),
+    ("calibrate-fixture", ["--seed", "9"]),
+]
 
 
 def _declared():
