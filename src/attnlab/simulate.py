@@ -274,7 +274,8 @@ def scaling_multiply_count(
     flagged key group G.
 
     ``n_rows`` (the call's query rows) does not enter the count, since only
-    keys are scaled; it stays so that callers keep one four-argument form.
+    keys are scaled. It stays because ``tests/test_acceptance.py`` pins the
+    four-positional-argument call.
     """
     return sum(len(partition.group(name)) for name in targets.key_groups) * d_k
 
