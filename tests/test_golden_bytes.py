@@ -15,7 +15,9 @@ the energy coefficient of its gated cells rounds to exactly 1.0.
 stopped converting row values, so they pin the JSON trajectory and sweep rows.
 ``simulate-key-image`` was recorded before the query-side scaling path was
 deleted: it is the one case that scales a single key group, in the denoiser
-and in the conflict experiment.
+and in the conflict experiment. ``calibrate-files`` and ``calibrate-files-mask``
+were recorded before calibrate read the attention stack one block at a time;
+their ATNB inputs are written by ``_write_calibration_inputs``.
 The entropy-slope reports and every sweep report were re-recorded once
 ``analysis._variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
 z_max: only their variance column (and, in entropy-slope, the slope_gap and
@@ -36,6 +38,8 @@ import numpy as np
 import pytest
 
 from attnlab.cli import main
+from attnlab.numerics import row_softmax
+from attnlab.tensorio import write_tensor
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -125,11 +129,45 @@ CASES = {
             "trajectory.csv": "8c09630f611b0d78fee858b9f86b63f5677e13ad87c0f02d30a3f63a6c64fc36",
         },
     ),
+    "calibrate-files": (
+        ["calibrate", "--latent", "{latent}", "--attention", "{attention}"],
+        {"block_table.json": "95688f0d0ab8fb48aa541fbd0f2fb0c47b3e716f234d0ad72b188be3b4de4a73"},
+    ),
+    "calibrate-files-mask": (
+        ["calibrate", "--latent", "{latent}", "--attention", "{attention}", "--mask", "{mask}",
+         "--tau", "0.4"],
+        {"block_table.json": "7574d97752aed9984b6196ff7880898a54935a8c37162b07f6725511e0d5b782"},
+    ),
     "calibrate-synthetic": (
         ["calibrate", "--samples", "5", "--blocks", "6", "--seed", "2"],
         {"block_table.json": "556d1d5e9fad4d13e9115f4f90747564ab416d26cf47d68c4e69539254ac7174"},
     ),
 }
+
+
+def _write_calibration_inputs(d):
+    """Seeded ATNB latent (1, 4, 2, 8, 8), attention stack (5, 128, 128) and mask.
+
+    Block l's received attention favours a planted blob by affinity[l], from
+    repelled to attracted, so the ratios fall on both sides of tau.
+    """
+    rng = np.random.default_rng(23)
+    latent = rng.normal(0.0, 0.2, size=(1, 4, 2, 8, 8))
+    direction = rng.normal(size=4)
+    latent[0, :, :, 2:6, 1:5] += 2.0 * (direction / np.linalg.norm(direction))[:, None, None, None]
+    blob = np.zeros((2, 8, 8), dtype=bool)
+    blob[:, 2:6, 1:5] = True
+    n = blob.size
+    affinity = np.linspace(-0.5, 1.0, 5)[:, None, None]
+    logits = rng.normal(size=(5, n, n)) + affinity * blob.ravel()
+    stack = row_softmax(logits.reshape(-1, n)).reshape(5, n, n).transpose(0, 2, 1)
+    mask = np.zeros_like(blob)
+    mask[:, 1:7, 1:5] = True
+    paths = {}
+    for name, array in (("latent", latent), ("attention", stack), ("mask", mask)):
+        paths[name] = d / f"{name}.atnb"
+        write_tensor(paths[name], array)
+    return paths
 
 
 @pytest.mark.skipif(
@@ -139,7 +177,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_recorded_digests(case, tmp_path):
     argv, expected = CASES[case]
-    paths = {}
+    paths = _write_calibration_inputs(tmp_path)
     for name, config in CONFIGS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(config))
