@@ -89,7 +89,14 @@ from .simulate import (
     run_trajectory,
     sharpening_curve,
 )
-from .tensorio import TensorFormatError, decode_tensor, encode_tensor, read_tensor, write_tensor
+from .tensorio import (
+    BlockReader,
+    TensorFormatError,
+    decode_tensor,
+    encode_tensor,
+    read_tensor,
+    write_tensor,
+)
 from .verification import SUITE_NAMES, SuiteResult, run_suite, run_suites, run_sweep
 
 __version__ = "0.1.0"

@@ -40,13 +40,15 @@ from .simulate import (
     make_toy_denoiser,
     run_trajectory,
 )
-from .tensorio import TensorFormatError, read_tensor
+from .tensorio import BlockReader, TensorFormatError, read_tensor
 from .verification import SUITE_NAMES, run_suites, run_sweep
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+VERIFY_SUITES = SUITE_NAMES + ("all",)
 
 OUT_DIR_ENV = "ATTNLAB_OUT"
 INJECT_BUG_ENV = "ATTNLAB_INJECT_BUG"
@@ -196,20 +198,19 @@ def cmd_calibrate(args) -> int:
         return EXIT_OK
     if args.latent:
         latent = read_tensor(args.latent)
-        stack = read_tensor(args.attention)
-        if stack.ndim != 3:
-            raise ConfigError(
-                f"attention stack must be 3-D (blocks, n, n), got {stack.ndim}-D"
-            )
-        rgb = pca_pseudo_rgb(latent)
-        if args.mask:
-            mask = validate_mask(read_tensor(args.mask), rgb.shape[1:])
-        else:
-            mask = foreground_mask(rgb)
-        reports = [
-            foreground_ratio(stack[l], mask, cfg.high_quantile)
-            for l in range(stack.shape[0])
-        ]
+        # The stack is the large input: it is read and scored one block at a
+        # time and never held whole.
+        with BlockReader(args.attention) as stack:
+            if stack.ndim != 3:
+                raise ConfigError(
+                    f"attention stack must be 3-D (blocks, n, n), got {stack.ndim}-D"
+                )
+            rgb = pca_pseudo_rgb(latent)
+            if args.mask:
+                mask = validate_mask(read_tensor(args.mask), rgb.shape[1:])
+            else:
+                mask = foreground_mask(rgb)
+            reports = [foreground_ratio(block, mask, cfg.high_quantile) for block in stack]
         table = BlockRatioTable(
             ratios=tuple(r.ratio for r in reports), sample_count=1
         )
@@ -326,11 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), help="report format")
 
     p_verify = sub.add_parser("verify", help="run the certified-bound suites")
+    # No ``choices``: argparse checks them as soon as the positional takes a
+    # value, so in ``verify --gamma 2`` the "2" of the unknown --gamma would be
+    # reported as a bad suite. main checks the suite after the whole line.
     p_verify.add_argument(
         "suite",
         nargs="?",
         default="all",
-        choices=SUITE_NAMES + ("all",),
+        metavar="{" + ",".join(VERIFY_SUITES) + "}",
         help="which suite to run (default: all)",
     )
     p_verify.add_argument("--draws", type=int, help="draws per suite")
@@ -383,6 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.suite not in VERIFY_SUITES:
+        parser.error(
+            f"verify: invalid suite {args.suite!r} (choose from {', '.join(VERIFY_SUITES)})"
+        )
     try:
         return args.func(args)
     except ConfigError as e:

@@ -12,12 +12,21 @@ Layout (all integers little-endian):
 
 The payload length must match the declared dims exactly — no trailing bytes.
 Every decode error names the byte offset where the problem sits.
+
+One header parser serves both readers. ``read_tensor`` / ``decode_tensor``
+return the whole array. ``BlockReader`` reads a file one slice of its
+leading axis at a time, so a large stack is never held whole: it runs every
+header check and compares the file size with the declared dims before it
+returns, so a truncated file or trailing bytes fail before any slice is read.
+Each slice's boolean bytes are checked as it is read, with absolute offsets.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +36,8 @@ DTYPE_FLOAT64 = 1
 DTYPE_BOOL = 2
 # Sanity cap; a corrupt ndim field must not drive a giant dims read.
 _MAX_NDIM = 32
+# The longest header: magic, version, dtype code, ndim and _MAX_NDIM dims.
+_MAX_HEADER_BYTES = 13 + 8 * _MAX_NDIM
 
 
 class TensorFormatError(ValueError):
@@ -53,19 +64,36 @@ def encode_tensor(array) -> bytes:
     return header + payload
 
 
-def decode_tensor(buf: bytes) -> np.ndarray:
-    """Parse ATNB bytes back into an array; strict about every field."""
+@dataclass(frozen=True)
+class _Header:
+    code: int
+    dims: tuple[int, ...]
+    payload_offset: int
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The payload's element type as stored."""
+        return np.dtype("<f8" if self.code == DTYPE_FLOAT64 else "u1")
+
+
+def _parse_header(head: bytes, size: int) -> _Header:
+    """Check the header of a ``size``-byte ATNB buffer that starts with ``head``.
+
+    ``head`` holds the buffer's first min(size, _MAX_HEADER_BYTES) bytes or
+    more. Every field is checked, and so is the payload length against
+    ``size``: a short payload or trailing bytes raise here, before any
+    payload byte is read.
+    """
     offset = 0
 
     def take(n: int, what: str) -> bytes:
         nonlocal offset
-        if offset + n > len(buf):
+        if offset + n > size:
             raise TensorFormatError(
-                f"truncated {what} at byte {offset}: need {n} bytes, have {len(buf) - offset}"
+                f"truncated {what} at byte {offset}: need {n} bytes, have {size - offset}"
             )
-        chunk = buf[offset : offset + n]
         offset += n
-        return chunk
+        return head[offset - n : offset]
 
     magic = take(4, "magic")
     if magic != MAGIC:
@@ -79,28 +107,92 @@ def decode_tensor(buf: bytes) -> np.ndarray:
     (ndim,) = struct.unpack("<I", take(4, "ndim"))
     if ndim > _MAX_NDIM:
         raise TensorFormatError(f"ndim {ndim} at byte 9 exceeds limit {_MAX_NDIM}")
-    dims = []
-    for i in range(ndim):
-        (d,) = struct.unpack("<Q", take(8, f"dim {i}"))
-        dims.append(int(d))
-    count = math.prod(dims)
-    item = 8 if code == DTYPE_FLOAT64 else 1
-    payload_offset = offset
-    payload = take(count * item, "payload")
-    if offset != len(buf):
+    dims = tuple(int(struct.unpack("<Q", take(8, f"dim {i}"))[0]) for i in range(ndim))
+    header = _Header(code, dims, offset)
+    take(math.prod(dims) * header.dtype.itemsize, "payload")
+    if offset != size:
         raise TensorFormatError(
-            f"trailing data at byte {offset}: {len(buf) - offset} extra bytes"
+            f"trailing data at byte {offset}: {size - offset} extra bytes"
         )
-    if code == DTYPE_FLOAT64:
-        return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    bad = np.nonzero((raw != 0) & (raw != 1))[0]
+    return header
+
+
+def _bools(raw: np.ndarray, offset: int) -> np.ndarray:
+    """Boolean array from payload bytes read from byte ``offset``; each must be 0 or 1."""
+    bad = np.flatnonzero(raw > 1)
     if bad.size:
         i = int(bad[0])
-        raise TensorFormatError(
-            f"invalid boolean byte {raw[i]} at byte {payload_offset + i}"
-        )
-    return (raw == 1).reshape(dims)
+        raise TensorFormatError(f"invalid boolean byte {raw[i]} at byte {offset + i}")
+    return raw == 1
+
+
+def decode_tensor(buf: bytes) -> np.ndarray:
+    """Parse ATNB bytes back into an array; strict about every field."""
+    h = _parse_header(buf, len(buf))
+    raw = np.frombuffer(buf, dtype=h.dtype, count=math.prod(h.dims), offset=h.payload_offset)
+    if h.code == DTYPE_FLOAT64:
+        return raw.astype(np.float64).reshape(h.dims)
+    return _bools(raw, h.payload_offset).reshape(h.dims)
+
+
+class BlockReader:
+    """An ATNB file read one slice of its leading axis at a time.
+
+    Opening the file runs every check of ``decode_tensor`` that the header
+    and the file size (from ``fstat``) allow: magic, version, dtype code,
+    ndim, dims, a truncated payload and trailing bytes all raise before a
+    single slice is read. Iterating reads each slice with ``np.fromfile``
+    into a fresh array equal to ``read_tensor(path)[l]``; boolean slices keep
+    the 0/1 byte check, and its error names the absolute byte offset. Use it
+    as a context manager so that the file is closed.
+    """
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        try:
+            size = os.fstat(self._file.fileno()).st_size
+            self._header = _parse_header(self._file.read(_MAX_HEADER_BYTES), size)
+        except BaseException:
+            self._file.close()
+            raise
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._header.dims
+
+    @property
+    def ndim(self) -> int:
+        return len(self._header.dims)
+
+    def __iter__(self):
+        h = self._header
+        if not h.dims:
+            raise ValueError("a 0-d tensor has no leading axis to read slices of")
+        count = math.prod(h.dims[1:])
+        step = count * h.dtype.itemsize
+        self._file.seek(h.payload_offset)
+        for l in range(h.dims[0]):
+            offset = h.payload_offset + l * step
+            raw = np.fromfile(self._file, dtype=h.dtype, count=count)
+            if raw.size != count:  # the file shrank after it was opened
+                raise TensorFormatError(
+                    f"truncated payload at byte {offset}: need {step} bytes, "
+                    f"have {raw.size * raw.itemsize}"
+                )
+            if h.code == DTYPE_FLOAT64:
+                block = raw.astype(np.float64, copy=False)
+            else:
+                block = _bools(raw, offset)
+            yield block.reshape(h.dims[1:])
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "BlockReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def write_tensor(path, array) -> None:

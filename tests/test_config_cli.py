@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from attnlab.cli import main, write_csv
 from attnlab.config import _SCHEMA, ConfigError, RunConfig
 from attnlab.numerics import row_softmax
-from attnlab.tensorio import write_tensor
+from attnlab.tensorio import encode_tensor, write_tensor
+from attnlab.verification import SUITE_NAMES
 
 
 def test_defaults():
@@ -173,10 +175,13 @@ def test_verify_inject_bug_via_env(tmp_path, monkeypatch):
     assert rc == 1
 
 
-def test_verify_unknown_suite_usage_error(tmp_path):
+def test_verify_unknown_suite_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus-suite", "--out", str(tmp_path)])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'bogus-suite'" in err
+    assert all(name in err for name in (*SUITE_NAMES, "all"))
 
 
 @pytest.mark.parametrize(
@@ -195,11 +200,15 @@ def test_verify_unknown_suite_usage_error(tmp_path):
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
-def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, argv):
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+    # The message names the flag; verify must not take its value for a suite.
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err
+    assert "suite" not in err
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -430,6 +439,49 @@ def test_calibrate_ratio_flags_with_fixture_exit_2(tmp_path, capsys, flags):
     assert main(["calibrate", "--fixture", "wan2.1", *flags, "--out", str(tmp_path)]) == 2
     assert f"--fixture cannot be combined with {flags[0]}" in capsys.readouterr().err
     assert not (tmp_path / "block_table.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stack, code, message",
+    [
+        (encode_tensor(np.full((72, 72), 1 / 72)), 2, "attention stack must be 3-D (blocks, n, n), got 2-D"),
+        (encode_tensor(np.full((3, 72, 72), 1 / 72))[:-8], 3, "truncated payload at byte 37: need 124416 bytes, have 124408"),
+        (encode_tensor(np.full((3, 72, 72), 1 / 72)) + b"\x00", 3, "trailing data at byte 124453: 1 extra bytes"),
+    ],
+    ids=["2-D", "truncated", "trailing-bytes"],
+)
+def test_calibrate_bad_attention_stack_writes_no_table(tmp_path, capsys, stack, code, message):
+    lat, _, _ = _write_calibration_files(tmp_path)
+    att = tmp_path / "bad_attention.atnb"
+    att.write_bytes(stack)
+    out = tmp_path / "out"
+    rc = main(["calibrate", "--latent", str(lat), "--attention", str(att), "--out", str(out)])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not (out / "block_table.json").exists()
+
+
+def test_calibrate_files_streams_the_attention_stack(tmp_path):
+    # An 8 x 256 x 256 stack is 4 MiB; read one 512 KiB block at a time, the
+    # run's traced peak stays well below the stack's own size.
+    rng = np.random.default_rng(8)
+    latent = rng.normal(size=(1, 4, 4, 8, 8))
+    latent[0, :, :, 2:6, 2:6] += 3.0
+    stack = rng.random(size=(8, 256, 256))
+    write_tensor(tmp_path / "latent.atnb", latent)
+    write_tensor(tmp_path / "attention.atnb", stack)
+    argv = [
+        "calibrate", "--latent", str(tmp_path / "latent.atnb"),
+        "--attention", str(tmp_path / "attention.atnb"), "--out", str(tmp_path / "out"),
+    ]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < stack.nbytes
 
 
 def test_calibrate_malformed_tensor_exit_3(tmp_path, capsys):

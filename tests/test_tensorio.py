@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from attnlab.tensorio import (
     MAGIC,
+    BlockReader,
     TensorFormatError,
     decode_tensor,
     encode_tensor,
@@ -145,3 +147,109 @@ def test_read_malformed_file(tmp_path):
     path.write_bytes(b"garbage")
     with pytest.raises(TensorFormatError):
         read_tensor(path)
+
+
+# -- block reader: decode_tensor's checks before any slice, then one slice at a time
+
+
+def _write(tmp_path, buf):
+    path = tmp_path / "t.atnb"
+    path.write_bytes(buf)
+    return path
+
+
+def _decode_error(buf):
+    with pytest.raises(TensorFormatError) as exc:
+        decode_tensor(buf)
+    return str(exc.value)
+
+
+def _iteration_error(tmp_path, buf):
+    with BlockReader(_write(tmp_path, buf)) as reader:
+        with pytest.raises(TensorFormatError) as exc:
+            list(reader)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "buf, message",
+    [
+        (b"NOPE" + b"\x00" * 20, "bad magic at byte 0"),
+        (encode_tensor(np.zeros((2, 3)))[:24], "truncated dim 1 at byte 21: need 8 bytes, have 3"),
+        (encode_tensor(np.zeros(4))[:30], "truncated payload at byte 21: need 32 bytes, have 9"),
+        (encode_tensor(np.zeros(2)) + b"\x00", "trailing data at byte 37: 1 extra bytes"),
+        (encode_tensor(np.zeros((2, 3, 3)))[:-1], "truncated payload at byte 37: need 144 bytes"),
+    ],
+    ids=["bad-magic", "truncated-dims", "truncated-payload", "trailing-data", "stack-one-byte-short"],
+)
+def test_block_reader_header_errors_match_decode_and_raise_on_open(tmp_path, buf, message):
+    # Opening raises, so a truncated or padded file gives no partial result.
+    with pytest.raises(TensorFormatError) as exc:
+        BlockReader(_write(tmp_path, buf))
+    assert str(exc.value) == _decode_error(buf)
+    assert str(exc.value).startswith(message)
+
+
+def test_block_reader_invalid_boolean_byte_offset(tmp_path):
+    buf = bytearray(encode_tensor(np.array([True, False, True])))
+    buf[22] = 2
+    message = _iteration_error(tmp_path, bytes(buf))
+    assert message == _decode_error(bytes(buf)) == "invalid boolean byte 2 at byte 22"
+
+
+def test_block_reader_invalid_boolean_byte_in_a_later_slice(tmp_path):
+    # payload starts at 4+4+1+4+2*8 = 29; slice 1 holds payload bytes 3..5
+    buf = bytearray(encode_tensor(np.ones((2, 3), dtype=bool)))
+    buf[29 + 4] = 7
+    message = _iteration_error(tmp_path, bytes(buf))
+    assert message == _decode_error(bytes(buf)) == "invalid boolean byte 7 at byte 33"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float64", "bool"])
+def test_block_reader_slices_equal_read_tensor_bit_for_bit(tmp_path, dtype):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 5, 3))
+    if dtype == np.bool_:
+        a = a > 0
+    else:
+        a[0, 0, :] = [np.nan, -0.0, np.inf]
+    path = tmp_path / "t.atnb"
+    write_tensor(path, a)
+    whole = read_tensor(path)
+    with BlockReader(path) as reader:
+        assert reader.shape == (4, 5, 3)
+        assert reader.ndim == 3
+        blocks = list(reader)
+    assert len(blocks) == 4
+    for l, block in enumerate(blocks):
+        assert block.dtype == whole.dtype == dtype
+        assert block.shape == (5, 3)
+        assert block.tobytes() == whole[l].tobytes()
+
+
+def test_block_reader_zero_length_leading_axis_yields_nothing(tmp_path):
+    path = tmp_path / "t.atnb"
+    write_tensor(path, np.zeros((0, 3, 3)))
+    with BlockReader(path) as reader:
+        assert reader.shape == (0, 3, 3)
+        assert list(reader) == []
+
+
+def test_block_reader_file_shrunk_after_open(tmp_path):
+    path = tmp_path / "t.atnb"
+    write_tensor(path, np.arange(6.0).reshape(3, 2))  # payload starts at byte 29
+    with BlockReader(path) as reader:
+        blocks = iter(reader)
+        np.testing.assert_array_equal(next(blocks), [0.0, 1.0])
+        os.truncate(path, 29 + 24)
+        with pytest.raises(TensorFormatError, match="truncated payload at byte 45: need 16 bytes, have 8"):
+            next(blocks)
+
+
+def test_block_reader_zero_dim_has_no_slices(tmp_path):
+    path = tmp_path / "t.atnb"
+    write_tensor(path, np.float64(1.5))
+    with BlockReader(path) as reader:
+        assert reader.ndim == 0
+        with pytest.raises(ValueError, match="no leading axis"):
+            list(reader)
