@@ -15,7 +15,10 @@ the energy coefficient of its gated cells rounds to exactly 1.0.
 stopped converting row values, so they pin the JSON trajectory and sweep rows.
 ``simulate-key-image`` was recorded before the query-side scaling path was
 deleted: it is the one case that scales a single key group, in the denoiser
-and in the conflict experiment. ``calibrate-files`` and ``calibrate-files-mask``
+and in the conflict experiment. ``simulate-key-text`` was recorded before
+the conflict experiment's per-query loop became one stacked pass: it scales
+the text group alone, and its conflict summary has nonzero argmax flips.
+``calibrate-files`` and ``calibrate-files-mask``
 were recorded before calibrate read the attention stack one block at a time;
 their ATNB inputs are written by ``_write_calibration_inputs``.
 The entropy-slope reports and every sweep report were re-recorded once
@@ -47,6 +50,7 @@ CONFIGS = {
     "energy": {"mode": "energy", "window": {"preset": "all"}},
     "energy_unit_gamma": {"mode": "energy", "kappa": 0.001},
     "key_image": {"position": "key-image"},
+    "key_text": {"position": "key-text"},
 }
 
 CASES = {
@@ -127,6 +131,13 @@ CASES = {
         {
             "summary.json": "ba0b9954e149695b65b78d138244b754ba84c8624fb54ccdc39ead02112f76b4",
             "trajectory.csv": "8c09630f611b0d78fee858b9f86b63f5677e13ad87c0f02d30a3f63a6c64fc36",
+        },
+    ),
+    "simulate-key-text": (
+        ["simulate", "--config", "{key_text}", "--steps", "6", "--blocks", "4"],
+        {
+            "summary.json": "71b3a05fe6769ec3e0da97ff784c659f9dede7d976d6257047ac8afa07734650",
+            "trajectory.csv": "bee29e7769d127ef5083ced57dcec5b1e2227244cae98f1c96d9f1901969f0b8",
         },
     ),
     "calibrate-files": (
