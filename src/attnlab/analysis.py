@@ -34,24 +34,22 @@ def entropy(p) -> float:
     """Shannon entropy -sum p_j ln p_j in nats, with 0 ln 0 := 0.
 
     ``p`` must be a distribution: nonnegative entries summing to 1 within
-    ``ENTROPY_SUM_TOLERANCE``.
+    ``ENTROPY_SUM_TOLERANCE``. This is the one-row case of
+    :func:`_row_entropies`, after the vector checks of :func:`as_vector`.
     """
     pv = as_vector(p, "distribution")
     if (pv < 0).any():
         raise ValueError("invalid distribution: negative entry")
-    total = float(pv.sum())
-    if abs(total - 1.0) > ENTROPY_SUM_TOLERANCE:
-        raise ValueError(f"invalid distribution: sum is {total!r}, not 1")
-    nz = pv[pv > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(_row_entropies(np.ascontiguousarray(pv)[None, :])[0])
 
 
 def _row_entropies(q: np.ndarray) -> np.ndarray:
-    """:func:`entropy` of each row of a nonnegative, finite, C-ordered (n, m) stack.
+    """Shannon entropy of each row of a nonnegative, finite, C-ordered (n, m) stack.
 
-    Row i equals ``entropy(q[i])`` bit for bit, and a row whose sum is off 1
-    by more than ``ENTROPY_SUM_TOLERANCE`` raises the same error (giving the
-    first such row's sum).
+    A row whose sum is off 1 by more than ``ENTROPY_SUM_TOLERANCE`` raises
+    ``ValueError`` (giving the first such row's sum). Each row sums only its
+    positive terms, in index order, so a row's entropy does not depend on the
+    stack it sits in.
     """
     totals = q.sum(axis=1)
     bad = np.abs(totals - 1.0) > ENTROPY_SUM_TOLERANCE
@@ -59,8 +57,8 @@ def _row_entropies(q: np.ndarray) -> np.ndarray:
         raise ValueError(f"invalid distribution: sum is {float(totals[bad][0])!r}, not 1")
     positive = q > 0
     h = -(q * np.log(np.where(positive, q, 1.0))).sum(axis=1)
-    # entropy() sums the positive entries only; a row with zeros sums in a
-    # different order, so it takes the same 1-D path.
+    # A zero term would change how the pairwise sum groups the positive ones,
+    # so a row with zeros sums its positive entries alone.
     for i in np.flatnonzero(~positive.all(axis=1)):
         nz = q[i][positive[i]]
         h[i] = -(nz * np.log(nz)).sum()
@@ -114,19 +112,16 @@ def entropy_alpha_report(z, s, alpha: float) -> EntropyReport:
     h = DEFAULT_FD_STEP
     if alpha - h <= 0:
         raise ValueError(f"alpha={alpha} too small for fd_step={h}")
-    idx = _subset_indices(s, zv.size)
-    zs = zv[idx]
-    p = softmax_vec(alpha * zs)
-    variance = float(_variance_rows(p[None, :], zs)[0])
+    zs = zv[_subset_indices(s, zv.size)]
+    # One stack over the probe points alpha - h, alpha, alpha + h.
+    p = row_softmax(np.array([alpha - h, alpha, alpha + h])[:, None] * zs)
+    h_lo, h_mid, h_hi = _row_entropies(p).tolist()
+    variance = float(_variance_rows(p[1:2], zs)[0])
     analytic = -alpha * variance
-
-    def h_at(a: float) -> float:
-        return entropy(softmax_vec(a * zs))
-
-    numeric = (h_at(alpha + h) - h_at(alpha - h)) / (2.0 * h)
+    numeric = (h_hi - h_lo) / (2.0 * h)
     return EntropyReport(
         alpha=alpha,
-        entropy=entropy(p),
+        entropy=h_mid,
         variance=variance,
         analytic_derivative=analytic,
         numeric_derivative=numeric,
@@ -341,9 +336,8 @@ def lipschitz_report(z, v, alpha1: float, alpha2: float) -> LipschitzReport:
     for name, a in (("alpha1", alpha1), ("alpha2", alpha2)):
         if a <= 0:
             raise ValueError(f"{name} must be positive, got {a}")
-    y1 = vm.T @ softmax_vec(alpha1 * zv)
-    y2 = vm.T @ softmax_vec(alpha2 * zv)
-    deviation = float(np.linalg.norm(y1 - y2))
+    p1, p2 = row_softmax(np.array([alpha1, alpha2])[:, None] * zv)
+    deviation = float(np.linalg.norm(vm.T @ p1 - vm.T @ p2))
     bound = (
         0.5
         * spectral_norm(vm)

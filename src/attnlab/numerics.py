@@ -51,10 +51,9 @@ def row_softmax(z) -> np.ndarray:
 
 
 def softmax_vec(z) -> np.ndarray:
-    """Max-shifted softmax of a single logit vector."""
-    zv = as_vector(z, "logits")
-    e = np.exp(zv - zv.max())
-    return e / e.sum()
+    """Max-shifted softmax of a single logit vector: the one-row case of
+    :func:`row_softmax`, after the vector checks of :func:`as_vector`."""
+    return row_softmax(as_vector(z, "logits")[None, :])[0]
 
 
 def eigvalsh_sym(a) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import entropy, flops_overhead, group_mass_rows
+from .analysis import _row_entropies, _subset_indices, flops_overhead, group_mass_rows
 from .attention import (
     KeyPartition,
     ScalingTargets,
@@ -499,27 +499,23 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
     scaled_union = sorted(
         i for name in config.targets.key_groups for i in part.group(name)
     )
-    text_set = set(part.text)
     stats_b = group_mass_rows(p_base, part)
     stats_m = group_mass_rows(p_mod, part)
     ratios = stats_m.entropy_cond / stats_b.entropy_cond
-    nondeg = []
-    scaled_ratios = []
-    scaled_nondeg = []
-    flips = 0
-    for i in range(z.shape[0]):
-        zb = z[i, cond]
-        nondeg.append(bool(np.var(zb) > 1e-12))
-        if scaled_union:
-            zs = z[i, scaled_union]
-            scaled_nondeg.append(bool(np.var(zs) > 1e-12))
-            h_b = entropy(softmax_vec(zs)) if len(zs) > 1 else 0.0
-            h_m = entropy(softmax_vec(config.gamma * zs)) if len(zs) > 1 else 0.0
-            scaled_ratios.append(h_m / h_b if h_b > 0 else 1.0)
-        argmax_b = cond[int(np.argmax(p_base[i, cond]))]
-        argmax_m = cond[int(np.argmax(p_mod[i, cond]))]
-        if argmax_b not in text_set and argmax_m in text_set:
-            flips += 1
+    # Column subsets are copied C-ordered, so each row reduces like a vector.
+    nondeg = np.var(np.ascontiguousarray(z[:, cond]), axis=1) > 1e-12
+    scaled_ratios = scaled_nondeg = np.empty(0)
+    if scaled_union:
+        zs = np.ascontiguousarray(z[:, scaled_union])
+        scaled_nondeg = np.var(zs, axis=1) > 1e-12
+        # A single scaled key has entropy 0 at every gamma, hence ratio 1.
+        h_b = _row_entropies(row_softmax(zs))
+        h_m = _row_entropies(row_softmax(config.gamma * zs))
+        scaled_ratios = np.divide(h_m, h_b, out=np.ones_like(h_b), where=h_b > 0)
+    is_text = np.isin(cond, part.text)
+    from_text_b = is_text[np.argmax(p_base[:, cond], axis=1)]
+    to_text_m = is_text[np.argmax(p_mod[:, cond], axis=1)]
+    flips = int(np.count_nonzero(~from_text_b & to_text_m))
 
     def mass_means(stats):
         return (
@@ -540,9 +536,9 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         delta_mass_image=mi - bi,
         delta_mass_video=mv - bv,
         entropy_ratios=tuple(ratios.tolist()),
-        nondegenerate=tuple(nondeg),
-        scaled_entropy_ratios=tuple(scaled_ratios),
-        scaled_nondegenerate=tuple(scaled_nondeg),
+        nondegenerate=tuple(nondeg.tolist()),
+        scaled_entropy_ratios=tuple(scaled_ratios.tolist()),
+        scaled_nondegenerate=tuple(scaled_nondeg.tolist()),
         argmax_flips_to_text=flips,
     )
 
@@ -552,19 +548,15 @@ def sharpening_curve(z: np.ndarray, subset, gammas) -> np.ndarray:
 
     j* is the subset argmax of the raw logits; scaling the subset's logits by
     gamma sharpens the renormalized distribution, so each row of the returned
-    (n_queries x n_gammas) array is nondecreasing.
+    (n_queries x n_gammas) array is nondecreasing. ``subset`` must be a
+    nonempty set of distinct column indices, and every gamma positive.
     """
     zm = as_matrix(z, "logits")
-    idx = sorted(int(i) for i in subset)
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    out = np.empty((zm.shape[0], len(tuple(gammas))))
-    glist = [float(g) for g in gammas]
-    if any(g <= 0 for g in glist):
+    zs = zm[:, _subset_indices(subset, zm.shape[1])]
+    g = np.array([float(x) for x in gammas])
+    if (g <= 0).any():
         raise ValueError("gammas must be positive")
-    for i in range(zm.shape[0]):
-        zs = zm[i, idx]
-        j_star = int(np.argmax(zs))
-        for gi, g in enumerate(glist):
-            out[i, gi] = softmax_vec(g * zs)[j_star]
-    return out
+    n, k = zs.shape
+    # One softmax stack over every (query, gamma) pair, query-major.
+    p = row_softmax((g[None, :, None] * zs[:, None, :]).reshape(-1, k)).reshape(n, g.size, k)
+    return p[np.arange(n), :, np.argmax(zs, axis=1)]

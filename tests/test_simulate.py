@@ -390,3 +390,21 @@ def test_sharpening_curve_validation():
         sharpening_curve(z, [], (1.0,))
     with pytest.raises(ValueError, match="positive"):
         sharpening_curve(z, [0, 1], (0.0,))
+
+
+def test_sharpening_curve_consumes_a_gamma_generator_once():
+    z, part = conflict_logits(seed=1, config=ConflictConfig())
+    gammas = (1.0, 1.35, 2.0)
+    want = sharpening_curve(z, part.conditioning, gammas)
+    got = sharpening_curve(z, part.conditioning, (g for g in gammas))
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="positive"):
+        sharpening_curve(z, part.conditioning, (g for g in (1.0, -2.0)))
+
+
+@pytest.mark.parametrize(
+    "subset, message", [([0, 0, 1], "duplicates"), ([7], "out of range"), ([-1], "out of range")]
+)
+def test_sharpening_curve_rejects_a_bad_subset(subset, message):
+    with pytest.raises(ValueError, match=message):
+        sharpening_curve(np.zeros((2, 4)), subset, (1.0,))
