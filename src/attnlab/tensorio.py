@@ -13,12 +13,14 @@ Layout (all integers little-endian):
 The payload length must match the declared dims exactly — no trailing bytes.
 Every decode error names the byte offset where the problem sits.
 
-One header parser serves both readers. ``read_tensor`` / ``decode_tensor``
-return the whole array. ``BlockReader`` reads a file one slice of its
-leading axis at a time, so a large stack is never held whole: it runs every
-header check and compares the file size with the declared dims before it
-returns, so a truncated file or trailing bytes fail before any slice is read.
-Each slice's boolean bytes are checked as it is read, with absolute offsets.
+One header parser serves every reader. ``decode_tensor`` parses bytes
+already in memory. ``BlockReader`` opens a file, runs every header check and
+compares the file size with the declared dims, so a truncated file or
+trailing bytes fail before any payload byte is read. It then reads the file
+one slice of its leading axis at a time, so a large stack is never held
+whole, or (for ``read_tensor``) the whole payload with one ``np.fromfile``,
+so the array is held once. Boolean bytes are checked as they are read, with
+absolute offsets.
 """
 
 from __future__ import annotations
@@ -136,15 +138,16 @@ def decode_tensor(buf: bytes) -> np.ndarray:
 
 
 class BlockReader:
-    """An ATNB file read one slice of its leading axis at a time.
+    """An ATNB file read one slice of its leading axis at a time, or whole.
 
     Opening the file runs every check of ``decode_tensor`` that the header
     and the file size (from ``fstat``) allow: magic, version, dtype code,
     ndim, dims, a truncated payload and trailing bytes all raise before a
-    single slice is read. Iterating reads each slice with ``np.fromfile``
-    into a fresh array equal to ``read_tensor(path)[l]``; boolean slices keep
-    the 0/1 byte check, and its error names the absolute byte offset. Use it
-    as a context manager so that the file is closed.
+    single payload byte is read. Iterating reads each slice with
+    ``np.fromfile`` into a fresh array equal to ``read_tensor(path)[l]``;
+    :meth:`read` reads the whole array the same way. Boolean data keeps the
+    0/1 byte check, and its error names the absolute byte offset. Use it as a
+    context manager so that the file is closed.
     """
 
     def __init__(self, path):
@@ -164,26 +167,34 @@ class BlockReader:
     def ndim(self) -> int:
         return len(self._header.dims)
 
+    def _read_next(self, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+        """The array of ``shape`` that starts at payload byte ``offset``, where
+        the file position already is."""
+        h = self._header
+        count = math.prod(shape)
+        raw = np.fromfile(self._file, dtype=h.dtype, count=count)
+        if raw.size != count:  # the file shrank after it was opened
+            raise TensorFormatError(
+                f"truncated payload at byte {offset}: need {count * raw.itemsize} bytes, "
+                f"have {raw.size * raw.itemsize}"
+            )
+        if h.code == DTYPE_FLOAT64:
+            return raw.astype(np.float64, copy=False).reshape(shape)
+        return _bools(raw, offset).reshape(shape)
+
     def __iter__(self):
         h = self._header
         if not h.dims:
             raise ValueError("a 0-d tensor has no leading axis to read slices of")
-        count = math.prod(h.dims[1:])
-        step = count * h.dtype.itemsize
+        step = math.prod(h.dims[1:]) * h.dtype.itemsize
         self._file.seek(h.payload_offset)
         for l in range(h.dims[0]):
-            offset = h.payload_offset + l * step
-            raw = np.fromfile(self._file, dtype=h.dtype, count=count)
-            if raw.size != count:  # the file shrank after it was opened
-                raise TensorFormatError(
-                    f"truncated payload at byte {offset}: need {step} bytes, "
-                    f"have {raw.size * raw.itemsize}"
-                )
-            if h.code == DTYPE_FLOAT64:
-                block = raw.astype(np.float64, copy=False)
-            else:
-                block = _bools(raw, offset)
-            yield block.reshape(h.dims[1:])
+            yield self._read_next(h.payload_offset + l * step, h.dims[1:])
+
+    def read(self) -> np.ndarray:
+        """The whole array, equal to ``decode_tensor`` of the file's bytes."""
+        self._file.seek(self._header.payload_offset)
+        return self._read_next(self._header.payload_offset, self._header.dims)
 
     def close(self) -> None:
         self._file.close()
@@ -203,6 +214,10 @@ def write_tensor(path, array) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read an ATNB file; raises TensorFormatError on malformed content."""
-    with open(path, "rb") as f:
-        return decode_tensor(f.read())
+    """Read an ATNB file; raises TensorFormatError on malformed content.
+
+    The header is checked against the file size first, then the payload is
+    read straight into the returned array, so the file is never held as bytes.
+    """
+    with BlockReader(path) as reader:
+        return reader.read()

@@ -21,6 +21,7 @@ UNREACHED = {
     "simulate.sharpening_curve": "pinned by the acceptance module",
     "analysis.curvature_report": "named as a layer in BENCHMARK.json",
     "analysis.group_mass_report": "named as a layer in BENCHMARK.json",
+    "tensorio.decode_tensor": "named as a layer in BENCHMARK.json",
     "tensorio.write_tensor": "writes the benchmark's generated inputs",
     "analysis.attention_hessian": "the curvature tests' oracle",
 }

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def _iteration_error(tmp_path, buf):
     return str(exc.value)
 
 
-@pytest.mark.parametrize(
+MALFORMED = pytest.mark.parametrize(
     "buf, message",
     [
         (b"NOPE" + b"\x00" * 20, "bad magic at byte 0"),
@@ -182,6 +183,9 @@ def _iteration_error(tmp_path, buf):
     ],
     ids=["bad-magic", "truncated-dims", "truncated-payload", "trailing-data", "stack-one-byte-short"],
 )
+
+
+@MALFORMED
 def test_block_reader_header_errors_match_decode_and_raise_on_open(tmp_path, buf, message):
     # Opening raises, so a truncated or padded file gives no partial result.
     with pytest.raises(TensorFormatError) as exc:
@@ -253,3 +257,58 @@ def test_block_reader_zero_dim_has_no_slices(tmp_path):
         assert reader.ndim == 0
         with pytest.raises(ValueError, match="no leading axis"):
             list(reader)
+
+
+# -- read_tensor: the header checked against the file size, then one read
+
+
+@MALFORMED
+def test_read_tensor_errors_match_decode(tmp_path, buf, message):
+    with pytest.raises(TensorFormatError) as exc:
+        read_tensor(_write(tmp_path, buf))
+    assert str(exc.value) == _decode_error(buf)
+    assert str(exc.value).startswith(message)
+
+
+def test_read_tensor_invalid_boolean_byte_matches_decode(tmp_path):
+    buf = bytearray(encode_tensor(np.ones((2, 3), dtype=bool)))
+    buf[29 + 4] = 7
+    with pytest.raises(TensorFormatError) as exc:
+        read_tensor(_write(tmp_path, bytes(buf)))
+    assert str(exc.value) == _decode_error(bytes(buf)) == "invalid boolean byte 7 at byte 33"
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[np.nan, -0.0, np.inf], [1.5, -np.inf, 5e-324]]),
+        np.random.default_rng(4).normal(size=(3, 2, 4)) > 0,
+        np.float64(2.5),
+        np.zeros((0, 3)),
+    ],
+    ids=["float64", "bool", "0-d", "zero-length"],
+)
+def test_read_tensor_equals_decode_bit_for_bit(tmp_path, array):
+    path = tmp_path / "t.atnb"
+    write_tensor(path, array)
+    got = read_tensor(path)
+    want = decode_tensor(path.read_bytes())
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and got.flags.c_contiguous
+
+
+def test_read_tensor_holds_the_array_once(tmp_path):
+    # A 4 MiB array: reading the file as bytes and then decoding a copy of
+    # them peaks at twice its size; one read into the array peaks at once.
+    path = tmp_path / "stack.atnb"
+    write_tensor(path, np.random.default_rng(9).random(size=(8, 256, 256)))
+    nbytes = 8 * 256 * 256 * 8
+    tracemalloc.start()
+    try:
+        a = read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.nbytes == nbytes
+    assert peak < 1.5 * nbytes
