@@ -28,7 +28,7 @@ from .calibration import (
     select_blocks,
     validate_mask,
 )
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_config_file
 from .numerics import sample_gaussian
 from .scheduling import BlockGateTable, WINDOW_PRESETS, active_steps
 from .simulate import (
@@ -85,8 +85,33 @@ def write_json(out_dir: str, stem: str, payload: dict) -> str:
     return path
 
 
+# The config-file keys each command reads. Every command also reads ``seed``
+# and ``out_dir``, and accepts ``arch``, whose one valid value is the
+# attention layout every command assumes.
+CONFIG_KEYS = {
+    "verify": ("draws", "probes", "format"),
+    "sweep": ("draws", "alpha_grid", "format"),
+    "calibrate": ("samples", "num_blocks", "high_quantile", "tau"),
+    "simulate": (
+        "total_steps", "num_blocks", "gamma", "gamma_max", "kappa", "mode", "position",
+        "boost", "window", "block_gates", "dims", "format",
+    ),
+}
+
+
 def load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
+    """The config file, if any, with the command line's flags applied.
+
+    A file key the command does not read is a ``ConfigError``, so a value
+    that would change nothing is never silently accepted.
+    """
+    cfg = RunConfig()
+    if getattr(args, "config", None):
+        data = read_config_file(args.config)
+        cfg = RunConfig.from_dict(data)
+        unread = sorted(set(data) - {"seed", "out_dir", "arch", *CONFIG_KEYS[args.command]})
+        if unread:
+            raise ConfigError(f"{args.command} does not read config keys: {', '.join(unread)}")
     updates = {}
     for attr, key in (
         ("seed", "seed"),

@@ -41,6 +41,18 @@ def _validator():
     return cls(_SCHEMA)
 
 
+def read_config_file(path) -> dict:
+    """The JSON object a config file holds, not yet validated."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    return data
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -104,14 +116,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def to_dict(self) -> dict:
         d = asdict(self)

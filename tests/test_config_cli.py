@@ -572,3 +572,66 @@ def test_arch_accepts_joint_only(tmp_path, capsys, command, arch, code):
     if code:
         assert "config invalid at arch" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+# The config-file keys each command reads, spelled out apart from the CLI's own
+# table; ``arch`` is accepted by every command.
+READ_KEYS = {
+    "verify": {"arch", "seed", "out_dir", "draws", "probes", "format"},
+    "sweep": {"arch", "seed", "out_dir", "draws", "alpha_grid", "format"},
+    "calibrate": {"arch", "seed", "out_dir", "samples", "num_blocks", "high_quantile", "tau"},
+    "simulate": {
+        "arch", "seed", "out_dir", "total_steps", "num_blocks", "gamma", "gamma_max", "kappa",
+        "mode", "position", "boost", "window", "block_gates", "dims", "format",
+    },
+}
+
+
+def _default_config(keys):
+    defaults = RunConfig().to_dict()
+    return {key: defaults[key] for key in sorted(keys)}
+
+
+def test_every_config_key_is_read_by_some_command():
+    assert set().union(*READ_KEYS.values()) == set(_SCHEMA["properties"])
+
+
+def test_config_key_the_command_does_not_read_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"gamma": 7, "tau": 0.9, "window": {"preset": "late"}, "total_steps": 3})
+    )
+    out = tmp_path / "out"
+    argv = ["verify", "curvature", "--draws", "5", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: verify does not read config keys: gamma, tau, total_steps, window\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_config_keys_each_command_does_not_read_are_rejected(tmp_path, capsys, command):
+    unread = set(_SCHEMA["properties"]) - READ_KEYS[command]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_default_config(unread)))
+    out = tmp_path / "out"
+    assert main([*TINY_RUNS[command], "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {command} does not read config keys: {', '.join(sorted(unread))}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_config_keys_each_command_reads_are_accepted(tmp_path, command):
+    # Every key the command reads, at its default value: the reports match a
+    # run without a config byte for byte.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_default_config(READ_KEYS[command])))
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert main([*TINY_RUNS[command], "--out", str(plain)]) == 0
+    assert main([*TINY_RUNS[command], "--config", str(cfg_path), "--out", str(configured)]) == 0
+    files = sorted(f.name for f in plain.iterdir())
+    assert files == sorted(f.name for f in configured.iterdir())
+    for name in files:
+        assert (plain / name).read_bytes() == (configured / name).read_bytes()
