@@ -167,11 +167,11 @@ class BlockReader:
     def ndim(self) -> int:
         return len(self._header.dims)
 
-    def _read_next(self, offset: int, shape: tuple[int, ...]) -> np.ndarray:
-        """The array of ``shape`` that starts at payload byte ``offset``, where
-        the file position already is."""
+    def _read_at(self, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+        """The array of ``shape`` whose payload starts at file byte ``offset``."""
         h = self._header
         count = math.prod(shape)
+        self._file.seek(offset)
         raw = np.fromfile(self._file, dtype=h.dtype, count=count)
         if raw.size != count:  # the file shrank after it was opened
             raise TensorFormatError(
@@ -187,14 +187,12 @@ class BlockReader:
         if not h.dims:
             raise ValueError("a 0-d tensor has no leading axis to read slices of")
         step = math.prod(h.dims[1:]) * h.dtype.itemsize
-        self._file.seek(h.payload_offset)
         for l in range(h.dims[0]):
-            yield self._read_next(h.payload_offset + l * step, h.dims[1:])
+            yield self._read_at(h.payload_offset + l * step, h.dims[1:])
 
     def read(self) -> np.ndarray:
         """The whole array, equal to ``decode_tensor`` of the file's bytes."""
-        self._file.seek(self._header.payload_offset)
-        return self._read_next(self._header.payload_offset, self._header.dims)
+        return self._read_at(self._header.payload_offset, self._header.dims)
 
     def close(self) -> None:
         self._file.close()
