@@ -97,6 +97,6 @@ from .tensorio import (
     read_tensor,
     write_tensor,
 )
-from .verification import SUITE_NAMES, SuiteResult, run_suite, run_suites, run_sweep
+from .verification import SUITE_NAMES, SuiteResult, run_suite, run_sweep
 
 __version__ = "0.1.0"

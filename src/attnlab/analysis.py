@@ -190,14 +190,13 @@ class CurvatureReport:
 class CurvatureRows:
     """:class:`CurvatureReport` fields of one logit vector over a grid of alphas.
 
-    ``alpha`` is the grid as given; the other per-alpha fields are arrays with
-    one entry per alpha, and ``violations`` is one tuple per alpha. ``p`` is
-    the (k, m) softmax stack and ``min_eigenvalue`` the smallest Hessian
-    eigenvalue at each alpha. ``logit_gap`` and ``gap_applicable`` belong to
-    the logit vector and hold for every alpha.
+    The per-alpha fields are arrays with one entry per alpha, in grid order,
+    and ``violations`` is one tuple per alpha. ``p`` is the (k, m) softmax
+    stack and ``min_eigenvalue`` the smallest Hessian eigenvalue at each
+    alpha. ``logit_gap`` and ``gap_applicable`` belong to the logit vector
+    and hold for every alpha.
     """
 
-    alpha: tuple
     p: np.ndarray
     spectral_norm: np.ndarray
     min_eigenvalue: np.ndarray
@@ -208,32 +207,6 @@ class CurvatureRows:
     logit_gap: float
     gap_applicable: bool
     violations: tuple[tuple[str, ...], ...]
-
-    def reports(self) -> list[CurvatureReport]:
-        """One :class:`CurvatureReport` of Python floats per alpha, in grid order."""
-        columns = zip(
-            self.alpha,
-            self.spectral_norm.tolist(),
-            self.gershgorin_bound.tolist(),
-            self.tail_mass.tolist(),
-            self.tail_bound.tolist(),
-            self.decay_bound.tolist(),
-            self.violations,
-        )
-        return [
-            CurvatureReport(
-                alpha=alpha,
-                spectral_norm=norm,
-                gershgorin_bound=gersh,
-                tail_mass=tail_mass,
-                tail_bound=tail_bound,
-                decay_bound=decay_bound,
-                logit_gap=self.logit_gap,
-                gap_applicable=self.gap_applicable,
-                violations=violations,
-            )
-            for alpha, norm, gersh, tail_mass, tail_bound, decay_bound, violations in columns
-        ]
 
 
 def curvature_rows(z, alphas) -> CurvatureRows:
@@ -287,7 +260,6 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     if gap_applicable:
         mask += 2 * (tail_mass > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
     return CurvatureRows(
-        alpha=grid,
         p=p,
         spectral_norm=norm,
         min_eigenvalue=eigs[:, 0],
@@ -308,7 +280,18 @@ def curvature_report(z, alpha: float) -> CurvatureReport:
     The spectral norm comes from a symmetric eigensolve of the exactly
     symmetric Hessian alpha^2 (diag(p) - p p^T).
     """
-    return curvature_rows(z, (alpha,)).reports()[0]
+    rows = curvature_rows(z, (alpha,))
+    return CurvatureReport(
+        alpha=alpha,
+        spectral_norm=float(rows.spectral_norm[0]),
+        gershgorin_bound=float(rows.gershgorin_bound[0]),
+        tail_mass=float(rows.tail_mass[0]),
+        tail_bound=float(rows.tail_bound[0]),
+        decay_bound=float(rows.decay_bound[0]),
+        logit_gap=rows.logit_gap,
+        gap_applicable=rows.gap_applicable,
+        violations=rows.violations[0],
+    )
 
 
 @dataclass(frozen=True)

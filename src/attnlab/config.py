@@ -114,20 +114,11 @@ class RunConfig:
         cfg.modulation()
         return cfg
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(read_config_file(path))
-
     def to_dict(self) -> dict:
         d = asdict(self)
         if d["alpha_grid"] is not None:
             d["alpha_grid"] = list(d["alpha_grid"])
         return d
-
-    def replace(self, **updates) -> "RunConfig":
-        d = self.to_dict()
-        d.update(updates)
-        return RunConfig.from_dict(d)
 
     # -- resolution to domain objects ------------------------------------
 

@@ -191,31 +191,32 @@ def _curvature(seed: int, draws: int):
         delta = logit_gap(z)
         # One stacked solve: the drawn alpha and the collapse point 50/Delta.
         curv = curvature_rows(z, (alpha, 50.0 / delta))
-        rep = curv.reports()[0]
+        norm, collapse_norm = curv.spectral_norm.tolist()
+        decay_bound = curv.decay_bound.tolist()[0]
+        violations = curv.violations[0]
         psd_ok = float(curv.min_eigenvalue[0]) >= -PSD_SLACK
         grid = np.linspace(2.0 / delta, 50.0 / delta, 25)
-        envelope = 2.0 * grid**2 * (m - 1) * np.exp(-grid * delta)
-        env_ok = bool(np.all(np.diff(envelope) <= MONOTONE_SLACK * max(1.0, envelope[0])))
-        collapse_norm = float(curv.spectral_norm[1])
+        envelope = (2.0 * grid**2 * (m - 1) * np.exp(-grid * delta)).tolist()
+        env_ok = _nonincreasing(envelope, max(1.0, envelope[0]))
         collapse_ok = collapse_norm < COLLAPSE_NORM_LIMIT
         row = {
             "draw": i,
             "m": m,
             "alpha": alpha,
             "logit_gap": delta,
-            "spectral_norm": rep.spectral_norm,
-            "decay_bound": rep.decay_bound,
-            "tail_mass": rep.tail_mass,
-            "tail_bound": rep.tail_bound,
-            "gershgorin_bound": rep.gershgorin_bound,
-            "margin": rep.decay_bound - rep.spectral_norm,
+            "spectral_norm": norm,
+            "decay_bound": decay_bound,
+            "tail_mass": curv.tail_mass.tolist()[0],
+            "tail_bound": curv.tail_bound.tolist()[0],
+            "gershgorin_bound": curv.gershgorin_bound.tolist()[0],
+            "margin": decay_bound - norm,
             "collapse_norm": collapse_norm,
             "psd_ok": int(psd_ok),
             "envelope_ok": int(env_ok),
         }
-        bad = bool(rep.violations) or not (psd_ok and env_ok and collapse_ok)
+        bad = bool(violations) or not (psd_ok and env_ok and collapse_ok)
         yield [row], (
-            f"draw {i}: bound violations {rep.violations}, psd_ok={psd_ok}, "
+            f"draw {i}: bound violations {violations}, psd_ok={psd_ok}, "
             f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}"
             if bad
             else None
@@ -320,24 +321,6 @@ def run_suite(
     return result
 
 
-def run_suites(
-    names, seed: int = 0, draws: int = 1000, probes: int = 120, inject_bug: bool = False
-) -> list[SuiteResult]:
-    results = []
-    for idx, name in enumerate(names):
-        # Only the first suite gets the injected bug; one violation suffices.
-        results.append(
-            run_suite(
-                name,
-                seed=seed,
-                draws=draws,
-                probes=probes,
-                inject_bug=inject_bug and idx == 0,
-            )
-        )
-    return results
-
-
 def _sweep(z_draws, alpha_grid):
     for i, z in enumerate(z_draws):
         gap = logit_gap(z)
@@ -352,32 +335,36 @@ def _sweep(z_draws, alpha_grid):
             )
         # One stacked pass over the draw's grid; row k is curvature_report(z, grid[k]).
         curv = curvature_rows(z, grid)
-        reps = curv.reports()
         entropies = _row_entropies(curv.p).tolist()
         variances = _variance_rows(curv.p, z).tolist()
+        norms, tails, tail_bounds, gersh, decay = (
+            col.tolist()
+            for col in (curv.spectral_norm, curv.tail_mass, curv.tail_bound,
+                        curv.gershgorin_bound, curv.decay_bound)
+        )
         monotone_ok = _nonincreasing(entropies)
-        env = [rep.decay_bound for a, rep in zip(grid, reps) if gap > 0 and a >= 2.0 / gap]
+        env = [d for a, d in zip(grid, decay) if gap > 0 and a >= 2.0 / gap]
         envelope_ok = _nonincreasing(env, max(1.0, env[0]) if env else 1.0)
         # The default grid ends at 50/Delta, where the curvature has collapsed.
-        collapse_ok = bool(alpha_grid) or reps[-1].spectral_norm < COLLAPSE_NORM_LIMIT
+        collapse_ok = bool(alpha_grid) or norms[-1] < COLLAPSE_NORM_LIMIT
         bound_ok = not any(curv.violations)
         rows = [
             {
                 "draw": i,
                 "alpha": alpha,
-                "entropy": h,
-                "variance": var,
-                "spectral_norm": rep.spectral_norm,
-                "tail_mass": rep.tail_mass,
-                "tail_bound": rep.tail_bound,
-                "gershgorin_bound": rep.gershgorin_bound,
-                "decay_bound": rep.decay_bound,
-                "logit_gap": rep.logit_gap,
+                "entropy": entropies[k],
+                "variance": variances[k],
+                "spectral_norm": norms[k],
+                "tail_mass": tails[k],
+                "tail_bound": tail_bounds[k],
+                "gershgorin_bound": gersh[k],
+                "decay_bound": decay[k],
+                "logit_gap": gap,
                 "entropy_monotone_ok": int(monotone_ok),
                 "envelope_ok": int(envelope_ok),
                 "collapse_ok": int(collapse_ok),
             }
-            for alpha, h, var, rep in zip(grid, entropies, variances, reps)
+            for k, alpha in enumerate(grid)
         ]
         bad = not (monotone_ok and envelope_ok and collapse_ok and bound_ok)
         yield rows, (

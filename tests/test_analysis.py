@@ -283,6 +283,24 @@ def _report_bits(rep):
     return _bits((rep.alpha,) + _report_floats(rep)), rep.gap_applicable, rep.violations
 
 
+def _reports(rows, alphas):
+    """The per-alpha CurvatureReport of a CurvatureRows stack, its floats Python floats."""
+    columns = zip(
+        alphas,
+        rows.spectral_norm.tolist(),
+        rows.gershgorin_bound.tolist(),
+        rows.tail_mass.tolist(),
+        rows.tail_bound.tolist(),
+        rows.decay_bound.tolist(),
+        rows.violations,
+    )
+    return [
+        CurvatureReport(alpha, norm, gersh, tail_mass, tail_bound, decay_bound,
+                        rows.logit_gap, rows.gap_applicable, violations)
+        for alpha, norm, gersh, tail_mass, tail_bound, decay_bound, violations in columns
+    ]
+
+
 @st.composite
 def _curvature_grids(draw):
     """(z, alphas): some tied maxima, repeated alphas and alphas that underflow p."""
@@ -304,7 +322,7 @@ def _curvature_grids(draw):
 def test_curvature_rows_match_one_alpha_reports_bit_for_bit(case):
     z, alphas = case
     rows = curvature_rows(z, alphas)
-    reps = rows.reports()
+    reps = _reports(rows, alphas)
     assert len(reps) == len(alphas)
     for k, alpha in enumerate(alphas):
         ref, ref_min_eig, ref_p = _reference_curvature(z, alpha)
@@ -329,14 +347,16 @@ def test_curvature_rows_chunk_long_vectors_bit_for_bit(monkeypatch):
     assert solves == [2, 2, 1]
     assert _bits(chunked.spectral_norm) == _bits(whole.spectral_norm)
     assert _bits(chunked.min_eigenvalue) == _bits(whole.min_eigenvalue)
-    assert [_report_bits(r) for r in chunked.reports()] == [_report_bits(r) for r in whole.reports()]
+    assert [_report_bits(r) for r in _reports(chunked, alphas)] == [
+        _report_bits(r) for r in _reports(whole, alphas)
+    ]
 
 
 def test_curvature_rows_cover_underflow_and_ties():
     # alpha = 50 on a gap of 30 underflows every tail entry of p to 0.
     rows = curvature_rows(np.array([30.0, 0.0, 0.0]), [50.0])
     assert (rows.p[0, 1:] == 0.0).all()
-    assert rows.reports()[0].tail_mass == 0.0
+    assert _reports(rows, [50.0])[0].tail_mass == 0.0
     tied = curvature_rows(np.array([1.0, 1.0, 0.0]), [1.0, 2.0])
     assert not tied.gap_applicable
     assert tied.violations == ((), ())
@@ -351,7 +371,7 @@ def test_curvature_rows_violations_match_the_loop_form(monkeypatch, z):
     rows = curvature_rows(z, alphas)
     expected = [_reference_curvature(z, a, bound_slack=-1.0)[0].violations for a in alphas]
     assert list(rows.violations) == expected
-    assert [r.violations for r in rows.reports()] == expected
+    assert [r.violations for r in _reports(rows, alphas)] == expected
     if rows.gap_applicable:
         assert ("gershgorin", "decay") in expected
         assert ("gershgorin", "tail", "decay") in expected

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attnlab.cli import main, write_csv
-from attnlab.config import _SCHEMA, ConfigError, RunConfig
+from attnlab.config import _SCHEMA, ConfigError, RunConfig, read_config_file
 from attnlab.numerics import row_softmax
 from attnlab.tensorio import encode_tensor, write_tensor
 from attnlab.verification import SUITE_NAMES
@@ -110,27 +110,20 @@ def test_gate_sources():
         RunConfig.from_dict({"block_gates": {"source": "explicit"}})
 
 
-def test_replace_revalidates():
-    cfg = RunConfig().replace(gamma=2.0)
-    assert cfg.gamma == 2.0
-    with pytest.raises(ConfigError):
-        RunConfig().replace(gamma=-2.0)
-
-
 def test_from_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text('{"seed": 5, "window": {"preset": "middle"}}')
-    cfg = RunConfig.from_file(path)
+    cfg = RunConfig.from_dict(read_config_file(path))
     assert cfg.seed == 5
     assert cfg.resolved_window().low == 0.35
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        RunConfig.from_file(bad)
+        RunConfig.from_dict(read_config_file(bad))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
-        RunConfig.from_file(arr)
+        RunConfig.from_dict(read_config_file(arr))
 
 
 def test_schedule_resolution():
