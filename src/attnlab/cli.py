@@ -113,10 +113,8 @@ def load_config(args) -> RunConfig:
         unread = sorted(set(data) - {"seed", "out_dir", "arch", *CONFIG_KEYS[args.command]})
         if unread:
             raise ConfigError(f"{args.command} does not read config keys: {', '.join(unread)}")
-    for key in ("seed", "out_dir", *CONFIG_KEYS[args.command]):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
+    keys = {"seed", "out_dir", *CONFIG_KEYS[args.command]}
+    data.update({key: value for key, value in vars(args).items() if key in keys and value is not None})
     if getattr(args, "alpha_grid", None) is not None:
         data["alpha_grid"] = [float(a) for a in args.alpha_grid.split(",") if a.strip()]
     if getattr(args, "preset", None) is not None:
@@ -125,7 +123,7 @@ def load_config(args) -> RunConfig:
 
 
 def resolve_out_dir(cfg: RunConfig) -> str:
-    out = cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    out = cfg.out_dir if cfg.out_dir is not None else os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
     return out
 
