@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +93,12 @@ class ScalingTargets:
 # Joint self-attention exposes key-side positions only: with a shared softmax
 # over the whole sequence, scaling the queries of one modality is not a
 # well-defined per-group operation, so query-side names are rejected.
+# Both conditioning groups: the default wherever keys are scaled.
+DEFAULT_TARGETS = ScalingTargets(key_groups=frozenset({"image", "text"}))
 _POSITIONS = {
     "key-image": ScalingTargets(key_groups=frozenset({"image"})),
     "key-text": ScalingTargets(key_groups=frozenset({"text"})),
-    "key-image and key-text": ScalingTargets(key_groups=frozenset({"image", "text"})),
+    "key-image and key-text": DEFAULT_TARGETS,
 }
 
 
@@ -229,9 +231,7 @@ class ModulationConfig:
     gamma: float = 1.35
     gamma_max: float = 1.5
     kappa: float = 1.0
-    targets: ScalingTargets = field(
-        default_factory=lambda: ScalingTargets(key_groups=frozenset({"text", "image"}))
-    )
+    targets: ScalingTargets = DEFAULT_TARGETS
 
     def __post_init__(self):
         if self.mode not in ("scalar", "energy"):

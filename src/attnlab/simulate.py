@@ -16,6 +16,7 @@ import numpy as np
 
 from .analysis import _row_entropies, _subset_indices, flops_overhead, group_mass_rows
 from .attention import (
+    DEFAULT_TARGETS,
     KeyPartition,
     ScalingTargets,
     attention_forward,
@@ -280,6 +281,16 @@ def scaling_multiply_count(
     return sum(len(partition.group(name)) for name in targets.key_groups) * d_k
 
 
+def _entropy_ratio(h_mod, h_base) -> np.ndarray:
+    """Scaled over baseline conditioning entropy, elementwise.
+
+    The quotient where the baseline is positive, 1.0 where both are 0 (the
+    same point mass), and NaN otherwise.
+    """
+    out = np.where((h_mod == 0.0) & (h_base == 0.0), 1.0, np.nan)
+    return np.divide(h_mod, h_base, out=out, where=h_base > 0.0)
+
+
 @dataclass(frozen=True)
 class TrajectoryRow:
     step: int
@@ -368,7 +379,7 @@ def run_trajectory(
         ]
         mean_mod = float(np.mean(stats.entropy_cond[:n_meas]))
         mean_base = float(np.mean(stats.entropy_cond[n_meas:]))
-        ratio = mean_mod / mean_base if mean_base > 0 else float("nan")
+        ratio = float(_entropy_ratio(mean_mod, mean_base))
         rows.append(
             TrajectoryRow(
                 step=t,
@@ -437,9 +448,7 @@ class ConflictConfig:
     n_queries: int = 32
     boost: float = 2.0
     gamma: float = 1.35
-    targets: ScalingTargets = field(
-        default_factory=lambda: ScalingTargets(key_groups=frozenset({"text", "image"}))
-    )
+    targets: ScalingTargets = DEFAULT_TARGETS
 
     def __post_init__(self):
         if min(self.n_text, self.n_image) < 1:
@@ -501,9 +510,10 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
     )
     stats_b = group_mass_rows(p_base, part)
     stats_m = group_mass_rows(p_mod, part)
-    ratios = stats_m.entropy_cond / stats_b.entropy_cond
+    ratios = _entropy_ratio(stats_m.entropy_cond, stats_b.entropy_cond)
     # Column subsets are copied C-ordered, so each row reduces like a vector.
     nondeg = np.var(np.ascontiguousarray(z[:, cond]), axis=1) > 1e-12
+    nondeg &= stats_b.entropy_cond > 0.0
     scaled_ratios = scaled_nondeg = np.empty(0)
     if scaled_union:
         zs = np.ascontiguousarray(z[:, scaled_union])
@@ -511,7 +521,7 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         # A single scaled key has entropy 0 at every gamma, hence ratio 1.
         h_b = _row_entropies(row_softmax(zs))
         h_m = _row_entropies(row_softmax(config.gamma * zs))
-        scaled_ratios = np.divide(h_m, h_b, out=np.ones_like(h_b), where=h_b > 0)
+        scaled_ratios = _entropy_ratio(h_m, h_b)
     is_text = np.isin(cond, part.text)
     from_text_b = is_text[np.argmax(p_base[:, cond], axis=1)]
     to_text_m = is_text[np.argmax(p_mod[:, cond], axis=1)]

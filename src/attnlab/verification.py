@@ -193,7 +193,6 @@ def _curvature(seed: int, draws: int):
         curv = curvature_rows(z, (alpha, 50.0 / delta))
         norm, collapse_norm = curv.spectral_norm.tolist()
         decay_bound = curv.decay_bound.tolist()[0]
-        violations = curv.violations[0]
         psd_ok = float(curv.min_eigenvalue[0]) >= -PSD_SLACK
         grid = np.linspace(2.0 / delta, 50.0 / delta, 25)
         envelope = (2.0 * grid**2 * (m - 1) * np.exp(-grid * delta)).tolist()
@@ -214,9 +213,9 @@ def _curvature(seed: int, draws: int):
             "psd_ok": int(psd_ok),
             "envelope_ok": int(env_ok),
         }
-        bad = bool(violations) or not (psd_ok and env_ok and collapse_ok)
+        bad = bool(curv.violations[0]) or not (psd_ok and env_ok and collapse_ok)
         yield [row], (
-            f"draw {i}: bound violations {violations}, psd_ok={psd_ok}, "
+            f"draw {i}: bound violations {curv.violations[0]}, psd_ok={psd_ok}, "
             f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}"
             if bad
             else None

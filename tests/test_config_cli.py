@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import tracemalloc
@@ -6,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from attnlab import cli
 from attnlab.cli import main, write_csv
 from attnlab.config import _SCHEMA, ConfigError, RunConfig, read_config_file
 from attnlab.numerics import row_softmax
@@ -628,3 +630,82 @@ def test_config_keys_each_command_reads_are_accepted(tmp_path, command):
     assert files == sorted(f.name for f in configured.iterdir())
     for name in files:
         assert (plain / name).read_bytes() == (configured / name).read_bytes()
+
+
+# An empty value counts as given: each run names a value that cannot be read,
+# so it exits non-zero instead of running another mode.
+EMPTY_VALUE_RUNS = {
+    "sweep-z": (["sweep", "--z", ""], 2, "could not parse --z vector ''"),
+    "sweep-alpha-grid": (
+        ["sweep", "--z", "2,1,0", "--alpha-grid", ""], 2, "config invalid at alpha_grid"
+    ),
+    "calibrate-fixture": (["calibrate", "--fixture", ""], 2, "unknown fixture ''"),
+    "calibrate-latent": (
+        ["calibrate", "--latent", "", "--samples", "1", "--blocks", "2"],
+        2,
+        "--latent requires --attention",
+    ),
+    "verify-config": (["verify", "--draws", "2", "--probes", "2", "--config", ""], 3, "i/o error"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_VALUE_RUNS))
+def test_empty_flag_value_is_given_and_rejected(tmp_path, capsys, name):
+    argv, code, message = EMPTY_VALUE_RUNS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_empty_out_dir_is_given_and_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ATTNLAB_OUT", str(tmp_path / "envout"))
+    assert main(["verify", "curvature", "--draws", "2", "--out", ""]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# Flags that set no config key of their own name, each with what it does.
+NOT_CONFIG_FLAGS = {
+    "--config": "names the config file",
+    "--inject-bug": "harness self-test, not a run setting",
+    "--z": "an explicit logit vector in place of the seeded draws",
+    "--fixture": "selects fixture mode",
+    "--latent": "an input file",
+    "--attention": "an input file",
+    "--mask": "an input file",
+    "--preset": "sets window to {'preset': value}",
+}
+
+
+def test_every_config_flag_has_its_key_as_dest():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if flag in (None, "-h") or flag in NOT_CONFIG_FLAGS:
+                continue
+            assert action.dest in ("seed", "out_dir", *cli.CONFIG_KEYS[command]), (command, flag)
+            assert action.dest in _SCHEMA["properties"], (command, flag)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_point_mass_conditioning_has_entropy_ratio_one(tmp_path, fmt):
+    # One conditioning key: its renormalized block is the same point mass with
+    # and without scaling, so every step's ratio is exactly 1.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dims": {"n_text": 0, "n_image": 1}}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg_path), "--steps", "3", "--blocks", "2"]
+    with pytest.warns(UserWarning, match="empty group 'text'"):
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    text = (out / f"trajectory.{fmt}").read_text()
+    assert "nan" not in text.lower()
+    if fmt == "csv":
+        rows = list(csv.DictReader(text.splitlines()))
+    else:
+        rows = json.loads(text)["rows"]
+    assert [int(r["active_blocks"]) for r in rows] == [1, 0, 0]
+    assert [float(r["entropy_ratio"]) for r in rows] == [1.0, 1.0, 1.0]

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from attnlab import scheduling, simulate
-from attnlab.attention import ModulationConfig, ScalingTargets, build_partition
+from attnlab.attention import ModulationConfig, ScalingTargets, build_partition, resolve_targets
 from attnlab.numerics import sample_gaussian, spectral_norm
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
 from attnlab.simulate import (
@@ -339,6 +340,36 @@ def test_conflict_text_only_scaling_direction():
     # measured direction on average: text mass up, image mass down
     assert rep.delta_mass_text > 0.0
     assert rep.delta_mass_image < 0.0
+
+
+def test_entropy_ratio_rule():
+    ratio = simulate._entropy_ratio
+    h_mod = np.array([0.5, 0.0, 0.3, 0.0, math.nan, 0.2])
+    h_base = np.array([2.0, 0.0, 0.0, 1.0, 1.0, math.nan])
+    got = ratio(h_mod, h_base)
+    np.testing.assert_array_equal(got, [0.25, 1.0, math.nan, 0.0, math.nan, math.nan])
+    assert float(ratio(0.0, 0.0)) == 1.0
+    assert float(ratio(0.3, 0.6)) == 0.3 / 0.6
+
+
+def test_conflict_point_mass_baseline_is_degenerate():
+    # One image key boosted by 800 underflows every other conditioning
+    # probability: the baseline conditioning block is a point mass.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same = conflict_experiment(1, ConflictConfig(n_image=1, boost=800.0))
+        softened = conflict_experiment(1, ConflictConfig(n_image=1, boost=800.0, gamma=0.5))
+    # gamma = 1.35 keeps the point mass: the same distribution, ratio 1.
+    assert same.entropy_ratios == (1.0,) * 32
+    # gamma = 0.5 lifts the text keys off 0 against a zero baseline entropy.
+    assert all(math.isnan(r) for r in softened.entropy_ratios)
+    for rep in (same, softened):
+        assert not any(rep.nondegenerate)
+
+
+def test_default_targets_are_both_conditioning_groups():
+    assert ModulationConfig().targets is ConflictConfig().targets
+    assert ConflictConfig().targets == resolve_targets("Key-image and Key-text")
 
 
 def test_conflict_gamma_one_no_motion():
