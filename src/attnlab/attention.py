@@ -90,11 +90,11 @@ class ScalingTargets:
             raise ValueError(f"unknown key group(s): {sorted(bad)}")
 
 
+# Both conditioning groups: the default wherever keys are scaled.
+DEFAULT_TARGETS = ScalingTargets(key_groups=frozenset({"image", "text"}))
 # Joint self-attention exposes key-side positions only: with a shared softmax
 # over the whole sequence, scaling the queries of one modality is not a
 # well-defined per-group operation, so query-side names are rejected.
-# Both conditioning groups: the default wherever keys are scaled.
-DEFAULT_TARGETS = ScalingTargets(key_groups=frozenset({"image", "text"}))
 _POSITIONS = {
     "key-image": ScalingTargets(key_groups=frozenset({"image"})),
     "key-text": ScalingTargets(key_groups=frozenset({"text"})),

@@ -282,11 +282,8 @@ def scaling_multiply_count(
 
 
 def _entropy_ratio(h_mod, h_base) -> np.ndarray:
-    """Scaled over baseline conditioning entropy, elementwise.
-
-    The quotient where the baseline is positive, 1.0 where both are 0 (the
-    same point mass), and NaN otherwise.
-    """
+    """Scaled over baseline entropy, elementwise: the quotient where the baseline
+    is positive, 1.0 where both are 0 (the same point mass), and NaN otherwise."""
     out = np.where((h_mod == 0.0) & (h_base == 0.0), 1.0, np.nan)
     return np.divide(h_mod, h_base, out=out, where=h_base > 0.0)
 
@@ -465,12 +462,14 @@ class ConflictReport:
 
     ``entropy_ratios`` compare the renormalized conditioning block after vs
     before scaling, per query — a measured quantity whose direction depends on
-    which groups are scaled. ``scaled_entropy_ratios`` restrict instead to the
-    union of the scaled key groups, where scaling is a pure temperature change
-    and the decrease is certified for every query flagged in
-    ``scaled_nondegenerate`` (positive logit variance within that union). When
-    the whole conditioning block is scaled the two coincide. Mass deltas are
-    means over queries and are reported, not certified.
+    which groups are scaled; ``nondegenerate`` flags the queries whose
+    conditioning logits vary and whose baseline entropy is positive.
+    ``scaled_entropy_ratios`` restrict instead to the union of the scaled key
+    groups, where scaling is a pure temperature change and the decrease is
+    certified for every query flagged in ``scaled_nondegenerate`` (positive
+    logit variance within that union). When the whole conditioning block is
+    scaled the two coincide. Every ratio follows :func:`_entropy_ratio`. Mass
+    deltas are means over queries and are reported, not certified.
     """
 
     gamma: float
