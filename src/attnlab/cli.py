@@ -28,7 +28,7 @@ from .calibration import (
     select_blocks,
     validate_mask,
 )
-from .config import ConfigError, RunConfig, read_config_file
+from .config import ConfigError, RunConfig, check_config, read_config_file
 from .numerics import sample_gaussian
 from .scheduling import BlockGateTable, WINDOW_PRESETS, active_steps
 from .simulate import (
@@ -104,12 +104,13 @@ def load_config(args) -> RunConfig:
 
     Each flag backed by a config key has that key as its ``dest``. A file key
     the command does not read is a ``ConfigError``, so a value that would
-    change nothing is never silently accepted.
+    change nothing is never silently accepted; a schema error in the file is
+    reported before it.
     """
     data = {}
     if args.config is not None:
         data = read_config_file(args.config)
-        RunConfig.from_dict(data)
+        check_config(data)
         unread = sorted(set(data) - {"seed", "out_dir", "arch", *CONFIG_KEYS[args.command]})
         if unread:
             raise ConfigError(f"{args.command} does not read config keys: {', '.join(unread)}")
@@ -152,7 +153,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    out_dir = resolve_out_dir(cfg)
     z = None
     if args.z is not None:
         try:
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
         if z.size < 2:
             raise ConfigError("--z needs at least two entries")
     res = run_sweep(seed=cfg.seed, draws=cfg.draws, alpha_grid=cfg.alpha_grid, z=z)
-    path = write_report(out_dir, "sweep", res.columns, res.rows, cfg.format)
+    path = write_report(resolve_out_dir(cfg), "sweep", res.columns, res.rows, cfg.format)
     n_draws = 1 if z is not None else cfg.draws
     print(f"sweep: draws={n_draws} rows={len(res.rows)} violations={res.violations} -> {path}")
     if not res.passed:
@@ -193,7 +193,6 @@ def cmd_calibrate(args) -> int:
             f"not with {', '.join(file_flags)}"
         )
     cfg = load_config(args)
-    out_dir = resolve_out_dir(cfg)
     if args.fixture is not None:
         fx = load_block_fixture(args.fixture)
         gates = BlockGateTable.from_selected(fx.blocks, fx.num_blocks)
@@ -203,7 +202,7 @@ def cmd_calibrate(args) -> int:
             "selected": list(fx.blocks),
             "gates": list(gates.gates),
         }
-        path = write_json(out_dir, "block_table", payload)
+        path = write_json(resolve_out_dir(cfg), "block_table", payload)
         print(
             f"calibrate: fixture {fx.name} blocks={len(fx.blocks)}/{fx.num_blocks} -> {path}"
         )
@@ -249,7 +248,7 @@ def cmd_calibrate(args) -> int:
         "gates": list(BlockGateTable.from_selected(selected, table.num_blocks).gates),
         "degenerate_blocks": degenerate,
     }
-    path = write_json(out_dir, "block_table", payload)
+    path = write_json(resolve_out_dir(cfg), "block_table", payload)
     print(
         f"calibrate: {source} blocks={table.num_blocks} selected={len(selected)} -> {path}"
     )

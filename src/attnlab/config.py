@@ -1,20 +1,20 @@
-"""Run configuration: schema-validated JSON in, resolved schedule objects out.
+"""Run configuration: schema-checked JSON in, resolved schedule objects out.
 
 The schema ships as package data (data/config.schema.json) and rejects unknown
 keys, so a typo'd field fails loudly instead of silently using a default.
-Serialization materializes every field; parse -> serialize -> parse is the
-identity on the resulting object.
+attnlab checks it itself, implementing only the keywords that schema uses and
+reporting the error, worded as jsonschema 4.26 words it, that jsonschema's
+``best_match`` would pick. Serialization materializes every field; parse ->
+serialize -> parse is the identity on the resulting object.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import numbers
+import operator
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .attention import ModulationConfig, resolve_targets
 from .calibration import load_block_fixture
@@ -25,20 +25,75 @@ class ConfigError(ValueError):
     """Invalid run configuration (schema violation or inconsistent values)."""
 
 
-def _schema() -> dict:
-    text = resources.files("attnlab").joinpath("data/config.schema.json").read_text()
-    return json.loads(text)
+_SCHEMA = json.loads(resources.files("attnlab").joinpath("data/config.schema.json").read_text())
+_TYPES = {"number": numbers.Number, "string": str, "array": list, "object": dict, "null": type(None)}
+
+# keyword -> (the comparison that fails, the words between value and bound)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
 
 
-_SCHEMA = _schema()
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's types: a bool is no number, an integer-valued float is an integer."""
+    if isinstance(value, bool):
+        return False
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, _TYPES[name])
 
 
-@functools.cache
-def _validator():
-    """The schema's validator; the schema itself is checked once per process."""
-    cls = validator_for(_SCHEMA)
-    cls.check_schema(_SCHEMA)
-    return cls(_SCHEMA)
+def _errors(schema: dict, value, path: tuple):
+    """(path, message) for each way ``value`` breaks ``schema``, in keyword order."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            types = arg if isinstance(arg, list) else [arg]
+            if not any(_is_type(value, t) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword in _BOUNDS:
+            fails, words = _BOUNDS[keyword]
+            if _is_type(value, "number") and fails(value, arg):
+                yield path, f"{value!r} is {words} of {arg!r}"
+        elif keyword == "enum":
+            # True == 1 in Python, but not in JSON.
+            if not any(e == value and isinstance(e, bool) == isinstance(value, bool) for e in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in ("minLength", "minItems"):
+            if isinstance(value, str if keyword == "minLength" else list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _errors(arg, item, path + (i,))
+        elif keyword == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _errors(sub, value[name], path + (name,))
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                were = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({listed} {were} unexpected)"
+        elif keyword == "required" and isinstance(value, dict):
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+
+
+def check_config(data) -> None:
+    """Raise ``ConfigError`` if ``data`` breaks the shipped schema.
+
+    Of several errors, the one reported is the one jsonschema's ``best_match``
+    picks: the shallowest path, then the largest of sibling paths, then the
+    first in keyword order.
+    """
+    error = max(_errors(_SCHEMA, data, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        path, message = error
+        raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def read_config_file(path) -> dict:
@@ -94,11 +149,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        # What jsonschema.validate does, without re-checking the schema per call.
-        error = best_match(_validator().iter_errors(data))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {error.message}")
+        check_config(data)
         merged = {f: getattr(cls(), f) for f in cls.__dataclass_fields__}
         for key in ("window", "block_gates", "dims"):
             if key in data:

@@ -293,6 +293,51 @@ def test_config_file_missing_exit_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_config_file_run_builds_the_config_once(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "v.json"
+    cfg_path.write_text('{"draws": 3, "seed": 1}')
+    calls = []
+    from_dict = RunConfig.from_dict.__func__
+
+    def counted(cls, data):
+        calls.append(dict(data))
+        return from_dict(cls, data)
+
+    monkeypatch.setattr(RunConfig, "from_dict", classmethod(counted))
+    argv = ["verify", "curvature", "--config", str(cfg_path), "--seed", "2"]
+    cfg = cli.load_config(cli.build_parser().parse_args(argv))
+    assert calls == [{"draws": 3, "seed": 2}]
+    assert (cfg.draws, cfg.seed) == (3, 2)
+
+
+def test_schema_error_in_file_is_reported_before_an_unread_key(tmp_path, capsys):
+    # ``gamma`` is a key verify does not read; ``draws`` breaks the schema.
+    cfg_path = tmp_path / "v.json"
+    cfg_path.write_text('{"gamma": 7, "draws": 0}')
+    argv = ["verify", "curvature", "--config", str(cfg_path), "--draws", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config invalid at draws: 0 is less than the minimum of 1\n"
+    )
+
+
+# Runs rejected after the config is read, each before it writes anything.
+REJECTED_RUNS = {
+    "sweep-empty-z": (["sweep", "--z", ""], 2),
+    "sweep-tied-maximum": (["sweep", "--z", "1,1,0"], 2),
+    "calibrate-unknown-fixture": (["calibrate", "--fixture", "nosuch"], 2),
+    "calibrate-missing-latent": (["calibrate", "--latent", "nosuch", "--attention", "nosuch"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_RUNS))
+def test_rejected_run_leaves_no_output_directory(tmp_path, name):
+    argv, code = REJECTED_RUNS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_write_csv_cell_text(tmp_path):
     row = {
         "a": 0.1, "b": 1 / 3, "c": -0.0, "d": float("nan"), "e": float("inf"),
