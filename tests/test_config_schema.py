@@ -96,7 +96,7 @@ def _values(schema):
     else:
         accepts = _VALIDATOR.evolve(schema=schema).is_valid
         near = st.sampled_from([v for v in _CANDIDATES + schema.get("enum", []) if accepts(v)])
-    return _sometimes(near, _SCALARS | _ANY)
+    return _sometimes(near, _ANY)
 
 
 @seed(31)
