@@ -219,24 +219,19 @@ class BlockFixture:
         object.__setattr__(self, "blocks", b)
 
 
-def _fixture_data() -> dict:
-    text = (
-        resources.files("attnlab").joinpath("data/foreground_blocks.json").read_text()
-    )
-    return json.loads(text)
+_FIXTURES = json.loads(resources.files("attnlab").joinpath("data/foreground_blocks.json").read_text())
 
 
 def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(_fixture_data()))
+    return tuple(sorted(_FIXTURES))
 
 
 def load_block_fixture(name: str) -> BlockFixture:
     """Load and validate one published block table by backbone name."""
-    data = _fixture_data()
     key = name.strip().lower()
-    if key not in data:
-        raise ValueError(f"unknown fixture {name!r}; available: {sorted(data)}")
-    entry = data[key]
+    if key not in _FIXTURES:
+        raise ValueError(f"unknown fixture {name!r}; available: {sorted(_FIXTURES)}")
+    entry = _FIXTURES[key]
     return BlockFixture(
         name=key, num_blocks=int(entry["num_blocks"]), blocks=tuple(entry["blocks"])
     )

@@ -259,18 +259,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args)
     schedule = cfg.schedule()
     out_dir = resolve_out_dir(cfg)
-    dims = cfg.dims
-    denoiser = make_toy_denoiser(
-        cfg.seed,
-        num_blocks=schedule.num_blocks,
-        n_text=dims["n_text"],
-        n_image=dims["n_image"],
-        n_video=dims["n_video"],
-        d_k=dims["d_k"],
-        d_v=dims["d_v"],
-    )
+    denoiser = make_toy_denoiser(cfg.seed, num_blocks=schedule.num_blocks, **cfg.dims)
     coeffs = StepCoefficients.linear(cfg.total_steps)
-    x0 = sample_gaussian((dims["n_video"], denoiser.d_model), seed=cfg.seed + 1_000_003)
+    x0 = sample_gaussian((cfg.dims["n_video"], denoiser.d_model), seed=cfg.seed + 1_000_003)
     trajectory = run_trajectory(denoiser, coeffs, schedule, x0)
     audit = flops_audit(trajectory, schedule)
     conflict = conflict_experiment(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 from .attention import ModulationConfig, resolve_targets
@@ -23,6 +23,10 @@ from .scheduling import BlockGateTable, ScheduleConfig, StepWindow, window_prese
 
 class ConfigError(ValueError):
     """Invalid run configuration (schema violation or inconsistent values)."""
+
+
+# The config keys holding a dict that a config file's dict is laid over.
+_NESTED = ("window", "block_gates", "dims")
 
 
 _SCHEMA = json.loads(resources.files("attnlab").joinpath("data/config.schema.json").read_text())
@@ -143,26 +147,16 @@ class RunConfig:
     def __post_init__(self):
         if self.alpha_grid is not None:
             object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        object.__setattr__(self, "window", dict(self.window))
-        object.__setattr__(self, "block_gates", dict(self.block_gates))
-        object.__setattr__(self, "dims", dict(self.dims))
+        for key in _NESTED:
+            object.__setattr__(self, key, dict(getattr(self, key)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         check_config(data)
-        merged = {f: getattr(cls(), f) for f in cls.__dataclass_fields__}
-        for key in ("window", "block_gates", "dims"):
-            if key in data:
-                base = dict(merged[key])
-                base.update(data[key])
-                merged[key] = base
-        for key, value in data.items():
-            if key not in ("window", "block_gates", "dims"):
-                merged[key] = value
-        cfg = cls(**merged)
-        cfg.resolved_window()
-        cfg.resolved_gates()
-        cfg.modulation()
+        defaults = cls()
+        nested = {key: {**getattr(defaults, key), **data[key]} for key in _NESTED if key in data}
+        cfg = replace(defaults, **{**data, **nested})
+        cfg.schedule()
         return cfg
 
     def to_dict(self) -> dict:
@@ -171,69 +165,44 @@ class RunConfig:
             d["alpha_grid"] = list(d["alpha_grid"])
         return d
 
-    # -- resolution to domain objects ------------------------------------
+    def schedule(self) -> ScheduleConfig:
+        """The run's step window x block gates x modulation, checked in that order.
 
-    def resolved_window(self) -> StepWindow:
-        w = self.window
-        has_explicit = "low" in w or "high" in w
-        if has_explicit:
-            if not ("low" in w and "high" in w):
-                raise ConfigError("explicit window needs both 'low' and 'high'")
-            try:
-                return StepWindow(float(w["low"]), float(w["high"]))
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
-        preset = w.get("preset", "early")
-        try:
-            return window_preset(preset)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-
-    def resolved_gates(self) -> BlockGateTable:
-        g = self.block_gates
+        Each rule's ``ValueError`` is reported as a ``ConfigError``.
+        """
+        w, g = self.window, self.block_gates
         source = g.get("source", "first_half")
         try:
+            if "low" in w or "high" in w:
+                if not ("low" in w and "high" in w):
+                    raise ValueError("explicit window needs both 'low' and 'high'")
+                window = StepWindow(float(w["low"]), float(w["high"]))
+            else:
+                window = window_preset(w.get("preset", "early"))
             if source == "first_half":
-                return BlockGateTable.first_half(self.num_blocks)
-            if source == "all":
-                return BlockGateTable.uniform(self.num_blocks, on=True)
-            if source == "none":
-                return BlockGateTable.uniform(self.num_blocks, on=False)
-            if source == "fixture":
+                gates = BlockGateTable.first_half(self.num_blocks)
+            elif source in ("all", "none"):
+                gates = BlockGateTable.uniform(self.num_blocks, on=source == "all")
+            elif source == "fixture":
                 if "name" not in g:
-                    raise ConfigError("block_gates source 'fixture' needs 'name'")
+                    raise ValueError("block_gates source 'fixture' needs 'name'")
                 fx = load_block_fixture(g["name"])
-                return BlockGateTable.from_selected(fx.blocks, fx.num_blocks)
-            if source == "explicit":
+                gates = BlockGateTable.from_selected(fx.blocks, fx.num_blocks)
+            elif source == "explicit":
                 if "gates" not in g:
-                    raise ConfigError("block_gates source 'explicit' needs 'gates'")
-                return BlockGateTable(tuple(g["gates"]))
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        raise ConfigError(f"unknown block_gates source {source!r}")
-
-    def modulation(self) -> ModulationConfig:
-        try:
-            return ModulationConfig(
+                    raise ValueError("block_gates source 'explicit' needs 'gates'")
+                gates = BlockGateTable(tuple(g["gates"]))
+            else:
+                raise ValueError(f"unknown block_gates source {source!r}")
+            modulation = ModulationConfig(
                 mode=self.mode,
                 gamma=self.gamma,
                 gamma_max=self.gamma_max,
                 kappa=self.kappa,
                 targets=resolve_targets(self.position),
             )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-
-    def schedule(self) -> ScheduleConfig:
-        gates = self.resolved_gates()
-        try:
             return ScheduleConfig(
-                gates=gates,
-                total_steps=self.total_steps,
-                window=self.resolved_window(),
-                modulation=self.modulation(),
+                gates=gates, total_steps=self.total_steps, window=window, modulation=modulation
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None

@@ -107,15 +107,11 @@ class BlockGateTable:
     @classmethod
     def first_half(cls, num_blocks: int) -> "BlockGateTable":
         """Gate the leading floor(L/2) blocks — the depth heuristic default."""
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         half = num_blocks // 2
         return cls(tuple(1 if l < half else 0 for l in range(num_blocks)))
 
     @classmethod
     def uniform(cls, num_blocks: int, on: bool = True) -> "BlockGateTable":
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         return cls((1 if on else 0,) * num_blocks)
 
 

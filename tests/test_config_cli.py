@@ -85,25 +85,25 @@ def test_semantic_errors_caught_at_parse():
     with pytest.raises(ConfigError, match="config invalid at arch"):
         RunConfig.from_dict({"arch": "factorized", "position": "Query-image"})
     cfg = RunConfig.from_dict({"arch": "joint", "position": "Key-text"})
-    assert cfg.modulation().targets.key_groups == frozenset({"text"})
+    assert cfg.schedule().modulation.targets.key_groups == frozenset({"text"})
 
 
 def test_explicit_window_wins_over_preset():
     cfg = RunConfig.from_dict({"window": {"preset": "late", "low": 0.1, "high": 0.2}})
-    w = cfg.resolved_window()
+    w = cfg.schedule().window
     assert (w.low, w.high) == (0.1, 0.2)
     with pytest.raises(ConfigError, match="both 'low' and 'high'"):
         RunConfig.from_dict({"window": {"low": 0.1}})
 
 
 def test_gate_sources():
-    assert RunConfig.from_dict({"num_blocks": 6}).resolved_gates().gates == (1, 1, 1, 0, 0, 0)
-    assert RunConfig.from_dict({"block_gates": {"source": "all"}, "num_blocks": 3}).resolved_gates().gates == (1, 1, 1)
-    assert RunConfig.from_dict({"block_gates": {"source": "none"}, "num_blocks": 3}).resolved_gates().gates == (0, 0, 0)
+    assert RunConfig.from_dict({"num_blocks": 6}).schedule().gates.gates == (1, 1, 1, 0, 0, 0)
+    assert RunConfig.from_dict({"block_gates": {"source": "all"}, "num_blocks": 3}).schedule().gates.gates == (1, 1, 1)
+    assert RunConfig.from_dict({"block_gates": {"source": "none"}, "num_blocks": 3}).schedule().gates.gates == (0, 0, 0)
     explicit = RunConfig.from_dict({"block_gates": {"source": "explicit", "gates": [1, 0, 1]}})
-    assert explicit.resolved_gates().gates == (1, 0, 1)
+    assert explicit.schedule().gates.gates == (1, 0, 1)
     fixture = RunConfig.from_dict({"block_gates": {"source": "fixture", "name": "framepack"}})
-    gates = fixture.resolved_gates()
+    gates = fixture.schedule().gates
     assert gates.num_blocks == 34  # fixture overrides num_blocks
     assert sum(gates.gates) == 24
     with pytest.raises(ConfigError, match="needs 'name'"):
@@ -117,7 +117,7 @@ def test_from_file(tmp_path):
     path.write_text('{"seed": 5, "window": {"preset": "middle"}}')
     cfg = RunConfig.from_dict(read_config_file(path))
     assert cfg.seed == 5
-    assert cfg.resolved_window().low == 0.35
+    assert cfg.schedule().window.low == 0.35
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
