@@ -11,6 +11,7 @@ serialize -> parse is the identity on the resulting object.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field, replace
@@ -96,8 +97,24 @@ def check_config(data) -> None:
     """
     error = max(_errors(_SCHEMA, data, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
     if error is not None:
-        path, message = error
-        raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
+        raise _invalid(*error)
+
+
+def _invalid(path: tuple, message: str) -> ConfigError:
+    return ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
+
+
+def _non_finite(value, path: tuple):
+    """(path, value) for each NaN or infinite float in ``value``, depth first.
+
+    Every JSON Schema bound is false on NaN, and one bound cannot reject the
+    infinity on its other side, so ``check_config`` (like jsonschema) admits them.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, path + (key,))
 
 
 def read_config_file(path) -> dict:
@@ -153,6 +170,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         check_config(data)
+        for path, value in _non_finite(data, ()):
+            raise _invalid(path, f"{value!r} is not a finite number")
         defaults = cls()
         nested = {key: {**getattr(defaults, key), **data[key]} for key in _NESTED if key in data}
         cfg = replace(defaults, **{**data, **nested})

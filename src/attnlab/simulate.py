@@ -487,6 +487,10 @@ class ConflictReport:
     argmax_flips_to_text: int
 
 
+# A query's logits over a key subset vary when their variance exceeds this.
+NONDEGENERATE_VARIANCE = 1e-12
+
+
 def conflict_logits(seed: int, config: ConflictConfig) -> tuple[np.ndarray, KeyPartition]:
     """Seeded conflict logit matrix (n_queries x m) with boosted image columns."""
     part = build_partition(config.n_text, config.n_image, config.n_video)
@@ -511,12 +515,12 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
     stats_m = group_mass_rows(p_mod, part)
     ratios = _entropy_ratio(stats_m.entropy_cond, stats_b.entropy_cond)
     # Column subsets are copied C-ordered, so each row reduces like a vector.
-    nondeg = np.var(np.ascontiguousarray(z[:, cond]), axis=1) > 1e-12
+    nondeg = np.var(np.ascontiguousarray(z[:, cond]), axis=1) > NONDEGENERATE_VARIANCE
     nondeg &= stats_b.entropy_cond > 0.0
     scaled_ratios = scaled_nondeg = np.empty(0)
     if scaled_union:
         zs = np.ascontiguousarray(z[:, scaled_union])
-        scaled_nondeg = np.var(zs, axis=1) > 1e-12
+        scaled_nondeg = np.var(zs, axis=1) > NONDEGENERATE_VARIANCE
         # A single scaled key has entropy 0 at every gamma, hence ratio 1.
         h_b = _row_entropies(row_softmax(zs))
         h_m = _row_entropies(row_softmax(config.gamma * zs))

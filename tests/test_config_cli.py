@@ -7,9 +7,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from attnlab import cli
+from attnlab import cli, simulate, verification
+from attnlab.calibration import fixture_names
 from attnlab.cli import main, write_csv
-from attnlab.config import _SCHEMA, ConfigError, RunConfig, read_config_file
+from attnlab.config import _SCHEMA, ConfigError, RunConfig, check_config, read_config_file
 from attnlab.numerics import row_softmax
 from attnlab.tensorio import encode_tensor, write_tensor
 from attnlab.verification import SUITE_NAMES
@@ -754,3 +755,110 @@ def test_simulate_point_mass_conditioning_has_entropy_ratio_one(tmp_path, fmt):
         rows = json.loads(text)["rows"]
     assert [int(r["active_blocks"]) for r in rows] == [1, 0, 0]
     assert [float(r["entropy_ratio"]) for r in rows] == [1.0, 1.0, 1.0]
+
+
+def test_to_dict_round_trips_an_alpha_grid():
+    cfg = RunConfig.from_dict({"alpha_grid": [0.5, 2]})
+    assert cfg.alpha_grid == (0.5, 2.0)
+    data = cfg.to_dict()
+    assert data["alpha_grid"] == [0.5, 2.0]
+    assert RunConfig.from_dict(json.loads(json.dumps(data))) == cfg
+
+
+# -- non-finite numbers ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"boost": float("nan")}, "boost: nan is not a finite number"),
+        ({"kappa": float("inf")}, "kappa: inf is not a finite number"),
+        ({"window": {"low": float("nan"), "high": 0.5}}, "window/low: nan is not a finite number"),
+        ({"alpha_grid": [1.0, float("inf")]}, "alpha_grid/1: inf is not a finite number"),
+    ],
+)
+def test_non_finite_number_is_rejected_after_the_schema(data, message):
+    check_config(data)  # the schema, like jsonschema, admits them
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict(data)
+    assert str(exc.value) == f"config invalid at {message}"
+
+
+def test_schema_error_is_reported_before_a_non_finite_number():
+    with pytest.raises(ConfigError, match="config invalid at tau: inf is greater than the maximum"):
+        RunConfig.from_dict({"tau": float("inf"), "boost": float("nan")})
+
+
+# Runs whose config fails after the schema check, each given as its argv, the
+# text of a config file to add (or None), and the one line it writes to stderr.
+REJECTED_CONFIG_RUNS = {
+    "simulate-gamma-nan": (
+        ["simulate", "--steps", "3", "--blocks", "2", "--gamma", "nan"],
+        None,
+        "config invalid at gamma: nan is not a finite number",
+    ),
+    "calibrate-tau-nan": (
+        ["calibrate", "--samples", "2", "--blocks", "3", "--tau", "nan"],
+        None,
+        "config invalid at tau: nan is not a finite number",
+    ),
+    "simulate-kappa-infinity": (
+        ["simulate", "--steps", "3", "--blocks", "2"],
+        '{"mode": "energy", "kappa": Infinity}',
+        "config invalid at kappa: inf is not a finite number",
+    ),
+    "simulate-unknown-fixture": (
+        ["simulate"],
+        '{"block_gates": {"source": "fixture", "name": "nosuch"}}',
+        f"unknown fixture 'nosuch'; available: {list(fixture_names())}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_CONFIG_RUNS))
+def test_rejected_config_exits_2_and_writes_nothing(tmp_path, capsys, name):
+    argv, config, message = REJECTED_CONFIG_RUNS[name]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        argv = [*argv, "--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+# -- violations found by the checks themselves ----------------------------------
+
+
+def test_verify_counts_each_violating_draw(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verification, "PAIRWISE_TOLERANCE", -1.0)
+    res = verification.run_suite("scale-equivalence", seed=0, draws=4, probes=1)
+    assert res.violations == 4
+    assert res.detail.startswith("draw 0: pairwise diff ")
+    assert res.detail.endswith(" exceeds -1.0")
+    out = tmp_path / "out"
+    assert main(["verify", "scale-equivalence", "--draws", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "scale-equivalence: FAIL rows=4 violations=4 -> " in captured.out
+    assert captured.err == f"first failure [scale-equivalence]: {res.detail}\n"
+
+
+def test_sweep_exits_1_when_a_draw_has_not_collapsed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verification, "COLLAPSE_NORM_LIMIT", 0.0)
+    out = tmp_path / "out"
+    assert main(["sweep", "--draws", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "violations=3 -> " in captured.out
+    assert captured.err == (
+        "first failure: draw 0: monotone_ok=True envelope_ok=True collapse_ok=False bounds_ok=True\n"
+    )
+
+
+def test_simulate_exits_1_on_a_flops_audit_mismatch(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "active_steps", lambda total_steps, window: ())
+    out = tmp_path / "out"
+    assert main(["simulate", "--steps", "4", "--blocks", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "scaled_cells=2 -> " in captured.out
+    assert captured.err == "flops audit mismatch: measured 2 cells, expected 0\n"
