@@ -236,12 +236,12 @@ class ModulationConfig:
     def __post_init__(self):
         if self.mode not in ("scalar", "energy"):
             raise ValueError(f"unknown modulation mode {self.mode!r}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.gamma_max < 1:
-            raise ValueError(f"gamma_max must be >= 1, got {self.gamma_max}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 1 <= self.gamma_max < math.inf:
+            raise ValueError(f"gamma_max must be >= 1 and finite, got {self.gamma_max}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     @property
     def effective(self) -> bool:

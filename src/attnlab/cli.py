@@ -116,8 +116,13 @@ def load_config(args) -> RunConfig:
             raise ConfigError(f"{args.command} does not read config keys: {', '.join(unread)}")
     keys = {"seed", "out_dir", *CONFIG_KEYS[args.command]}
     data.update({key: value for key, value in vars(args).items() if key in keys and value is not None})
-    if getattr(args, "alpha_grid", None) is not None:
-        data["alpha_grid"] = [float(a) for a in args.alpha_grid.split(",") if a.strip()]
+    grid = getattr(args, "alpha_grid", None)
+    if grid is not None:
+        # An empty value is an empty grid, which the schema rejects.
+        try:
+            data["alpha_grid"] = [float(a) for a in grid.split(",")] if grid else []
+        except ValueError:
+            raise ConfigError(f"could not parse --alpha-grid {grid!r}") from None
     if getattr(args, "preset", None) is not None:
         data["window"] = {"preset": args.preset}
     return RunConfig.from_dict(data)
@@ -131,7 +136,6 @@ def resolve_out_dir(cfg: RunConfig) -> str:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args)
-    out_dir = resolve_out_dir(cfg)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     inject = args.inject_bug or os.environ.get(INJECT_BUG_ENV) == "1"
     failed = None
@@ -140,7 +144,9 @@ def cmd_verify(args) -> int:
         res = run_suite(
             name, seed=cfg.seed, draws=cfg.draws, probes=cfg.probes, inject_bug=inject and idx == 0
         )
-        path = write_report(out_dir, f"verify_{res.name}", res.columns, res.rows, cfg.format)
+        path = write_report(
+            resolve_out_dir(cfg), f"verify_{res.name}", res.columns, res.rows, cfg.format
+        )
         status = "ok" if res.passed else "FAIL"
         print(f"{res.name}: {status} rows={len(res.rows)} violations={res.violations} -> {path}")
         if not res.passed and failed is None:
@@ -258,7 +264,6 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     schedule = cfg.schedule()
-    out_dir = resolve_out_dir(cfg)
     denoiser = make_toy_denoiser(cfg.seed, num_blocks=schedule.num_blocks, **cfg.dims)
     coeffs = StepCoefficients.linear(cfg.total_steps)
     x0 = sample_gaussian((cfg.dims["n_video"], denoiser.d_model), seed=cfg.seed + 1_000_003)
@@ -270,6 +275,7 @@ def cmd_simulate(args) -> int:
     )
     columns = [f.name for f in fields(TrajectoryRow)]
     rows = [asdict(r) for r in trajectory.rows]
+    out_dir = resolve_out_dir(cfg)
     traj_path = write_report(out_dir, "trajectory", columns, rows, cfg.format)
     nondeg = sum(conflict.nondegenerate)
     ratios_nd = [

@@ -175,7 +175,11 @@ class RunConfig:
         defaults = cls()
         nested = {key: {**getattr(defaults, key), **data[key]} for key in _NESTED if key in data}
         cfg = replace(defaults, **{**data, **nested})
-        cfg.schedule()
+        n_gates = cfg.schedule().num_blocks
+        if "num_blocks" in data and n_gates != cfg.num_blocks:
+            raise ConfigError(
+                f"num_blocks is {cfg.num_blocks}, but the block gates cover {n_gates} blocks"
+            )
         return cfg
 
     def to_dict(self) -> dict:

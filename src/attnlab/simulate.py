@@ -150,8 +150,8 @@ def _forward(
     """One denoiser pass: the block loop shared by every caller; returns eps.
 
     ``observe(block, q, k, v, result)``, if given, is called at every block
-    after attention and returns the attention output the block continues
-    with (``result.output`` to leave the pass unchanged).
+    after attention. It only reads: its return value is ignored, and every
+    block continues with ``result.output``.
     """
     h = as_matrix(x, "state")
     if h.shape != (denoiser.n_video, denoiser.d_model):
@@ -168,8 +168,9 @@ def _forward(
             res = attention_forward(q, k, v)
         else:
             res = scheduled_attention(l, t, q, k, v, denoiser.partition, schedule)
-        y = res.output if observe is None else observe(l, q, k, v, res)
-        h = y[n_cond:] @ blk.w_o
+        if observe is not None:
+            observe(l, q, k, v, res)
+        h = res.output[n_cond:] @ blk.w_o
     return h
 
 
@@ -223,32 +224,20 @@ def deviation_bound_check(
     if not 0 <= query < denoiser.n_video:
         raise ValueError(f"probe query {query} out of range 0..{denoiser.n_video - 1}")
     xm = as_matrix(x, "state")
-    last = len(denoiser.blocks) - 1
-    row = denoiser.cond_embed.shape[0] + query
-    captured = []
-
-    def probed_eps(a: float) -> np.ndarray:
-        """eps with the probe row's output at the last block replaced by
-        softmax(a z) V; appends that row's unscaled logits and V to ``captured``."""
-
-        def observe(l, q, k, v, res):
-            if l != last:
-                return res.output
-            z_row = res.logits[row].copy()
-            y = res.output.copy()
-            y[row] = softmax_vec(a * z_row) @ v
-            captured.append((z_row, v.copy()))
-            return y
-
-        return _forward(denoiser, xm, t, observe=observe)
-
-    base_eps = probed_eps(1.0)
-    mod_eps = probed_eps(alpha)
-    z_row, v_mat = captured[0]
+    n_cond = denoiser.cond_embed.shape[0]
+    row = n_cond + query
+    seen = []
+    _forward(denoiser, xm, t, observe=lambda l, q, k, v, res: seen.append((v, res)))
+    v_mat, res = seen[-1]
+    z_row = res.logits[row]
     b_t = coeffs.b[t - 1]
-    x_base = coeffs.a[t - 1] * xm + b_t * base_eps
-    x_mod = coeffs.a[t - 1] * xm + b_t * mod_eps
-    deviation = float(np.linalg.norm(x_mod - x_base))
+    x_next = []
+    for a in (1.0, alpha):
+        # The last block's output with the probe row replaced by softmax(a z) V.
+        y = res.output.copy()
+        y[row] = softmax_vec(a * z_row) @ v_mat
+        x_next.append(coeffs.a[t - 1] * xm + b_t * (y[n_cond:] @ denoiser.blocks[-1].w_o))
+    deviation = float(np.linalg.norm(x_next[1] - x_next[0]))
     bound = (
         abs(b_t)
         * denoiser.lipschitz_upper
@@ -343,31 +332,25 @@ def run_trajectory(
         )
     x = as_matrix(x0, "state").copy()
     n_cond = denoiser.cond_embed.shape[0]
-    n_video = denoiser.n_video
-    n_meas = len(denoiser.blocks) * n_video
+    n_meas = len(denoiser.blocks) * denoiser.n_video
     part = denoiser.partition
-    targets = schedule.modulation.targets
+    # One count per run: it reads the key width, which is block 0's throughout.
+    cell_multiplies = scaling_multiply_count(
+        part, schedule.modulation.targets, part.size, denoiser.blocks[0].w_q.shape[1]
+    )
     rows = []
     for t in range(1, coeffs.total_steps + 1):
-        # Video rows of every block, block-major: scheduled, then baseline.
-        probs = np.empty((2 * n_meas, part.size))
-        active = 0
-        multiplies = 0
+        results, baselines = [], []
 
         def observe(l, q, k, v, res):
-            nonlocal active, multiplies
-            sched = res.probabilities[n_cond:]
-            base = sched
-            if res.gamma is not None:
-                active += 1
-                multiplies += scaling_multiply_count(part, targets, q.shape[0], q.shape[1])
-                base = attention_forward(q, k, v).probabilities[n_cond:]
-            probs[l * n_video : (l + 1) * n_video] = sched
-            probs[n_meas + l * n_video : n_meas + (l + 1) * n_video] = base
-            return res.output
+            results.append(res)
+            baselines.append(res if res.gamma is None else attention_forward(q, k, v))
 
         h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
+        active = sum(res.gamma is not None for res in results)
+        # Video rows of every block, block-major: scheduled, then baseline.
+        probs = np.vstack([res.probabilities[n_cond:] for res in results + baselines])
         stats = group_mass_rows(probs, part)
         # cumsum adds row by row, as a running total would.
         masses = [
@@ -381,7 +364,7 @@ def run_trajectory(
             TrajectoryRow(
                 step=t,
                 active_blocks=active,
-                scaling_multiplies=multiplies,
+                scaling_multiplies=active * cell_multiplies,
                 mass_text=float(masses[0] / n_meas),
                 mass_image=float(masses[1] / n_meas),
                 mass_video=float(masses[2] / n_meas),
@@ -452,8 +435,8 @@ class ConflictConfig:
             raise ValueError("conflict experiment needs text and image keys")
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)

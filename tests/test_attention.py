@@ -225,3 +225,26 @@ def test_modulation_config_defaults_and_validation():
         ModulationConfig(mode="annealed")
     with pytest.raises(ValueError, match="gamma must be positive"):
         ModulationConfig(gamma=-1.0)
+
+
+# -- non-finite coefficients ----------------------------------------------------------
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_modulation_config_rejects_a_non_finite_gamma(value):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        ModulationConfig(gamma=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_modulation_config_rejects_a_non_finite_gamma_max(value):
+    with pytest.raises(ValueError, match="gamma_max must be >= 1"):
+        ModulationConfig(mode="energy", gamma_max=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_modulation_config_rejects_a_non_finite_kappa(value):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        ModulationConfig(mode="energy", kappa=value)

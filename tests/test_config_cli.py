@@ -862,3 +862,73 @@ def test_simulate_exits_1_on_a_flops_audit_mismatch(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert "scaled_cells=2 -> " in captured.out
     assert captured.err == "flops audit mismatch: measured 2 cells, expected 0\n"
+
+
+# -- runs rejected before anything is written --------------------------------------
+
+# Each run given as its argv, the text of a config file to add (or None), and
+# the one line it writes to stderr.
+UNWRITTEN_RUNS = {
+    "simulate-blocks-flag-vs-explicit-gates": (
+        ["simulate", "--steps", "3", "--blocks", "4"],
+        '{"block_gates": {"source": "explicit", "gates": [1, 0, 1]}}',
+        "config error: num_blocks is 4, but the block gates cover 3 blocks",
+    ),
+    "simulate-blocks-flag-vs-fixture": (
+        ["simulate", "--steps", "3", "--blocks", "4"],
+        '{"block_gates": {"source": "fixture", "name": "wan2.1"}}',
+        "config error: num_blocks is 4, but the block gates cover 34 blocks",
+    ),
+    "simulate-blocks-key-vs-explicit-gates": (
+        ["simulate", "--steps", "3"],
+        '{"num_blocks": 5, "block_gates": {"source": "explicit", "gates": [1, 0, 1]}}',
+        "config error: num_blocks is 5, but the block gates cover 3 blocks",
+    ),
+    "simulate-no-tokens": (
+        ["simulate", "--steps", "3", "--blocks", "2"],
+        '{"dims": {"n_text": 0, "n_image": 0}}',
+        "invalid input: need at least one conditioning token and one video token",
+    ),
+    "sweep-blank-alpha": (
+        ["sweep", "--z", "2,1,0", "--alpha-grid", "1,,2"],
+        None,
+        "config error: could not parse --alpha-grid '1,,2'",
+    ),
+    "sweep-non-numeric-alpha": (
+        ["sweep", "--z", "2,1,0", "--alpha-grid", "1,x"],
+        None,
+        "config error: could not parse --alpha-grid '1,x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITTEN_RUNS))
+def test_rejected_run_exits_2_and_makes_no_directory(tmp_path, capsys, name):
+    argv, config, message = UNWRITTEN_RUNS[name]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        argv = [*argv, "--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_num_blocks_that_matches_the_gates_is_accepted():
+    explicit = {"source": "explicit", "gates": [1, 0, 1]}
+    cfg = RunConfig.from_dict({"num_blocks": 3, "block_gates": explicit})
+    assert cfg.schedule().gates.gates == (1, 0, 1)
+    with pytest.raises(ConfigError, match="num_blocks is 8, but the block gates cover 3 blocks"):
+        RunConfig.from_dict({"num_blocks": 8, "block_gates": explicit})
+
+
+def test_verify_makes_no_directory_when_a_suite_fails_to_run(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("suite broke")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    out = tmp_path / "out"
+    assert main(["verify", "--draws", "2", "--probes", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid input: suite broke\n"
+    assert not out.exists()

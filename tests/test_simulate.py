@@ -439,3 +439,58 @@ def test_sharpening_curve_consumes_a_gamma_generator_once():
 def test_sharpening_curve_rejects_a_bad_subset(subset, message):
     with pytest.raises(ValueError, match=message):
         sharpening_curve(np.zeros((2, 4)), subset, (1.0,))
+
+
+# -- the denoiser pass is only read ---------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list of its call args."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_forward_ignores_the_observer_return_value():
+    den = make_toy_denoiser(seed=2, num_blocks=3)
+    x = sample_gaussian((den.n_video, den.d_model), seed=4)
+    plain = simulate._forward(den, x, 1)
+    seen = []
+
+    def observe(l, q, k, v, res):
+        seen.append(l)
+        return np.zeros_like(res.output)
+
+    np.testing.assert_array_equal(simulate._forward(den, x, 1, observe=observe), plain)
+    assert seen == [0, 1, 2]
+
+
+def test_deviation_check_makes_one_pass(monkeypatch):
+    calls = _counting(monkeypatch, simulate, "attention_forward")
+    den = make_toy_denoiser(seed=0, num_blocks=3)
+    x = sample_gaussian((den.n_video, den.d_model), seed=1)
+    rep = deviation_bound_check(den, StepCoefficients.linear(5), 2, x, alpha=1.7, query=3)
+    assert len(calls) == 3  # one attention call per block
+    assert 0.0 < rep.deviation <= rep.bound
+
+
+def test_trajectory_takes_the_multiply_count_once_per_run(monkeypatch):
+    calls = _counting(monkeypatch, simulate, "scaling_multiply_count")
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    traj = run_trajectory(den, StepCoefficients.linear(10), _schedule(num_blocks=4, total_steps=10),
+                          sample_gaussian((den.n_video, den.d_model), seed=1))
+    assert len(calls) == 1
+    assert traj.total_active_cells == 6
+    assert traj.total_multiplies == 6 * scaling_multiply_count(*calls[0])
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_conflict_config_rejects_a_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        ConflictConfig(gamma=gamma)
