@@ -87,6 +87,8 @@ class ToyDenoiser:
             raise ValueError(
                 f"cond_embed rows ({self.cond_embed.shape[0]}) != text+image size ({n_cond})"
             )
+        if len({blk.w_q.shape for blk in self.blocks}) != 1:
+            raise ValueError("every block needs the same query/key projection shape")
         lip = 1.0
         for blk in self.blocks:
             lip *= spectral_norm(blk.w_o)
@@ -334,7 +336,7 @@ def run_trajectory(
     n_cond = denoiser.cond_embed.shape[0]
     n_meas = len(denoiser.blocks) * denoiser.n_video
     part = denoiser.partition
-    # One count per run: it reads the key width, which is block 0's throughout.
+    # One count per run: every block has the same key width (see ToyDenoiser).
     cell_multiplies = scaling_multiply_count(
         part, schedule.modulation.targets, part.size, denoiser.blocks[0].w_q.shape[1]
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -478,6 +479,15 @@ def test_deviation_check_makes_one_pass(monkeypatch):
     rep = deviation_bound_check(den, StepCoefficients.linear(5), 2, x, alpha=1.7, query=3)
     assert len(calls) == 3  # one attention call per block
     assert 0.0 < rep.deviation <= rep.bound
+
+
+def test_denoiser_blocks_share_one_key_width():
+    den = make_toy_denoiser(seed=0, num_blocks=2)
+    wide = dataclasses.replace(den.blocks[1], w_q=np.ones((den.d_model, 9)),
+                               w_k=np.ones((den.d_model, 9)))
+    with pytest.raises(ValueError, match="same query/key projection shape"):
+        simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
+                             blocks=(den.blocks[0], wide))
 
 
 def test_trajectory_takes_the_multiply_count_once_per_run(monkeypatch):
