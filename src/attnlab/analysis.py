@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import KeyPartition
-from .numerics import as_matrix, as_vector, eigvalsh_sym, row_softmax, softmax_vec, spectral_norm
+from .numerics import as_matrix, as_vector, eigvalsh_sym, row_softmax, softmax_vec
 
 ENTROPY_SUM_TOLERANCE = 1e-8
 DEFAULT_FD_STEP = 1e-5
 # Float slack for bound checks that are exact in real arithmetic.
 _BOUND_SLACK = 1e-12
 # Largest Hessian stack curvature_rows builds at once, in float64 entries
-# (16 MiB): a long logit vector is solved a few alphas at a time.
-_HESSIAN_STACK_ENTRIES = 1 << 21
+# (128 KiB): a long logit vector or a stack of draws is solved a chunk at a time.
+_HESSIAN_STACK_ENTRIES = 1 << 14
 # Curvature violations by bitmask (bit 0 gershgorin, bit 1 tail, bit 2 decay),
 # each listing the violated bounds in that order.
 _CURVATURE_VIOLATIONS = tuple(
@@ -30,17 +30,20 @@ _CURVATURE_VIOLATIONS = tuple(
 )
 
 
-def entropy(p) -> float:
+def entropy(p):
     """Shannon entropy -sum p_j ln p_j in nats, with 0 ln 0 := 0.
 
     ``p`` must be a distribution: nonnegative entries summing to 1 within
-    ``ENTROPY_SUM_TOLERANCE``. This is the one-row case of
-    :func:`_row_entropies`, after the vector checks of :func:`as_vector`.
+    ``ENTROPY_SUM_TOLERANCE``. An (n, m) stack of distributions gives an
+    array of n entropies, one per row. This is :func:`_row_entropies` after
+    the vector (or matrix) checks of :func:`as_vector` (:func:`as_matrix`).
     """
-    pv = as_vector(p, "distribution")
-    if (pv < 0).any():
+    stacked = np.ndim(p) == 2
+    pm = as_matrix(p, "distribution") if stacked else as_vector(p, "distribution")[None, :]
+    if (pm < 0).any():
         raise ValueError("invalid distribution: negative entry")
-    return float(_row_entropies(np.ascontiguousarray(pv)[None, :])[0])
+    h = _row_entropies(np.ascontiguousarray(pm))
+    return h if stacked else float(h[0])
 
 
 def _row_entropies(q: np.ndarray) -> np.ndarray:
@@ -77,16 +80,17 @@ def _subset_indices(s, size: int) -> np.ndarray:
 
 
 def _variance_rows(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Var_{p_i}[z] for each row p_i of a (k, m) softmax stack over the logits ``z``.
+    """Var_{p_i}[z_i] for each row p_i of a (..., m) softmax stack over its logits ``z``.
 
-    Two passes about z_max, the shift the softmax already subtracts: the
-    mean of d = z - z_max, then the mean square of d about it. Each term is
-    nonnegative, so no E[z^2] - E[z]^2 cancellation occurs and the result is
-    unchanged when a constant shift of ``z`` leaves d and p unchanged.
+    ``z`` is one logit vector for all rows, or one per row. Two passes about
+    z_max, the shift the softmax already subtracts: the mean of d = z - z_max,
+    then the mean square of d about it. Each term is nonnegative, so no
+    E[z^2] - E[z]^2 cancellation occurs and the result is unchanged when a
+    constant shift of ``z`` leaves d and p unchanged.
     """
-    d = z - z.max()
-    mean = (p * d).sum(axis=1)
-    return (p * (d - mean[:, None]) ** 2).sum(axis=1)
+    d = z - z.max(axis=-1, keepdims=True)
+    mean = (p * d).sum(axis=-1)
+    return (p * (d - mean[..., None]) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -101,32 +105,34 @@ class EntropyReport:
     abs_gap: float
 
 
-def entropy_alpha_report(z, s, alpha: float) -> EntropyReport:
+def entropy_alpha_report(z, s, alpha) -> EntropyReport:
     """Compare dH/dalpha = -alpha * Var_{p_S(alpha)}[z_S] with a central difference.
 
     The analytic slope comes from the moment identity; the numeric slope is
     (H(alpha+h) - H(alpha-h)) / 2h with h = ``DEFAULT_FD_STEP``. Requires
     alpha - h > 0 so both probe points stay in the valid range.
+
+    With an (n, m) stack ``z`` and n alphas, every field is an array and row
+    i equals ``entropy_alpha_report(z[i], s, alpha[i])`` bit for bit: the
+    three probe points of every row make one softmax and entropy stack.
     """
-    zv = as_vector(z, "logits")
+    stacked = np.ndim(z) == 2
+    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    a = np.ravel(np.asarray(alpha, dtype=np.float64))
     h = DEFAULT_FD_STEP
-    if alpha - h <= 0:
-        raise ValueError(f"alpha={alpha} too small for fd_step={h}")
-    zs = zv[_subset_indices(s, zv.size)]
-    # One stack over the probe points alpha - h, alpha, alpha + h.
-    p = row_softmax(np.array([alpha - h, alpha, alpha + h])[:, None] * zs)
-    h_lo, h_mid, h_hi = _row_entropies(p).tolist()
-    variance = float(_variance_rows(p[1:2], zs)[0])
-    analytic = -alpha * variance
+    bad = np.flatnonzero(a - h <= 0)
+    if bad.size:
+        raise ValueError(f"alpha={np.ravel(alpha)[bad[0]]} too small for fd_step={h}")
+    # A fancy-indexed column subset is F-ordered; the rows are summed C-ordered.
+    zs = np.ascontiguousarray(zm[:, _subset_indices(s, zm.shape[1])])
+    grid = np.stack([a - h, a, a + h], axis=1)
+    p = row_softmax((grid[:, :, None] * zs[:, None, :]).reshape(-1, zs.shape[1]))
+    h_lo, h_mid, h_hi = _row_entropies(p).reshape(-1, 3).T
+    variance = _variance_rows(p[1::3], zs)
+    analytic = -a * variance
     numeric = (h_hi - h_lo) / (2.0 * h)
-    return EntropyReport(
-        alpha=alpha,
-        entropy=h_mid,
-        variance=variance,
-        analytic_derivative=analytic,
-        numeric_derivative=numeric,
-        abs_gap=abs(analytic - numeric),
-    )
+    cols = (h_mid, variance, analytic, numeric, np.abs(analytic - numeric))
+    return EntropyReport(a, *cols) if stacked else EntropyReport(alpha, *(float(c[0]) for c in cols))
 
 
 def _hessians(p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -152,13 +158,14 @@ def attention_hessian(z, alpha: float) -> np.ndarray:
     return _hessians(p[None, :], np.array([alpha], dtype=np.float64))[0]
 
 
-def logit_gap(z) -> float:
-    """Gap between the two largest logits: 0.0 for a tied maximum or a single logit."""
-    zv = as_vector(z, "logits")
-    if zv.size == 1:
-        return 0.0
-    top_two = np.sort(zv)[-2:]
-    return float(top_two[1] - top_two[0])
+def logit_gap(z):
+    """Gap between the two largest logits: 0.0 for a tied maximum or a single logit.
+    An (n, m) stack of logit vectors gives an array of gaps, one per row."""
+    stacked = np.ndim(z) == 2
+    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    top = np.sort(zm, axis=1)
+    gaps = top[:, -1] - top[:, -2] if zm.shape[1] > 1 else np.zeros(zm.shape[0])
+    return gaps if stacked else float(gaps[0])
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,9 @@ class CurvatureRows:
     and ``violations`` is one tuple per alpha. ``p`` is the (k, m) softmax
     stack and ``min_eigenvalue`` the smallest Hessian eigenvalue at each
     alpha. ``logit_gap`` and ``gap_applicable`` belong to the logit vector
-    and hold for every alpha.
+    and hold for every alpha. For a stack of N logit vectors, every field
+    gains a leading axis of length N (``logit_gap`` and ``gap_applicable``
+    become arrays, ``violations`` one tuple of per-alpha tuples per vector).
     """
 
     p: np.ndarray
@@ -204,9 +213,9 @@ class CurvatureRows:
     tail_mass: np.ndarray
     tail_bound: np.ndarray
     decay_bound: np.ndarray
-    logit_gap: float
-    gap_applicable: bool
-    violations: tuple[tuple[str, ...], ...]
+    logit_gap: float | np.ndarray
+    gap_applicable: bool | np.ndarray
+    violations: tuple
 
 
 def curvature_rows(z, alphas) -> CurvatureRows:
@@ -215,62 +224,73 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     The stack form of :func:`curvature_report`: row i equals
     ``curvature_report(z, alphas[i])`` bit for bit, and the same inputs are
     rejected (non-finite or empty ``z``, any alpha <= 0), as is an empty grid.
-    The (k, m) softmax stack and the (k, m, m) Hessian stack are built in one
-    pass, and one batched :func:`~attnlab.numerics.eigvalsh_sym` call solves
+    With an (N, k) grid, ``z`` is an (N, m) stack of logit vectors, row n of
+    the grid belongs to ``z[n]``, and vector n's fields equal
+    ``curvature_rows(z[n], alphas[n])`` bit for bit.
+
+    The (N k, m) softmax stack and the (N k, m, m) Hessian stack are built in
+    one pass, and batched :func:`~attnlab.numerics.eigvalsh_sym` calls solve
     every Hessian. Each Hessian is exactly symmetric (see :func:`_hessians`),
     so its symmetrized solve equals a plain ``eigvalsh`` of it, and stacked
-    and one-at-a-time solves agree. A stack larger than
-    ``_HESSIAN_STACK_ENTRIES`` entries is built and solved in chunks of
-    alphas, so a long logit vector needs no more memory than one Hessian
-    (or one chunk) at a time.
+    and one-at-a-time solves agree. The Hessians are built and solved in
+    chunks of at most ``_HESSIAN_STACK_ENTRIES`` entries (or one Hessian),
+    so a long logit vector or a large stack needs no more memory than one
+    chunk at a time.
     """
-    zv = as_vector(z, "logits")
-    grid = tuple(alphas)
-    if not grid:
+    a = np.asarray(alphas, dtype=np.float64)
+    stacked = a.ndim == 2
+    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    if a.size == 0:
         raise ValueError("alpha grid must be nonempty")
-    for alpha in grid:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-    a = np.array(grid, dtype=np.float64)
-    p = row_softmax(a[:, None] * zv)
-    m = zv.size
-    delta = logit_gap(zv)
+    bad = np.flatnonzero(a <= 0)
+    if bad.size:
+        raise ValueError(f"alpha must be positive, got {np.ravel(alphas)[bad[0]]}")
+    n, m = zm.shape
+    if a.shape[0] != n and stacked:
+        raise ValueError(f"alpha grid rows ({a.shape[0]}) != logit rows ({n})")
+    a = a.reshape(n, -1)
+    k = a.shape[1]
+    p = row_softmax((a[:, :, None] * zm[:, None, :]).reshape(n * k, m))
+    delta = logit_gap(zm)
     # With m == 1 the bounds are exactly 0 and hold trivially.
-    gap_applicable = m == 1 or delta > 0.0
+    gap_applicable = (delta > 0.0) | (m == 1)
     # The mass off the top logit, s/(1+s) with s = sum_{j != j*} exp(alpha (z_j -
     # z_max)), as the sum of its own entries: 1 - p_max rounds to 0 once s
     # falls below half an ulp of 1 (Blanchard, Higham & Higham, IMA J. Numer.
     # Anal. 2021). Tied maxima leave other maxima in the sum; their bound is
-    # not applicable.
-    tail_mass = np.delete(p, int(np.argmax(zv)), axis=1).sum(axis=1)
-    tail_bound = np.array([(m - 1) * math.exp(-alpha * delta) for alpha in a.tolist()])
+    # not applicable. The entries are gathered into a contiguous row of m - 1,
+    # so each row's pairwise sum groups them as a vector of m - 1 would.
+    off = np.arange(m - 1)
+    off = off + (off >= np.argmax(zm, axis=1)[:, None])
+    tail_mass = np.take_along_axis(p.reshape(n, k, m), off[:, None, :], axis=2).sum(axis=2)
+    af = a.ravel()
+    gaps = np.repeat(delta, k).tolist()
+    tail_bound = np.array([(m - 1) * math.exp(-x * g) for x, g in zip(af.tolist(), gaps)])
     gersh = (2.0 * p * (1.0 - p)).max(axis=1)
-    decay_bound = 2.0 * a * a * tail_bound
+    decay_bound = 2.0 * af * af * tail_bound
     chunk = max(1, _HESSIAN_STACK_ENTRIES // (m * m))
     eigs = np.concatenate(
         [
-            eigvalsh_sym(_hessians(p[i : i + chunk], a[i : i + chunk]))
-            for i in range(0, a.size, chunk)
+            eigvalsh_sym(_hessians(p[i : i + chunk], af[i : i + chunk]))
+            for i in range(0, af.size, chunk)
         ]
     )
     norm = np.abs(eigs).max(axis=1)
 
-    slack = _BOUND_SLACK * np.maximum(1.0, a * a)
-    mask = (norm > a * a * gersh + slack).astype(int)
-    if gap_applicable:
-        mask += 2 * (tail_mass > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
-    return CurvatureRows(
-        p=p,
-        spectral_norm=norm,
-        min_eigenvalue=eigs[:, 0],
-        gershgorin_bound=gersh,
-        tail_mass=tail_mass,
-        tail_bound=tail_bound,
-        decay_bound=decay_bound,
-        logit_gap=delta,
-        gap_applicable=gap_applicable,
-        violations=tuple(_CURVATURE_VIOLATIONS[k] for k in mask.tolist()),
+    slack = _BOUND_SLACK * np.maximum(1.0, af * af)
+    mask = (norm > af * af * gersh + slack).astype(int)
+    mask += np.repeat(gap_applicable, k) * (
+        2 * (tail_mass.ravel() > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
     )
+    per_alpha = (norm, eigs[:, 0], gersh, tail_mass, tail_bound, decay_bound)
+    cols = (p.reshape(n, k, m), *(c.reshape(n, k) for c in per_alpha))
+    violations = tuple(
+        tuple(_CURVATURE_VIOLATIONS[j] for j in row) for row in mask.reshape(n, k).tolist()
+    )
+    if stacked:
+        return CurvatureRows(*cols, delta, gap_applicable, violations)
+    return CurvatureRows(*(c[0] for c in cols), float(delta[0]), bool(gap_applicable[0]),
+                         violations[0])
 
 
 def curvature_report(z, alpha: float) -> CurvatureReport:
@@ -305,35 +325,44 @@ class LipschitzReport:
     margin: float
 
 
-def lipschitz_report(z, v, alpha1: float, alpha2: float) -> LipschitzReport:
+def lipschitz_report(z, v, alpha1, alpha2) -> LipschitzReport:
     """Check ||y(alpha1) - y(alpha2)|| <= (1/2) ||V||_2 ||z||_2 |alpha1 - alpha2|.
 
     The map alpha |-> softmax(alpha z) has Jacobian norm at most ||z|| / 2, so
     the bound holds for every logit vector and value matrix; ``margin`` is
     bound minus deviation and is nonnegative up to float rounding.
+
+    With an (n, m) stack ``z``, an (n, m, d) stack ``v`` and n alphas each,
+    every field is an array, row i equal to ``lipschitz_report(z[i], v[i],
+    alpha1[i], alpha2[i])`` bit for bit: the products and the Gram solves of
+    :func:`~attnlab.numerics.spectral_norm` are batched matrix by matrix, and
+    the vector norms (dot products, which a batched sum could round
+    differently) are taken row by row.
     """
-    zv = as_vector(z, "logits")
-    vm = as_matrix(v, "V")
-    if vm.shape[0] != zv.size:
-        raise ValueError(f"V rows ({vm.shape[0]}) != logit length ({zv.size})")
-    for name, a in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if a <= 0:
-            raise ValueError(f"{name} must be positive, got {a}")
-    p1, p2 = row_softmax(np.array([alpha1, alpha2])[:, None] * zv)
-    deviation = float(np.linalg.norm(vm.T @ p1 - vm.T @ p2))
-    bound = (
-        0.5
-        * spectral_norm(vm)
-        * float(np.linalg.norm(zv))
-        * abs(alpha1 - alpha2)
-    )
-    return LipschitzReport(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        deviation=deviation,
-        bound=bound,
-        margin=bound - deviation,
-    )
+    stacked = np.ndim(z) == 2
+    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    vm = np.asarray(v, dtype=np.float64) if stacked else as_matrix(v, "V")[None]
+    if stacked and (vm.ndim != 3 or not np.isfinite(vm).all()):
+        raise ValueError("V must be a finite 3-D stack")
+    if vm.shape[:2] != zm.shape:
+        raise ValueError(f"V rows ({vm.shape[1]}) != logit length ({zm.shape[1]})")
+    for name, col in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if (np.asarray(col) <= 0).any():
+            raise ValueError(f"{name} must be positive, got {col}")
+    a = np.stack([np.ravel(alpha1), np.ravel(alpha2)], axis=1).astype(np.float64)
+    n, m = zm.shape
+    p = row_softmax((a[:, :, None] * zm[:, None, :]).reshape(-1, m))
+    vt = np.swapaxes(vm, 1, 2)
+    y = vt[:, None] @ p.reshape(n, 2, m, 1)
+    deviation = np.array([np.linalg.norm(g) for g in (y[:, 0] - y[:, 1]).reshape(n, -1)])
+    gram = vt @ vm if m >= vm.shape[2] else vm @ vt
+    v_norm = np.sqrt(np.maximum(np.abs(eigvalsh_sym(gram)).max(axis=1), 0.0))
+    z_norm = np.array([np.linalg.norm(row) for row in zm])
+    bound = 0.5 * v_norm * z_norm * np.abs(a[:, 0] - a[:, 1])
+    cols = (deviation, bound, bound - deviation)
+    if stacked:
+        return LipschitzReport(a[:, 0], a[:, 1], *cols)
+    return LipschitzReport(alpha1, alpha2, *(float(c[0]) for c in cols))
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,16 @@ def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.n
     return factors
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_gamma_max(gamma_max: float) -> None:
+    if not 1 <= gamma_max < math.inf:
+        raise ValueError(f"gamma_max must be >= 1 and finite, got {gamma_max}")
+
+
 def apply_group_scaling(
     k, partition: KeyPartition, targets: ScalingTargets, gamma: float
 ) -> np.ndarray:
@@ -176,16 +186,21 @@ def apply_group_scaling(
 
     See :func:`key_scale_factors`: a flag naming a group that is empty in the
     partition warns and is a no-op. K is copied; untouched rows are
-    bit-identical to the originals.
+    bit-identical to the originals. A non-positive or non-finite ``gamma``, or
+    one that takes a key entry out of the float64 range, raises ``ValueError``.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive_finite("gamma", gamma)
     km = as_matrix(k, "K")
     if partition.size != km.shape[0]:
         raise ValueError(
             f"partition size {partition.size} != K rows {km.shape[0]}"
         )
-    return km * key_scale_factors(partition, targets.key_groups, gamma)[:, None]
+    factors = key_scale_factors(partition, targets.key_groups, gamma)[:, None]
+    try:
+        with np.errstate(over="raise"):
+            return km * factors
+    except FloatingPointError:
+        raise ValueError(f"gamma must keep the scaled keys finite, got {gamma}") from None
 
 
 def _logistic(u: float) -> float:
@@ -210,10 +225,8 @@ def energy_gamma(logits, gamma_max: float = 1.5, kappa: float = 1.0) -> float:
     zm = as_matrix(logits, "logits")
     if zm.size == 0:
         raise ValueError("empty logits")
-    if gamma_max < 1:
-        raise ValueError(f"gamma_max must be >= 1, got {gamma_max}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_gamma_max(gamma_max)
+    _check_positive_finite("kappa", kappa)
     xbar = float(zm.mean())
     return 1.0 + (gamma_max - 1.0) * _logistic(-xbar / kappa)
 
@@ -236,12 +249,9 @@ class ModulationConfig:
     def __post_init__(self):
         if self.mode not in ("scalar", "energy"):
             raise ValueError(f"unknown modulation mode {self.mode!r}")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 1 <= self.gamma_max < math.inf:
-            raise ValueError(f"gamma_max must be >= 1 and finite, got {self.gamma_max}")
-        if not 0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        _check_positive_finite("gamma", self.gamma)
+        _check_gamma_max(self.gamma_max)
+        _check_positive_finite("kappa", self.kappa)
 
     @property
     def effective(self) -> bool:

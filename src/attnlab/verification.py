@@ -13,13 +13,13 @@ Five suites cover the machinery end to end:
 - deviation: the single-step state deviation bound holds on probed toy
   denoisers.
 
-Each suite is a per-draw generator that yields the draw's report rows and a
-problem string (None when the draw passes); one collector turns the draws into
-a :class:`SuiteResult` with the violation count and the first problem as
-``detail``. The ``sweep`` command's alpha-grid profile runs on the same
-harness (:func:`run_sweep`). ``inject_bug=True`` flips the sign of the first
-row's margin column after the fact — a harness self-test proving the
-violation path is live.
+Each suite gives every draw its report rows and a problem string (None when
+the draw passes); one collector turns the draws into a :class:`SuiteResult`
+with the violation count and the first problem as ``detail``. The
+entropy-slope, curvature and lipschitz suites and the sweep (:func:`run_sweep`)
+draw every case first, then make one stacked pass per same-shaped group.
+``inject_bug=True`` flips the sign of the first row's margin column after the
+fact — a harness self-test proving the violation path is live.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    _row_entropies,
     _variance_rows,
     curvature_rows,
     entropy,
@@ -38,7 +37,7 @@ from .analysis import (
     logit_gap,
 )
 from .attention import attention_forward, scaled_logits
-from .numerics import row_softmax, softmax_vec
+from .numerics import row_softmax
 from .simulate import StepCoefficients, deviation_bound_check, make_toy_denoiser
 
 PAIRWISE_TOLERANCE = 1e-12
@@ -71,16 +70,17 @@ class SuiteResult:
         return self.violations == 0
 
 
-def _draw_gapped_logits(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Logits with a top-two gap of at least MIN_LOGIT_GAP (unique maximum).
+def _draw_gapped_logits(rng: np.random.Generator, m: int) -> tuple[np.ndarray, float]:
+    """Logits with a top-two gap of at least MIN_LOGIT_GAP (unique maximum), and that gap.
 
     Tiny gaps make the decay bounds vacuous at representable alpha, so draws
     below the floor are rejected and redrawn.
     """
     while True:
         z = rng.uniform(-10.0, 10.0, size=m)
-        if m == 1 or logit_gap(z) >= MIN_LOGIT_GAP:
-            return z
+        gap = logit_gap(z)
+        if m == 1 or gap >= MIN_LOGIT_GAP:
+            return z, gap
 
 
 def _collect(name: str, draws) -> SuiteResult:
@@ -98,10 +98,34 @@ def _collect(name: str, draws) -> SuiteResult:
     return SuiteResult(name, columns, rows, violations, detail)
 
 
-def _nonincreasing(values, scale: float = 1.0) -> bool:
-    """Each value is at most its predecessor plus MONOTONE_SLACK * scale."""
-    slack = MONOTONE_SLACK * scale
-    return all(b <= a + slack for a, b in zip(values, values[1:]))
+def _batched(draws: list, run_group) -> list:
+    """Replace each draw of ``draws`` by its ``(rows, problem)`` pair, one pass per group.
+
+    ``draws`` holds one tuple of fields per draw, and draws whose fields have
+    equal shapes form a group. ``run_group(idx, *columns)`` gets the group's
+    draw indices and each field stacked over its draws, and yields one pair
+    per draw of the group, in order; each pair takes its draw's slot, so the
+    list ends in draw order and holds each draw's inputs or its result.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, draw in enumerate(draws):
+        groups.setdefault(tuple(getattr(x, "shape", ()) for x in draw), []).append(i)
+    for idx in groups.values():
+        columns = (np.array(col) for col in zip(*(draws[i] for i in idx)))
+        for i, pair in zip(idx, run_group(idx, *columns)):
+            draws[i] = pair
+    return draws
+
+
+def _per_draw(*columns):
+    """Zip the columns of a group pass, arrays as Python numbers."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
+
+def _nonincreasing(values: np.ndarray, scale=1.0) -> list[bool]:
+    """Per row: each value is at most its predecessor plus MONOTONE_SLACK * scale."""
+    slack = MONOTONE_SLACK * np.reshape(scale, (-1, 1))
+    return (values[:, 1:] <= values[:, :-1] + slack).all(axis=1).tolist()
 
 
 def _scale_equivalence(seed: int, draws: int):
@@ -141,7 +165,8 @@ def _scale_equivalence(seed: int, draws: int):
 
 def _entropy_slope(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    for i in range(draws):
+    drawn = []
+    for _ in range(draws):
         m = int(rng.integers(2, 17))
         z = rng.uniform(-10.0, 10.0, size=m)
         alpha = float(rng.uniform(0.1, 10.0))
@@ -150,65 +175,54 @@ def _entropy_slope(seed: int, draws: int):
         else:
             size = int(rng.integers(1, m + 1))
             subset = tuple(sorted(rng.choice(m, size=size, replace=False).tolist()))
-        rep = entropy_alpha_report(z, subset, alpha)
-        alpha2 = alpha + float(rng.uniform(0.1, 2.0))
-        h2 = entropy(softmax_vec(alpha2 * z[list(subset)]))
-        monotone_ok = _nonincreasing((rep.entropy, h2))
-        bad = not (monotone_ok and rep.abs_gap < SLOPE_TOLERANCE)
-        row = {
-            "draw": i,
-            "m": m,
-            "subset_size": len(subset),
-            "alpha": alpha,
-            "entropy": rep.entropy,
-            "variance": rep.variance,
-            "slope_gap": rep.abs_gap,
-            "margin": SLOPE_TOLERANCE - rep.abs_gap,
-            "monotone_ok": int(monotone_ok),
-        }
+        drawn.append((z[list(subset)], m, alpha, alpha + float(rng.uniform(0.1, 2.0))))
+    return _batched(drawn, _entropy_slope_pass)
+
+
+def _entropy_slope_pass(idx, zs, ms, alphas, alphas2):
+    rep = entropy_alpha_report(zs, range(zs.shape[1]), alphas)
+    h2 = entropy(row_softmax(alphas2[:, None] * zs))
+    monotone = _nonincreasing(np.stack([rep.entropy, h2], axis=1))
+    cols = _per_draw(idx, ms, alphas, alphas2, rep.entropy, rep.variance, rep.abs_gap, h2, monotone)
+    for i, m, alpha, alpha2, h, variance, abs_gap, h_2, monotone_ok in cols:
+        row = {"draw": i, "m": m, "subset_size": zs.shape[1], "alpha": alpha, "entropy": h,
+               "variance": variance, "slope_gap": abs_gap, "margin": SLOPE_TOLERANCE - abs_gap,
+               "monotone_ok": int(monotone_ok)}
         yield [row], (
-            f"draw {i}: slope gap {rep.abs_gap:.3e}, "
-            f"H({alpha2:.3f})={h2:.6f} vs H({alpha:.3f})={rep.entropy:.6f}"
-            if bad
+            f"draw {i}: slope gap {abs_gap:.3e}, "
+            f"H({alpha2:.3f})={h_2:.6f} vs H({alpha:.3f})={h:.6f}"
+            if not (monotone_ok and abs_gap < SLOPE_TOLERANCE)
             else None
         )
 
 
 def _curvature(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    for i in range(draws):
-        m = int(rng.integers(2, 17))
-        z = _draw_gapped_logits(rng, m)
-        alpha = float(rng.uniform(0.1, 10.0))
-        delta = logit_gap(z)
-        # One stacked solve: the drawn alpha and the collapse point 50/Delta.
-        curv = curvature_rows(z, (alpha, 50.0 / delta))
-        norm, collapse_norm = curv.spectral_norm.tolist()
-        decay_bound = curv.decay_bound.tolist()[0]
-        psd_ok = float(curv.min_eigenvalue[0]) >= -PSD_SLACK
-        grid = np.linspace(2.0 / delta, 50.0 / delta, 25)
-        envelope = (2.0 * grid**2 * (m - 1) * np.exp(-grid * delta)).tolist()
-        env_ok = _nonincreasing(envelope, max(1.0, envelope[0]))
-        collapse_ok = collapse_norm < COLLAPSE_NORM_LIMIT
-        row = {
-            "draw": i,
-            "m": m,
-            "alpha": alpha,
-            "logit_gap": delta,
-            "spectral_norm": norm,
-            "decay_bound": decay_bound,
-            "tail_mass": curv.tail_mass.tolist()[0],
-            "tail_bound": curv.tail_bound.tolist()[0],
-            "gershgorin_bound": curv.gershgorin_bound.tolist()[0],
-            "margin": decay_bound - norm,
-            "collapse_norm": collapse_norm,
-            "psd_ok": int(psd_ok),
-            "envelope_ok": int(env_ok),
-        }
-        bad = bool(curv.violations[0]) or not (psd_ok and env_ok and collapse_ok)
+    drawn = [(*_draw_gapped_logits(rng, int(rng.integers(2, 17))), float(rng.uniform(0.1, 10.0)))
+             for _ in range(draws)]
+    return _batched(drawn, _curvature_pass)
+
+
+def _curvature_pass(idx, zs, deltas, alphas):
+    m = zs.shape[1]
+    # Two alphas per draw: the drawn one and the collapse point 50/Delta.
+    curv = curvature_rows(zs, np.stack([alphas, 50.0 / deltas], axis=1))
+    grid = np.linspace(2.0 / deltas, 50.0 / deltas, 25, axis=1)
+    envelope = 2.0 * grid**2 * (m - 1) * np.exp(-grid * deltas[:, None])
+    env_oks = _nonincreasing(envelope, np.maximum(1.0, envelope[:, 0]))
+    psd_oks = curv.min_eigenvalue[:, 0] >= -PSD_SLACK
+    cols = _per_draw(idx, alphas, deltas, curv.spectral_norm, curv.decay_bound[:, 0],
+                     curv.tail_mass[:, 0], curv.tail_bound[:, 0], curv.gershgorin_bound[:, 0],
+                     psd_oks, env_oks, [v[0] for v in curv.violations])
+    for i, alpha, delta, (norm, collapse), decay, tail, tail_b, gersh, psd_ok, env_ok, viol in cols:
+        row = {"draw": i, "m": m, "alpha": alpha, "logit_gap": delta, "spectral_norm": norm,
+               "decay_bound": decay, "tail_mass": tail, "tail_bound": tail_b,
+               "gershgorin_bound": gersh, "margin": decay - norm, "collapse_norm": collapse,
+               "psd_ok": int(psd_ok), "envelope_ok": int(env_ok)}
+        bad = bool(viol) or not (psd_ok and env_ok and collapse < COLLAPSE_NORM_LIMIT)
         yield [row], (
-            f"draw {i}: bound violations {curv.violations[0]}, psd_ok={psd_ok}, "
-            f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}"
+            f"draw {i}: bound violations {viol}, psd_ok={psd_ok}, "
+            f"env_ok={env_ok}, norm at 50/gap = {collapse:.3e}"
             if bad
             else None
         )
@@ -216,29 +230,25 @@ def _curvature(seed: int, draws: int):
 
 def _lipschitz(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    for i in range(draws):
+    drawn = []
+    for _ in range(draws):
         m = int(rng.integers(2, 17))
         d_v = int(rng.integers(1, 9))
         z = rng.normal(0.0, 2.0, size=m)
         v = rng.normal(size=(m, d_v))
-        alpha1 = float(rng.uniform(0.5, 3.0))
-        alpha2 = float(rng.uniform(0.5, 3.0))
-        rep = lipschitz_report(z, v, alpha1, alpha2)
-        row = {
-            "draw": i,
-            "m": m,
-            "d_v": d_v,
-            "alpha1": alpha1,
-            "alpha2": alpha2,
-            "deviation": rep.deviation,
-            "bound": rep.bound,
-            "margin": rep.margin,
-        }
-        yield [row], (
-            f"draw {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
-            if rep.margin < 0
-            else None
-        )
+        drawn.append((z, v, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))))
+    return _batched(drawn, _lipschitz_pass)
+
+
+def _lipschitz_pass(idx, zs, vs, alphas1, alphas2):
+    _, m, d_v = vs.shape
+    rep = lipschitz_report(zs, vs, alphas1, alphas2)
+    cols = _per_draw(idx, alphas1, alphas2, rep.deviation, rep.bound, rep.margin)
+    for i, alpha1, alpha2, deviation, bound, margin in cols:
+        row = {"draw": i, "m": m, "d_v": d_v, "alpha1": alpha1, "alpha2": alpha2,
+               "deviation": deviation, "bound": bound, "margin": margin}
+        problem = f"draw {i}: deviation {deviation:.6e} exceeds bound {bound:.6e}"
+        yield [row], problem if margin < 0 else None
 
 
 DEVIATION_ALPHA_GRID = (1.15, 1.25, 1.35)
@@ -285,8 +295,9 @@ def _deviation(seed: int, probes: int):
         )
 
 
-# Per-draw generators by suite name; each takes (seed, count), where count is
-# the probe count for the deviation suite and the draw count for the others.
+# Suites by name; each takes (seed, count), where count is the probe count for
+# the deviation suite and the draw count for the others, and gives one
+# (rows, problem) pair per draw, in draw order.
 _SUITE_FUNCS = {
     "scale-equivalence": _scale_equivalence,
     "entropy-slope": _entropy_slope,
@@ -313,50 +324,32 @@ def run_suite(
     return result
 
 
-def _sweep(z_draws, alpha_grid):
-    for i, z in enumerate(z_draws):
-        gap = logit_gap(z)
-        if alpha_grid:
-            grid = sorted(alpha_grid)
-        elif gap > 0:
-            grid = sorted(r / gap for r in SWEEP_GAP_RATIOS)
-        else:
-            raise ValueError(
-                f"draw {i} has a tied maximum (top-two gap 0), so the default grid "
-                "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
-            )
-        # One stacked pass over the draw's grid; row k is curvature_report(z, grid[k]).
-        curv = curvature_rows(z, grid)
-        entropies = _row_entropies(curv.p).tolist()
-        variances = _variance_rows(curv.p, z).tolist()
-        norms, tails, tail_bounds, gersh, decay = (
-            col.tolist()
-            for col in (curv.spectral_norm, curv.tail_mass, curv.tail_bound,
-                        curv.gershgorin_bound, curv.decay_bound)
-        )
-        monotone_ok = _nonincreasing(entropies)
-        env = [d for a, d in zip(grid, decay) if gap > 0 and a >= 2.0 / gap]
-        envelope_ok = _nonincreasing(env, max(1.0, env[0]) if env else 1.0)
-        # The default grid ends at 50/Delta, where the curvature has collapsed.
-        collapse_ok = bool(alpha_grid) or norms[-1] < COLLAPSE_NORM_LIMIT
-        bound_ok = not any(curv.violations)
+def _sweep(idx, zs, gaps, grid):
+    n = gaps.size
+    alphas = np.tile(grid, (n, 1)) if grid else np.divide(SWEEP_GAP_RATIOS, gaps[:, None])
+    curv = curvature_rows(zs, alphas)
+    entropies = entropy(curv.p.reshape(-1, zs.shape[1])).reshape(n, -1)
+    variances = _variance_rows(curv.p, zs[:, None, :])
+    monotone = _nonincreasing(entropies)
+    # The envelope is checked from 2/Delta on, a suffix of each sorted grid;
+    # the decay bounds before it (all of them when Delta = 0) read as inf.
+    checked = alphas >= np.divide(2.0, gaps, out=np.full(n, np.inf), where=gaps > 0)[:, None]
+    first = curv.decay_bound[np.arange(n), np.argmax(checked, axis=1)]
+    env = np.where(checked, curv.decay_bound, np.inf)
+    envelope = _nonincreasing(env, np.maximum(1.0, first))
+    # The default grid ends at 50/Delta, where the curvature has collapsed.
+    collapse = (curv.spectral_norm[:, -1] < COLLAPSE_NORM_LIMIT) | bool(grid)
+    cols = _per_draw(idx, gaps, [grid] * n if grid else alphas, monotone, envelope, collapse,
+                     curv.violations, entropies, variances, curv.spectral_norm, curv.tail_mass,
+                     curv.tail_bound, curv.gershgorin_bound, curv.decay_bound)
+    for i, gap, grid_i, monotone_ok, envelope_ok, collapse_ok, violations, *per_alpha in cols:
+        bound_ok = not any(violations)
         rows = [
-            {
-                "draw": i,
-                "alpha": alpha,
-                "entropy": entropies[k],
-                "variance": variances[k],
-                "spectral_norm": norms[k],
-                "tail_mass": tails[k],
-                "tail_bound": tail_bounds[k],
-                "gershgorin_bound": gersh[k],
-                "decay_bound": decay[k],
-                "logit_gap": gap,
-                "entropy_monotone_ok": int(monotone_ok),
-                "envelope_ok": int(envelope_ok),
-                "collapse_ok": int(collapse_ok),
-            }
-            for k, alpha in enumerate(grid)
+            {"draw": i, "alpha": alpha, "entropy": h, "variance": var, "spectral_norm": norm,
+             "tail_mass": tail, "tail_bound": tail_bound, "gershgorin_bound": gersh,
+             "decay_bound": decay, "logit_gap": gap, "entropy_monotone_ok": int(monotone_ok),
+             "envelope_ok": int(envelope_ok), "collapse_ok": int(collapse_ok)}
+            for alpha, h, var, norm, tail, tail_bound, gersh, decay in zip(grid_i, *per_alpha)
         ]
         bad = not (monotone_ok and envelope_ok and collapse_ok and bound_ok)
         yield rows, (
@@ -379,8 +372,15 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
     curvature at 50/Delta is not below COLLAPSE_NORM_LIMIT.
     """
     if z is not None:
-        z_draws = [z]
+        z_draws = [(z, logit_gap(z))]
     else:
         rng = np.random.default_rng(seed)
         z_draws = [_draw_gapped_logits(rng, int(rng.integers(2, 17))) for _ in range(draws)]
-    return _collect("sweep", _sweep(z_draws, alpha_grid))
+    for i, (_, gap) in enumerate(z_draws):
+        if not alpha_grid and gap == 0:
+            raise ValueError(
+                f"draw {i} has a tied maximum (top-two gap 0), so the default grid "
+                "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
+            )
+    grid = sorted(alpha_grid) if alpha_grid else None
+    return _collect("sweep", _batched(z_draws, lambda idx, *cols: _sweep(idx, *cols, grid)))

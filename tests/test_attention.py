@@ -248,3 +248,35 @@ def test_modulation_config_rejects_a_non_finite_gamma_max(value):
 def test_modulation_config_rejects_a_non_finite_kappa(value):
     with pytest.raises(ValueError, match="kappa must be positive"):
         ModulationConfig(mode="energy", kappa=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_energy_gamma_rejects_a_non_finite_gamma_max(value):
+    with pytest.raises(ValueError, match="gamma_max must be >= 1 and finite, got"):
+        energy_gamma([[0.0]], gamma_max=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_energy_gamma_rejects_a_non_finite_kappa(value):
+    with pytest.raises(ValueError, match="kappa must be positive and finite, got"):
+        energy_gamma([[0.0]], kappa=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_apply_group_scaling_rejects_a_non_finite_gamma(value):
+    k = np.ones((6, 2))
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got"):
+        apply_group_scaling(k, build_partition(2, 2, 2), ScalingTargets({"text"}), value)
+
+
+def test_apply_group_scaling_names_a_gamma_that_overflows_the_keys():
+    # Only the scaled rows can leave the float64 range: a huge untouched key
+    # is multiplied by 1.0 and stays finite. No overflow warning is emitted.
+    part = build_partition(1, 1, 1)
+    k = np.array([[2.0, 1.0], [1e300, -3.0], [0.5, 0.25]])
+    scaled = apply_group_scaling(k, part, ScalingTargets({"text", "video"}), 1e307)
+    assert scaled[1].tolist() == k[1].tolist()
+    with pytest.raises(ValueError, match=r"^gamma must keep the scaled keys finite, got 1e\+307$"):
+        apply_group_scaling(k, part, ScalingTargets({"image"}), 1e307)
+    with pytest.raises(ValueError, match=r"got 1e\+308$"):
+        apply_group_scaling(k, part, ScalingTargets({"text"}), 1e308)

@@ -932,3 +932,15 @@ def test_verify_makes_no_directory_when_a_suite_fails_to_run(tmp_path, capsys, m
     assert main(["verify", "--draws", "2", "--probes", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "invalid input: suite broke\n"
     assert not out.exists()
+
+
+def test_gamma_that_overflows_the_keys_is_named_and_writes_nothing(tmp_path, capsys):
+    # The key scaling leaves the float64 range: the error names gamma, and no
+    # numpy overflow warning is printed (tier-1 turns warnings into errors).
+    out = tmp_path / "out"
+    argv = ["simulate", "--steps", "3", "--blocks", "2", "--gamma", "1e308", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: gamma must keep the scaled keys finite, got 1e+308\n"
+    )
+    assert not out.exists()

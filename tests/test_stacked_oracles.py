@@ -10,22 +10,28 @@ softmax underflows to exact zeros, non-contiguous inputs and every key
 position of the conflict experiment.
 """
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from attnlab import analysis
+from attnlab import verification as V
 from attnlab.analysis import (
     DEFAULT_FD_STEP,
+    CurvatureRows,
     EntropyReport,
     LipschitzReport,
     _variance_rows,
+    curvature_rows,
     entropy,
     entropy_alpha_report,
     group_mass_rows,
     lipschitz_report,
+    logit_gap,
 )
 from attnlab.attention import ScalingTargets, key_scale_factors, resolve_targets
 from attnlab.numerics import row_softmax, softmax_vec, spectral_norm
@@ -279,3 +285,378 @@ def test_sharpening_curve_matches_the_double_loop(case, strided):
     want = _sharpening_loop(z, subset, gammas)
     assert got.shape == want.shape
     assert _bits(got.ravel().tolist()) == _bits(want.ravel().tolist())
+
+
+# -- stack forms of the report kernels ------------------------------------------
+
+
+def _curvature_fields(rows):
+    """Every CurvatureRows field; floats as hex, so equality is bitwise."""
+    arrays = (rows.p, rows.spectral_norm, rows.min_eigenvalue, rows.gershgorin_bound,
+              rows.tail_mass, rows.tail_bound, rows.decay_bound)
+    return [_bits(np.asarray(a).tolist()) for a in arrays] + [
+        _bits(np.asarray(rows.logit_gap).tolist()),
+        np.asarray(rows.gap_applicable).tolist(),
+        rows.violations,
+    ]
+
+
+def _stacked_curvature_matches_rows(z, alphas):
+    stacked = curvature_rows(z, alphas)
+    assert stacked.p.shape == (z.shape[0], alphas.shape[1], z.shape[1])
+    for n in range(z.shape[0]):
+        one = curvature_rows(z[n], alphas[n])
+        row = CurvatureRows(*(getattr(stacked, f.name)[n] for f in fields(stacked)))
+        assert _curvature_fields(row) == _curvature_fields(one)
+
+
+@st.composite
+def _curvature_stacks(draw):
+    """(z, alphas): N logit vectors of one length, with ties and underflowing tails."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 16))
+    z = draw(arrays(np.float64, (n, m), elements=st.floats(-40.0, 40.0)))
+    for i in range(n):
+        if m > 1 and draw(st.booleans()):
+            z[i, draw(st.integers(0, m - 1))] = z[i].max()  # tied maximum
+    k = draw(st.integers(1, 5))
+    alphas = draw(arrays(np.float64, (n, k), elements=st.floats(1e-3, 1e3)))
+    return z, alphas
+
+
+@seed(26)
+@settings(max_examples=200, deadline=None)
+@given(case=_curvature_stacks())
+def test_curvature_rows_stack_matches_one_vector_calls(case):
+    _stacked_curvature_matches_rows(*case)
+
+
+def test_curvature_rows_stack_covers_ties_one_logit_and_underflow():
+    # A tied row between gapped rows, and alphas that underflow every tail entry.
+    z = np.array([[30.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, -1.0, 0.5]])
+    alphas = np.array([[0.5, 50.0], [1.0, 2.0], [3.0, 1e3]])
+    stacked = curvature_rows(z, alphas)
+    assert stacked.gap_applicable.tolist() == [True, False, True]
+    assert (stacked.p[0, 1, 1:] == 0.0).all() and stacked.tail_mass[0, 1] == 0.0
+    _stacked_curvature_matches_rows(z, alphas)
+    _stacked_curvature_matches_rows(np.array([[3.0], [-1.0]]), np.array([[2.0], [0.5]]))
+
+
+def test_curvature_rows_stack_chunks_across_a_vector_bit_for_bit(monkeypatch):
+    # A budget of 3 Hessians of m = 4 splits the 2 x 5 grid into chunks of
+    # 3, 3, 3 and 1 rows: the second chunk spans both logit vectors.
+    z = np.array([[3.0, 1.0, 0.5, -2.0], [0.0, 4.0, 4.5, 1.0]])
+    alphas = np.array([[0.3, 1.0, 2.0, 5.0, 9.0], [0.1, 0.7, 3.0, 8.0, 20.0]])
+    whole = curvature_rows(z, alphas)
+    monkeypatch.setattr(analysis, "_HESSIAN_STACK_ENTRIES", 3 * 16)
+    solves = []
+    original = analysis.eigvalsh_sym
+    monkeypatch.setattr(analysis, "eigvalsh_sym", lambda h: solves.append(len(h)) or original(h))
+    chunked = curvature_rows(z, alphas)
+    assert solves == [3, 3, 3, 1]
+    assert _curvature_fields(chunked) == _curvature_fields(whole)
+    _stacked_curvature_matches_rows(z, alphas)
+
+
+def test_logit_gap_stack_matches_one_vector_calls():
+    z = np.array([[3.0, 1.0, 2.5], [1.0, 1.0, 0.0], [-2.0, 7.0, 6.999]])
+    assert _bits(logit_gap(z).tolist()) == _bits([logit_gap(row) for row in z])
+    assert logit_gap(np.array([[4.0], [-1.0]])).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="non-finite logits"):
+        logit_gap(np.array([[1.0, np.inf]]))
+
+
+def test_curvature_rows_stack_rejects_what_the_vector_form_rejects():
+    z = np.array([[1.0, 0.0], [2.0, 0.5]])
+    with pytest.raises(ValueError, match="alpha must be positive, got -1.0"):
+        curvature_rows(z, np.array([[1.0, 2.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite logits"):
+        curvature_rows(np.array([[1.0, np.nan]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match=r"alpha grid rows \(1\) != logit rows \(2\)"):
+        curvature_rows(z, np.array([[1.0, 2.0]]))
+
+
+@seed(27)
+@settings(max_examples=150, deadline=None)
+@given(case=_subset_cases(), n=st.integers(1, 5), data=st.data())
+def test_entropy_and_entropy_alpha_report_stacks_match_one_row_calls(case, n, data):
+    z, s = case
+    zs = np.stack([np.roll(z, i) for i in range(n)])
+    alphas = data.draw(arrays(np.float64, (n,), elements=st.floats(2e-5, 50.0)))
+    stacked = entropy_alpha_report(zs, s, alphas)
+    for i in range(n):
+        one = entropy_alpha_report(zs[i], s, float(alphas[i]))
+        assert _bits([np.asarray(f)[i].item() for f in astuple(stacked)]) == _bits(astuple(one))
+    p = row_softmax(alphas[:, None] * zs)
+    assert _bits(entropy(p).tolist()) == _bits([entropy(row) for row in p])
+
+
+@seed(28)
+@settings(max_examples=100, deadline=None)
+@given(
+    z=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 16)), elements=logits),
+    d_v=st.integers(1, 8),
+    data=st.data(),
+)
+def test_lipschitz_report_stack_matches_one_row_calls(z, d_v, data):
+    n, m = z.shape
+    v = np.random.default_rng(m * d_v).normal(size=(n, m, d_v))
+    a1, a2 = (data.draw(arrays(np.float64, (n,), elements=st.floats(1e-3, 10.0)))
+              for _ in range(2))
+    stacked = lipschitz_report(z, v, a1, a2)
+    for i in range(n):
+        one = lipschitz_report(z[i], v[i], float(a1[i]), float(a2[i]))
+        assert _bits([np.asarray(f)[i].item() for f in astuple(stacked)]) == _bits(astuple(one))
+
+
+# -- the batched suites against their per-draw loops -----------------------------
+#
+# The loops below are the suites as they were written draw by draw: each draw
+# makes its own one-vector calls, in draw order. The suites now draw every case
+# first and make one stacked pass per shape, so each report row is compared
+# with the loop's by repr, with the violation count and the first problem.
+# The suite constants are read at call time, so a test can tighten them to
+# make the violation path fire in both forms.
+
+
+def _gapped_loop(rng, m):
+    while True:
+        z = rng.uniform(-10.0, 10.0, size=m)
+        if logit_gap(z) >= V.MIN_LOGIT_GAP:
+            return z
+
+
+def _nonincreasing_loop(values, scale=1.0):
+    slack = V.MONOTONE_SLACK * scale
+    return all(b <= a + slack for a, b in zip(values, values[1:]))
+
+
+def _entropy_slope_loop(seed_, draws):
+    rng = np.random.default_rng(seed_)
+    for i in range(draws):
+        m = int(rng.integers(2, 17))
+        z = rng.uniform(-10.0, 10.0, size=m)
+        alpha = float(rng.uniform(0.1, 10.0))
+        if rng.random() < 0.5:
+            subset = tuple(range(m))
+        else:
+            size = int(rng.integers(1, m + 1))
+            subset = tuple(sorted(rng.choice(m, size=size, replace=False).tolist()))
+        rep = entropy_alpha_report(z, subset, alpha)
+        alpha2 = alpha + float(rng.uniform(0.1, 2.0))
+        h2 = entropy(softmax_vec(alpha2 * z[list(subset)]))
+        monotone_ok = _nonincreasing_loop((rep.entropy, h2))
+        bad = not (monotone_ok and rep.abs_gap < V.SLOPE_TOLERANCE)
+        row = {"draw": i, "m": m, "subset_size": len(subset), "alpha": alpha,
+               "entropy": rep.entropy, "variance": rep.variance, "slope_gap": rep.abs_gap,
+               "margin": V.SLOPE_TOLERANCE - rep.abs_gap, "monotone_ok": int(monotone_ok)}
+        yield [row], (
+            f"draw {i}: slope gap {rep.abs_gap:.3e}, "
+            f"H({alpha2:.3f})={h2:.6f} vs H({alpha:.3f})={rep.entropy:.6f}" if bad else None
+        )
+
+
+def _curvature_loop(seed_, draws):
+    rng = np.random.default_rng(seed_)
+    for i in range(draws):
+        m = int(rng.integers(2, 17))
+        z = _gapped_loop(rng, m)
+        alpha = float(rng.uniform(0.1, 10.0))
+        delta = logit_gap(z)
+        curv = curvature_rows(z, (alpha, 50.0 / delta))
+        norm, collapse_norm = curv.spectral_norm.tolist()
+        decay_bound = curv.decay_bound.tolist()[0]
+        psd_ok = float(curv.min_eigenvalue[0]) >= -V.PSD_SLACK
+        grid = np.linspace(2.0 / delta, 50.0 / delta, 25)
+        envelope = (2.0 * grid**2 * (m - 1) * np.exp(-grid * delta)).tolist()
+        env_ok = _nonincreasing_loop(envelope, max(1.0, envelope[0]))
+        collapse_ok = collapse_norm < V.COLLAPSE_NORM_LIMIT
+        row = {"draw": i, "m": m, "alpha": alpha, "logit_gap": delta, "spectral_norm": norm,
+               "decay_bound": decay_bound, "tail_mass": curv.tail_mass.tolist()[0],
+               "tail_bound": curv.tail_bound.tolist()[0],
+               "gershgorin_bound": curv.gershgorin_bound.tolist()[0],
+               "margin": decay_bound - norm, "collapse_norm": collapse_norm,
+               "psd_ok": int(psd_ok), "envelope_ok": int(env_ok)}
+        bad = bool(curv.violations[0]) or not (psd_ok and env_ok and collapse_ok)
+        yield [row], (
+            f"draw {i}: bound violations {curv.violations[0]}, psd_ok={psd_ok}, "
+            f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}" if bad else None
+        )
+
+
+def _lipschitz_loop(seed_, draws):
+    rng = np.random.default_rng(seed_)
+    for i in range(draws):
+        m = int(rng.integers(2, 17))
+        d_v = int(rng.integers(1, 9))
+        z = rng.normal(0.0, 2.0, size=m)
+        v = rng.normal(size=(m, d_v))
+        alpha1 = float(rng.uniform(0.5, 3.0))
+        alpha2 = float(rng.uniform(0.5, 3.0))
+        rep = lipschitz_report(z, v, alpha1, alpha2)
+        row = {"draw": i, "m": m, "d_v": d_v, "alpha1": alpha1, "alpha2": alpha2,
+               "deviation": rep.deviation, "bound": rep.bound, "margin": rep.margin}
+        yield [row], (
+            f"draw {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
+            if rep.margin < 0 else None
+        )
+
+
+def _sweep_loop(z_draws, alpha_grid):
+    for i, z in enumerate(z_draws):
+        gap = logit_gap(z)
+        if alpha_grid:
+            grid = sorted(alpha_grid)
+        elif gap > 0:
+            grid = sorted(r / gap for r in V.SWEEP_GAP_RATIOS)
+        else:
+            raise ValueError(
+                f"draw {i} has a tied maximum (top-two gap 0), so the default grid "
+                "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
+            )
+        curv = curvature_rows(z, grid)
+        entropies = [entropy(row) for row in curv.p]
+        variances = _variance_rows(curv.p, z).tolist()
+        norms, tails, tail_bounds, gersh, decay = (
+            col.tolist() for col in (curv.spectral_norm, curv.tail_mass, curv.tail_bound,
+                                     curv.gershgorin_bound, curv.decay_bound)
+        )
+        monotone_ok = _nonincreasing_loop(entropies)
+        env = [d for a, d in zip(grid, decay) if gap > 0 and a >= 2.0 / gap]
+        envelope_ok = _nonincreasing_loop(env, max(1.0, env[0]) if env else 1.0)
+        collapse_ok = bool(alpha_grid) or norms[-1] < V.COLLAPSE_NORM_LIMIT
+        bound_ok = not any(curv.violations)
+        rows = [
+            {"draw": i, "alpha": alpha, "entropy": entropies[k], "variance": variances[k],
+             "spectral_norm": norms[k], "tail_mass": tails[k], "tail_bound": tail_bounds[k],
+             "gershgorin_bound": gersh[k], "decay_bound": decay[k], "logit_gap": gap,
+             "entropy_monotone_ok": int(monotone_ok), "envelope_ok": int(envelope_ok),
+             "collapse_ok": int(collapse_ok)}
+            for k, alpha in enumerate(grid)
+        ]
+        bad = not (monotone_ok and envelope_ok and collapse_ok and bound_ok)
+        yield rows, (
+            f"draw {i}: monotone_ok={monotone_ok} envelope_ok={envelope_ok} "
+            f"collapse_ok={collapse_ok} bounds_ok={bound_ok}" if bad else None
+        )
+
+
+def _sweep_draws_loop(seed_, draws):
+    rng = np.random.default_rng(seed_)
+    return [_gapped_loop(rng, int(rng.integers(2, 17))) for _ in range(draws)]
+
+
+def _loop_result(name, pairs, inject_bug=False):
+    """The suite's (rows, violations, detail) from the per-draw pairs."""
+    rows, violations, detail = [], 0, None
+    for draw_rows, problem in pairs:
+        rows.extend(draw_rows)
+        if problem is not None:
+            violations += 1
+            detail = problem if detail is None else detail
+    if inject_bug and rows:
+        rows[0]["margin"] = -abs(rows[0]["margin"]) - 1.0
+        violations += 1
+        detail = "injected-bug hook: flipped the sign of row 0's margin"
+    return repr(rows), violations, detail
+
+
+def _result(res):
+    assert res.columns == (tuple(res.rows[0]) if res.rows else ())
+    return repr(res.rows), res.violations, res.detail
+
+
+SUITE_LOOPS = {
+    "entropy-slope": _entropy_slope_loop,
+    "curvature": _curvature_loop,
+    "lipschitz": _lipschitz_loop,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_LOOPS))
+@pytest.mark.parametrize("seed_", [0, 1, 5])
+@pytest.mark.parametrize("draws", [0, 1, 7, 60])
+@pytest.mark.parametrize("inject_bug", [False, True])
+def test_batched_suite_matches_its_per_draw_loop(name, seed_, draws, inject_bug):
+    got = V.run_suite(name, seed=seed_, draws=draws, inject_bug=inject_bug)
+    want = _loop_result(name, SUITE_LOOPS[name](seed_, draws), inject_bug)
+    assert _result(got) == want
+
+
+def test_batched_suites_have_singleton_groups_at_seven_draws():
+    # Seven draws over 15 logit lengths leave some length with a single draw.
+    rng = np.random.default_rng(1)
+    lengths = [len(_gapped_loop(rng, int(rng.integers(2, 17)))) for _ in range(7)]
+    assert 1 in [lengths.count(m) for m in set(lengths)]
+
+
+@pytest.mark.parametrize(
+    "name, patches",
+    [
+        ("entropy-slope", {"SLOPE_TOLERANCE": 1e-9}),
+        ("entropy-slope", {"MONOTONE_SLACK": -1e-3}),
+        ("curvature", {"COLLAPSE_NORM_LIMIT": 1e-40, "PSD_SLACK": -1.0}),
+        ("curvature", {"MONOTONE_SLACK": -1e-3}),
+    ],
+)
+def test_batched_suite_violations_match_the_loop(monkeypatch, name, patches):
+    for attr, value in patches.items():
+        monkeypatch.setattr(V, attr, value)
+    want = _loop_result(name, SUITE_LOOPS[name](3, 80))
+    assert want[1] > 0
+    assert _result(V.run_suite(name, seed=3, draws=80)) == want
+
+
+def test_batched_curvature_bound_violations_match_the_loop(monkeypatch):
+    monkeypatch.setattr(analysis, "_BOUND_SLACK", -1e-3)
+    want = _loop_result("curvature", _curvature_loop(2, 40))
+    assert want[1] > 0
+    assert _result(V.run_suite("curvature", seed=2, draws=40)) == want
+    want = _loop_result("sweep", _sweep_loop(_sweep_draws_loop(2, 40), None))
+    assert want[1] > 0
+    assert _result(V.run_sweep(seed=2, draws=40)) == want
+
+
+@pytest.mark.parametrize("seed_", [0, 1, 5])
+@pytest.mark.parametrize("draws", [0, 1, 7, 60])
+@pytest.mark.parametrize("alpha_grid", [None, [0.5, 3.0, 1.0, 40.0, 3.0]])
+def test_batched_sweep_matches_its_per_draw_loop(seed_, draws, alpha_grid):
+    got = V.run_sweep(seed=seed_, draws=draws, alpha_grid=alpha_grid)
+    want = _loop_result("sweep", _sweep_loop(_sweep_draws_loop(seed_, draws), alpha_grid))
+    assert _result(got) == want
+
+
+@pytest.mark.parametrize(
+    "z", [[2.0, 1.0, 0.0], [1e7 + 3.0, 1e7, 1e7 - 2.5, 1e7], [5.0, 5.0, 0.0], [-1.0, 4.0]]
+)
+@pytest.mark.parametrize("alpha_grid", [None, [1.0, 2.0, 3.0], [3.0, 0.25, 3.0]])
+def test_batched_sweep_of_one_vector_matches_the_loop(z, alpha_grid):
+    z = np.array(z)
+    want = None
+    try:
+        want = _loop_result("sweep", _sweep_loop([z], alpha_grid))
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            V.run_sweep(z=z, alpha_grid=alpha_grid)
+        assert str(info.value) == str(e)
+        return
+    assert _result(V.run_sweep(z=z, alpha_grid=alpha_grid)) == want
+
+
+def test_batched_sweep_keeps_the_collapse_and_monotone_violations(monkeypatch):
+    monkeypatch.setattr(V, "COLLAPSE_NORM_LIMIT", 1e-40)
+    monkeypatch.setattr(V, "MONOTONE_SLACK", -1e-6)
+    want = _loop_result("sweep", _sweep_loop(_sweep_draws_loop(4, 50), None))
+    assert want[1] == 50
+    assert _result(V.run_sweep(seed=4, draws=50)) == want
+
+
+def test_batched_sweep_scales_the_envelope_slack_by_its_first_checked_bound(monkeypatch):
+    # Past 2/Delta = 2 the decay bound of (2, 1, 0) falls by about 2e-6 to
+    # 2.0019, less than the slack 1e-6 times the bound at 2 (2.17) but more
+    # than 1e-6 times the bound at the first grid alpha 0.5 (0.61, so 1).
+    monkeypatch.setattr(V, "MONOTONE_SLACK", -1e-6)
+    z, grid = np.array([2.0, 1.0, 0.0]), [0.5, 2.0, 2.0019]
+    want = _loop_result("sweep", _sweep_loop([z], grid))
+    assert "envelope_ok=False" in want[2]
+    assert _result(V.run_sweep(z=z, alpha_grid=grid)) == want
