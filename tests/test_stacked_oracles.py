@@ -8,6 +8,11 @@ those functions used before, written out here so that every stacked result is
 compared with them bit for bit. The draws cover up to 64 keys, rows whose
 softmax underflows to exact zeros, non-contiguous inputs and every key
 position of the conflict experiment.
+
+The last two sections go one level up. ``curvature_rows``, ``logit_gap``,
+``entropy``, ``entropy_alpha_report`` and ``lipschitz_report`` also take a
+stack of vectors, and each stacked row must equal the one-vector call. The
+batched verification suites must equal their per-draw loops, row for row.
 """
 
 from dataclasses import astuple, fields
