@@ -12,7 +12,6 @@ from .analysis import (
     GroupMassReport,
     GroupMassRows,
     LipschitzReport,
-    attention_hessian,
     curvature_report,
     curvature_rows,
     entropy,

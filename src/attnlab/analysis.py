@@ -8,20 +8,18 @@ restricted to an index subset S with renormalization over S only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attention import KeyPartition
-from .numerics import as_matrix, as_vector, eigvalsh_sym, row_softmax, softmax_vec
+from .numerics import as_matrix, as_vector, eigvalsh_sym, row_softmax
 
 ENTROPY_SUM_TOLERANCE = 1e-8
 DEFAULT_FD_STEP = 1e-5
 # Float slack for bound checks that are exact in real arithmetic.
 _BOUND_SLACK = 1e-12
-# Largest Hessian stack curvature_rows builds at once, in float64 entries
-# (128 KiB): a long logit vector or a stack of draws is solved a chunk at a time.
-_HESSIAN_STACK_ENTRIES = 1 << 14
+_SECULAR_STEPS = 100  # cap on the secular solve's steps; brackets close long before
 # Curvature violations by bitmask (bit 0 gershgorin, bit 1 tail, bit 2 decay),
 # each listing the violated bounds in that order.
 _CURVATURE_VIOLATIONS = tuple(
@@ -61,10 +59,15 @@ def _row_entropies(q: np.ndarray) -> np.ndarray:
     positive = q > 0
     h = -(q * np.log(np.where(positive, q, 1.0))).sum(axis=1)
     # A zero term would change how the pairwise sum groups the positive ones,
-    # so a row with zeros sums its positive entries alone.
-    for i in np.flatnonzero(~positive.all(axis=1)):
-        nz = q[i][positive[i]]
-        h[i] = -(nz * np.log(nz)).sum()
+    # so a row with zeros sums its positive entries alone: the rows with c
+    # positive entries gather them, in index order, into a contiguous (rows, c)
+    # stack, whose rows each sum as a vector of c would.
+    counts = positive.sum(axis=1)
+    gapped = np.flatnonzero(counts < q.shape[1])
+    for c in np.unique(counts[gapped]).tolist():
+        rows = gapped[counts[gapped] == c]
+        nz = q[rows][positive[rows]].reshape(-1, c)
+        h[rows] = -(nz * np.log(nz)).sum(axis=1)
     return h
 
 
@@ -135,29 +138,6 @@ def entropy_alpha_report(z, s, alpha) -> EntropyReport:
     return EntropyReport(a, *cols) if stacked else EntropyReport(alpha, *(float(c[0]) for c in cols))
 
 
-def _hessians(p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """The (k, m, m) stack alpha_k^2 (diag(p_k) - p_k p_k^T) for the rows p_k of ``p``.
-
-    Every matrix is exactly symmetric in IEEE arithmetic: entry (i, j) and
-    entry (j, i) are the same products of the same operands.
-    """
-    m = p.shape[1]
-    unscaled = p[:, :, None] * np.eye(m) - p[:, :, None] * p[:, None, :]
-    return (alphas * alphas)[:, None, None] * unscaled
-
-
-def attention_hessian(z, alpha: float) -> np.ndarray:
-    """Hessian of the log-partition alpha |-> log sum exp(alpha z): alpha^2 (diag(p) - p p^T).
-
-    Symmetric PSD with zero row sums; p = softmax(alpha z).
-    """
-    zv = as_vector(z, "logits")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    p = softmax_vec(alpha * zv)
-    return _hessians(p[None, :], np.array([alpha], dtype=np.float64))[0]
-
-
 def logit_gap(z):
     """Gap between the two largest logits: 0.0 for a tied maximum or a single logit.
     An (n, m) stack of logit vectors gives an array of gaps, one per row."""
@@ -172,10 +152,11 @@ def logit_gap(z):
 class CurvatureReport:
     """Curvature of the log-partition at alpha and the decay bounds on it.
 
-    ``tail_mass`` is 1 - p_max, summed over the other entries of p so that it
-    does not cancel to 0; ``tail_bound`` is (m-1) exp(-alpha Delta) with
-    Delta the top-two logit gap; ``gershgorin_bound`` bounds the unscaled
-    curvature matrix diag(p) - p p^T by max_i 2 p_i (1 - p_i), so the Hessian
+    ``tail_mass`` is t = 1 - p_max, summed over the other entries of p so
+    that it does not cancel to 0; ``tail_bound`` is (m-1) exp(-alpha Delta)
+    with Delta the top-two logit gap; ``gershgorin_bound`` bounds the
+    unscaled curvature matrix diag(p) - p p^T by its largest Gershgorin row
+    sum 2 p_i (1 - p_i), taken as 2 p_max t for the top entry, so the Hessian
     norm is at most alpha^2 * gershgorin_bound; ``decay_bound`` is
     2 alpha^2 (m-1) exp(-alpha Delta). With a tied maximum (Delta = 0) the
     gap-based bounds are vacuous and ``gap_applicable`` is False.
@@ -218,6 +199,55 @@ class CurvatureRows:
     violations: tuple
 
 
+def _secular(x, q, top, t):
+    """Phi(x) = top - x + (top - t x) sum_j q_j^2 / (x - q_j), and dPhi/dx, per row."""
+    d = x[:, None] - q
+    w = q * q / d
+    a, s = top - t * x, w.sum(axis=1)
+    return top - x + a * s, -1.0 - t * s - a * (w / d).sum(axis=1)
+
+
+def _spectrum_ends(top, tail, t):
+    """Largest and smallest eigenvalue of diag(p) - p p^T for each row p of a softmax stack.
+
+    ``top`` is each row's entry at its top logit, ``tail`` the C-ordered
+    (rows, m - 1) stack of the others and ``t`` their sums. The eigenvalues
+    are the roots of the secular equation of the rank-one downdate (Golub,
+    SIAM Rev. 1973; Bunch, Nielsen & Sorensen, Numer. Math. 1978), whose top
+    term, written through t, does not cancel near a one-hot row:
+    f(lam) = (top t - lam) / (top - lam) - sum_j tail_j^2 / (tail_j - lam).
+    lam_max, its root in [p_(2), min(top, Gershgorin)], is found in units of
+    t (lam = t x, q = tail / t) on Phi = (top - lam) f / t, convex and
+    decreasing there: Newton steps from the upper end, on the open rows,
+    bisecting when a step leaves the bracket; a row stops once its next
+    point is a bracket end, as a step that rounds to zero is. lam_min is the
+    root nearest 0: 0 when p has an exact 0, else one Newton step from 0.
+    """
+    q = np.divide(tail, t[:, None], out=np.zeros_like(tail), where=t[:, None] > 0.0)
+    lo = q.max(axis=1, initial=0.0)
+    gersh = np.maximum(2.0 * top, (2.0 * q * (1.0 - tail)).max(axis=1, initial=0.0))
+    # top / t >= 2 >= gersh once t <= top / 2, so the clamp keeps the minimum.
+    hi = np.minimum(top / np.maximum(t, 0.5 * top), gersh)
+    x = np.maximum(lo, hi)  # a tie, p_(2) = top, closes the bracket at top
+    rows = np.flatnonzero(lo < hi)
+    lo, hi = lo[rows], hi[rows]
+    for _ in range(_SECULAR_STEPS):
+        if not rows.size:
+            break
+        xr = x[rows]
+        phi, dphi = _secular(xr, q[rows], top[rows], t[rows])
+        lo, hi = np.where(phi >= 0.0, xr, lo), np.where(phi <= 0.0, xr, hi)
+        step = xr - phi / dphi
+        x[rows] = xr = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        open_ = (xr != lo) & (xr != hi)
+        rows, lo, hi = rows[open_], lo[open_], hi[open_]
+    full = np.flatnonzero((tail > 0.0).all(axis=1))
+    phi, dphi = _secular(np.zeros(full.size), q[full], top[full], t[full])
+    lam_min = np.zeros(t.size)
+    lam_min[full] = t[full] * (-phi / dphi)
+    return t * x, lam_min
+
+
 def curvature_rows(z, alphas) -> CurvatureRows:
     """Curvature and its decay bounds at every alpha of a grid, in one stacked pass.
 
@@ -228,14 +258,9 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     the grid belongs to ``z[n]``, and vector n's fields equal
     ``curvature_rows(z[n], alphas[n])`` bit for bit.
 
-    The (N k, m) softmax stack and the (N k, m, m) Hessian stack are built in
-    one pass, and batched :func:`~attnlab.numerics.eigvalsh_sym` calls solve
-    every Hessian. Each Hessian is exactly symmetric (see :func:`_hessians`),
-    so its symmetrized solve equals a plain ``eigvalsh`` of it, and stacked
-    and one-at-a-time solves agree. The Hessians are built and solved in
-    chunks of at most ``_HESSIAN_STACK_ENTRIES`` entries (or one Hessian),
-    so a long logit vector or a large stack needs no more memory than one
-    chunk at a time.
+    The (N k, m) softmax stack is built in one pass. The Hessian
+    alpha^2 (diag(p) - p p^T) is never formed: :func:`_spectrum_ends` solves
+    for its extreme eigenvalues in O(m) per row and step.
     """
     a = np.asarray(alphas, dtype=np.float64)
     stacked = a.ndim == 2
@@ -262,27 +287,24 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     # so each row's pairwise sum groups them as a vector of m - 1 would.
     off = np.arange(m - 1)
     off = off + (off >= np.argmax(zm, axis=1)[:, None])
-    tail_mass = np.take_along_axis(p.reshape(n, k, m), off[:, None, :], axis=2).sum(axis=2)
+    tail = np.take_along_axis(p.reshape(n, k, m), off[:, None, :], axis=2).reshape(n * k, m - 1)
+    tail_mass = tail.sum(axis=1)
+    top = p.max(axis=1)  # p at the top logit: softmax keeps the logits' order
     af = a.ravel()
     gaps = np.repeat(delta, k).tolist()
     tail_bound = np.array([(m - 1) * math.exp(-x * g) for x, g in zip(af.tolist(), gaps)])
-    gersh = (2.0 * p * (1.0 - p)).max(axis=1)
+    # The top row's Gershgorin sum p_max (1 - p_max) is p_max t, which does not cancel.
+    gersh = np.maximum(2.0 * top * tail_mass, (2.0 * tail * (1.0 - tail)).max(axis=1, initial=0.0))
     decay_bound = 2.0 * af * af * tail_bound
-    chunk = max(1, _HESSIAN_STACK_ENTRIES // (m * m))
-    eigs = np.concatenate(
-        [
-            eigvalsh_sym(_hessians(p[i : i + chunk], af[i : i + chunk]))
-            for i in range(0, af.size, chunk)
-        ]
-    )
-    norm = np.abs(eigs).max(axis=1)
+    lam_max, lam_min = _spectrum_ends(top, tail, tail_mass)
+    norm = af * af * lam_max
 
     slack = _BOUND_SLACK * np.maximum(1.0, af * af)
     mask = (norm > af * af * gersh + slack).astype(int)
     mask += np.repeat(gap_applicable, k) * (
-        2 * (tail_mass.ravel() > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
+        2 * (tail_mass > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
     )
-    per_alpha = (norm, eigs[:, 0], gersh, tail_mass, tail_bound, decay_bound)
+    per_alpha = (norm, af * af * lam_min, gersh, tail_mass, tail_bound, decay_bound)
     cols = (p.reshape(n, k, m), *(c.reshape(n, k) for c in per_alpha))
     violations = tuple(
         tuple(_CURVATURE_VIOLATIONS[j] for j in row) for row in mask.reshape(n, k).tolist()
@@ -297,21 +319,13 @@ def curvature_report(z, alpha: float) -> CurvatureReport:
     """Curvature of the log-partition at one alpha: the one-alpha case of
     :func:`curvature_rows`, with its checks and errors.
 
-    The spectral norm comes from a symmetric eigensolve of the exactly
-    symmetric Hessian alpha^2 (diag(p) - p p^T).
+    The spectral norm is alpha^2 times the largest root of the secular
+    equation of diag(p) - p p^T (see :func:`_spectrum_ends`).
     """
-    rows = curvature_rows(z, (alpha,))
-    return CurvatureReport(
-        alpha=alpha,
-        spectral_norm=float(rows.spectral_norm[0]),
-        gershgorin_bound=float(rows.gershgorin_bound[0]),
-        tail_mass=float(rows.tail_mass[0]),
-        tail_bound=float(rows.tail_bound[0]),
-        decay_bound=float(rows.decay_bound[0]),
-        logit_gap=rows.logit_gap,
-        gap_applicable=rows.gap_applicable,
-        violations=rows.violations[0],
-    )
+    r = curvature_rows(z, (alpha,))
+    floats = (r.spectral_norm, r.gershgorin_bound, r.tail_mass, r.tail_bound, r.decay_bound)
+    return CurvatureReport(alpha, *(float(c[0]) for c in floats), r.logit_gap, r.gap_applicable,
+                           r.violations[0])
 
 
 @dataclass(frozen=True)
@@ -430,14 +444,8 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
 
 def group_mass_report(p, partition: KeyPartition) -> GroupMassReport:
     """The single-row case of :func:`group_mass_rows`."""
-    pv = as_vector(p, "distribution")
-    rows = group_mass_rows(pv[None, :], partition)
-    return GroupMassReport(
-        mass_text=float(rows.mass_text[0]),
-        mass_image=float(rows.mass_image[0]),
-        mass_video=float(rows.mass_video[0]),
-        entropy_cond=float(rows.entropy_cond[0]),
-    )
+    rows = group_mass_rows(as_vector(p, "distribution")[None, :], partition)
+    return GroupMassReport(*(float(getattr(rows, f.name)[0]) for f in fields(rows)))
 
 
 def flops_overhead(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, fields
@@ -64,7 +65,9 @@ def write_csv(path: str, columns, rows) -> None:
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(columns) + "\n")
-        f.writelines(row_format % tuple(row[c] for c in columns) for row in rows)
+        if columns:  # a run with no rows has no columns, and itemgetter() takes one
+            cells = operator.itemgetter(*columns)
+            f.writelines(row_format % cells(row) for row in rows)
 
 
 def write_report(out_dir: str, stem: str, columns, rows, fmt: str) -> str:

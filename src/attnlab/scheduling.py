@@ -10,7 +10,9 @@ cell scales the targeted groups by gamma unless the modulation cannot scale
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .attention import (
     AttentionResult,
@@ -169,6 +171,7 @@ def scheduled_attention(
     same code path (``result.gamma`` is None), so the result is bit-identical
     to an unscheduled call. In energy mode the coefficient is derived from
     this call's own unscaled logits and is only computed on a scaled cell.
+    A gamma that overflows a scaled key or logit raises ``ValueError`` naming it.
     """
     mod = config.modulation
     if not (config.is_active(block, t) and mod.effective):
@@ -178,4 +181,9 @@ def scheduled_attention(
     else:
         gamma = mod.gamma
     k2 = apply_group_scaling(k, partition, mod.targets, gamma)
-    return replace(attention_forward(q, k2, v), gamma=gamma)
+    try:
+        with np.errstate(over="raise"):
+            res = attention_forward(q, k2, v)
+    except FloatingPointError:
+        raise ValueError(f"gamma must keep the scaled logits finite, got {gamma}") from None
+    return AttentionResult(res.logits, res.probabilities, res.output, gamma)

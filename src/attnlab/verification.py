@@ -141,21 +141,10 @@ def _scale_equivalence(seed: int, draws: int):
         p_q = attention_forward(gamma * q, k, v).probabilities
         p_k = attention_forward(q, gamma * k, v).probabilities
         p_t = row_softmax(gamma * scaled_logits(q, k))
-        max_diff = max(
-            float(np.abs(p_q - p_k).max()),
-            float(np.abs(p_q - p_t).max()),
-            float(np.abs(p_k - p_t).max()),
-        )
+        max_diff = max(float(np.abs(a - b).max()) for a, b in ((p_q, p_k), (p_q, p_t), (p_k, p_t)))
         margin = PAIRWISE_TOLERANCE - max_diff
-        row = {
-            "draw": i,
-            "n": n,
-            "m": m,
-            "d": d,
-            "gamma": gamma,
-            "max_diff": max_diff,
-            "margin": margin,
-        }
+        row = {"draw": i, "n": n, "m": m, "d": d, "gamma": gamma, "max_diff": max_diff,
+               "margin": margin}
         yield [row], (
             f"draw {i}: pairwise diff {max_diff:.3e} exceeds {PAIRWISE_TOLERANCE}"
             if margin < 0
@@ -278,16 +267,8 @@ def _deviation(seed: int, probes: int):
             alpha = float(rng.uniform(0.5, 3.0))
         query = int(rng.integers(0, n_video))
         rep = deviation_bound_check(den, coeffs, t, x, alpha, query=query)
-        row = {
-            "probe": i,
-            "alpha": alpha,
-            "t": t,
-            "b_t": rep.b_t,
-            "deviation": rep.deviation,
-            "bound": rep.bound,
-            "margin": rep.margin,
-            "lipschitz_upper": rep.lipschitz_upper,
-        }
+        row = {"probe": i, "alpha": alpha, "t": t, "b_t": rep.b_t, "deviation": rep.deviation,
+               "bound": rep.bound, "margin": rep.margin, "lipschitz_upper": rep.lipschitz_upper}
         yield [row], (
             f"probe {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
             if rep.margin < 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from attnlab.analysis import (
     CurvatureReport,
     _row_entropies,
-    attention_hessian,
     curvature_report,
     curvature_rows,
     entropy,
@@ -125,6 +125,25 @@ def test_entropy_decreases_with_alpha(z):
 
 # -- curvature ----------------------------------------------------------------
 
+EPS = np.finfo(np.float64).eps
+# The secular solve against the dense oracle: |lambda - lambda_dense| for the
+# unscaled matrix diag(p) - p p^T (norm at most 1/2), in ulps of 1. A
+# backward-stable eigvalsh is that accurate at this scale, and the largest
+# gap seen on 4,000 seeded draws with m <= 64 was 2.1.
+DENSE_ULPS = 8
+
+
+def attention_hessian(z, alpha):
+    """The dense oracle: alpha^2 (diag(p) - p p^T), p = softmax(alpha z).
+
+    Symmetric PSD with zero row sums; its eigvalsh is what the secular solve
+    of :func:`curvature_rows` replaces.
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    p = softmax_vec(alpha * np.asarray(z, dtype=np.float64))
+    return alpha * alpha * (np.diag(p) - np.outer(p, p))
+
 
 def test_hessian_frozen_two_point():
     # z = (1, 0), alpha chosen so p = (0.5, 0.5): alpha -> 0 isn't allowed, so
@@ -236,11 +255,12 @@ def test_hessian_validation():
         curvature_report(np.array([1.0, 0.0]), 0.0)
 
 
-def _reference_curvature(z, alpha, bound_slack=1e-12):
-    """The per-alpha loop form: one softmax, Hessian and eigensolve per alpha.
+def _reference_curvature(z, alpha, norm, bound_slack=1e-12):
+    """The per-alpha loop form of every field around a given spectral norm.
 
-    Returns the CurvatureReport fields and the smallest eigenvalue of the
-    unsymmetrized Hessian, the PSD check the curvature suite made.
+    One softmax per alpha; the tail mass and the corrected Gershgorin bound
+    (2 p_max t for the top entry) over a one-vector tail; the violations
+    checked against ``norm``. Returns the CurvatureReport and p.
     """
     zv = np.asarray(z, dtype=np.float64)
     m = zv.size
@@ -252,12 +272,11 @@ def _reference_curvature(z, alpha, bound_slack=1e-12):
         top_two = np.sort(zv)[-2:]
         delta = float(top_two[1] - top_two[0])
         gap_applicable = delta > 0.0
-    tail_mass = float(np.delete(p, j_star).sum())
+    tail = np.delete(p, j_star)
+    tail_mass = float(tail.sum())
     tail_bound = (m - 1) * math.exp(-alpha * delta)
-    gersh = float((2.0 * p * (1.0 - p)).max())
+    gersh = float(max([2.0 * p[j_star] * tail_mass] + [2.0 * x * (1.0 - x) for x in tail]))
     decay_bound = 2.0 * alpha * alpha * tail_bound
-    h = alpha * alpha * (np.diag(p) - np.outer(p, p))
-    norm = float(np.abs(np.linalg.eigvalsh((h + h.T) / 2.0)).max())
     violations = []
     slack = bound_slack * max(1.0, alpha * alpha)
     if norm > alpha * alpha * gersh + slack:
@@ -271,7 +290,15 @@ def _reference_curvature(z, alpha, bound_slack=1e-12):
         alpha, norm, gersh, tail_mass, tail_bound, decay_bound, delta, gap_applicable,
         tuple(violations),
     )
-    return rep, float(np.linalg.eigvalsh(h).min()), p
+    return rep, p
+
+
+def _assert_matches_dense(rows, k, z, alpha):
+    """Grid entry k's extreme eigenvalues against eigvalsh of the dense Hessian."""
+    eigs = np.linalg.eigvalsh(attention_hessian(z, alpha))
+    tol = DENSE_ULPS * EPS * alpha * alpha
+    assert abs(rows.spectral_norm[k] - np.abs(eigs).max()) <= tol
+    assert abs(rows.min_eigenvalue[k] - eigs[0]) <= tol
 
 
 def _report_floats(rep):
@@ -325,31 +352,13 @@ def test_curvature_rows_match_one_alpha_reports_bit_for_bit(case):
     reps = _reports(rows, alphas)
     assert len(reps) == len(alphas)
     for k, alpha in enumerate(alphas):
-        ref, ref_min_eig, ref_p = _reference_curvature(z, alpha)
+        ref, ref_p = _reference_curvature(z, alpha, float(rows.spectral_norm[k]))
         assert _report_bits(reps[k]) == _report_bits(ref)
         assert _report_bits(curvature_report(z, alpha)) == _report_bits(ref)
-        assert _bits([rows.min_eigenvalue[k]]) == _bits([ref_min_eig])
         assert _bits(rows.p[k]) == _bits(ref_p)
+        _assert_matches_dense(rows, k, z, alpha)
         # Python floats, so the CSV writer takes its exact-type fast path.
         assert all(type(v) is float for v in _report_floats(reps[k]))
-
-
-def test_curvature_rows_chunk_long_vectors_bit_for_bit(monkeypatch):
-    # A stack budget of 2 Hessians of m = 6 solves a 5-alpha grid in 3 chunks.
-    z = np.array([3.0, 1.0, 0.5, 0.0, -1.0, 2.0])
-    alphas = [0.3, 1.0, 2.0, 5.0, 9.0]
-    whole = curvature_rows(z, alphas)
-    monkeypatch.setattr(analysis, "_HESSIAN_STACK_ENTRIES", 2 * 36)
-    solves = []
-    original = analysis.eigvalsh_sym
-    monkeypatch.setattr(analysis, "eigvalsh_sym", lambda h: solves.append(len(h)) or original(h))
-    chunked = curvature_rows(z, alphas)
-    assert solves == [2, 2, 1]
-    assert _bits(chunked.spectral_norm) == _bits(whole.spectral_norm)
-    assert _bits(chunked.min_eigenvalue) == _bits(whole.min_eigenvalue)
-    assert [_report_bits(r) for r in _reports(chunked, alphas)] == [
-        _report_bits(r) for r in _reports(whole, alphas)
-    ]
 
 
 def test_curvature_rows_cover_underflow_and_ties():
@@ -362,6 +371,106 @@ def test_curvature_rows_cover_underflow_and_ties():
     assert tied.violations == ((), ())
 
 
+def test_curvature_two_logits_is_twice_their_product():
+    # With t = p_2, the root of f is p_2 (1 + p_1 - p_2): exactly 2 p_1 p_2
+    # when the rounded p sums to 1, and a rounding of p away from it otherwise.
+    rng = np.random.default_rng(21)
+    exact = 0
+    for _ in range(400):
+        z = rng.normal(scale=rng.choice([0.01, 1.0, 10.0, 100.0]), size=2)
+        alpha = float(np.exp(rng.uniform(-5.0, 5.0)))
+        rows = curvature_rows(z, [alpha])
+        j = int(np.argmax(z))
+        p1, p2 = rows.p[0, j], rows.p[0, 1 - j]
+        want = alpha * alpha * (2.0 * p1 * p2)
+        if Fraction(p1) + Fraction(p2) == 1:
+            exact += 1
+            assert rows.spectral_norm[0] == want
+        else:
+            assert abs(rows.spectral_norm[0] - want) <= 4 * np.spacing(want)
+    assert exact >= 50
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 17, 300, 4096])
+@pytest.mark.parametrize("gap, alpha", [(0.5, 1.0), (7.0, 6.0), (30.0, 2.0)])
+def test_curvature_one_top_over_equal_logits_closed_form(m, gap, alpha):
+    # Equal tails make the secular equation a quadratic with the root
+    # p_1 (t + t / (m - 1)). At gap 30, alpha 2 the tail is below an ulp of 1.
+    z = np.zeros(m)
+    z[m // 3] = gap
+    rows = curvature_rows(z, [alpha])
+    p1, t = rows.p[0, m // 3], rows.tail_mass[0]
+    want = alpha * alpha * p1 * (t + t / (m - 1))
+    assert rows.spectral_norm[0] == pytest.approx(want, rel=8 * EPS, abs=0.0)
+    assert rows.violations == ((),)
+
+
+@pytest.mark.parametrize(
+    "z, alpha, norm, gersh",
+    [
+        ([30.0, 0.0], 2.0, 7.0052086101572162708e-26, 1.7513021525393040677e-26),
+        ([10.0, 3.0, 3.0, 3.0], 6.0, 8.279312060582726093e-17, 3.4497133585761358721e-18),
+    ],
+)
+def test_curvature_near_one_hot_matches_60_digit_values(z, alpha, norm, gersh):
+    # 60-digit mpmath solves of the secular equation on the exact softmax.
+    # p_max rounds to 1 on both rows, which made the dense Hessian 19 % and
+    # 42 % low and its Gershgorin bound a third of the true one.
+    rep = curvature_report(np.array(z), alpha)
+    assert rep.spectral_norm == pytest.approx(norm, rel=4 * EPS, abs=0.0)
+    assert rep.gershgorin_bound == pytest.approx(gersh, rel=4 * EPS, abs=0.0)
+    assert rep.spectral_norm <= alpha * alpha * rep.gershgorin_bound
+    assert rep.violations == ()
+
+
+@st.composite
+def _well_conditioned_cases(draw):
+    """(z, alpha) with m <= 64 and alpha |z_i - z_j| <= 16, so t >= 1e-8."""
+    m = draw(st.integers(2, 64))
+    z = draw(arrays(np.float64, (m,), elements=st.floats(-2.0, 2.0)))
+    if draw(st.booleans()):
+        z[draw(st.integers(0, m - 1))] = z.max()  # tied maximum
+    return z, draw(st.floats(1e-3, 4.0))
+
+
+@seed(31)
+@settings(max_examples=200, deadline=None)
+@given(case=_well_conditioned_cases())
+def test_curvature_matches_the_dense_oracle_within_ulps(case):
+    z, alpha = case
+    rows = curvature_rows(z, [alpha])
+    assert rows.tail_mass[0] >= 1e-8
+    _assert_matches_dense(rows, 0, z, alpha)
+
+
+def test_curvature_tied_maximum_is_the_top_probability():
+    # A tie p_(2) = p_max closes the bracket: e_1 - e_2 is an eigenvector with
+    # eigenvalue p_max, and no eigenvalue of diag(p) - p p^T exceeds max(p).
+    z = np.array([1.0, 1.0, 0.0, -2.0])
+    rows = curvature_rows(z, [0.5, 2.0, 40.0])
+    want = np.array([0.5, 2.0, 40.0]) ** 2 * rows.p[:, 0]
+    np.testing.assert_allclose(rows.spectral_norm, want, rtol=2 * EPS, atol=0.0)
+    for k, alpha in enumerate((0.5, 2.0, 40.0)):
+        _assert_matches_dense(rows, k, z, alpha)
+
+
+def test_curvature_long_vector_matches_its_deflated_oracle():
+    # 4,096 logits in four distinct values. Equal entries deflate, so the top
+    # eigenvalue is that of diag(d) - u u^T with one entry d_g = p_g per value
+    # and u_g = sqrt(c_g) p_g, where c_g counts the value's entries.
+    values = np.array([5.0, 4.0, 3.0, 0.0])
+    counts = np.array([1, 1000, 1000, 2095])
+    z = np.random.default_rng(3).permutation(np.repeat(values, counts))
+    alphas = [0.5, 2.0, 8.0]
+    rows = curvature_rows(z, alphas)
+    for k, alpha in enumerate(alphas):
+        d = np.array([rows.p[k][z == v][0] for v in values])
+        u = np.sqrt(counts) * d
+        want = alpha * alpha * np.abs(np.linalg.eigvalsh(np.diag(d) - np.outer(u, u))).max()
+        assert abs(rows.spectral_norm[k] - want) <= DENSE_ULPS * EPS * alpha * alpha
+    assert rows.violations == ((), (), ())
+
+
 @pytest.mark.parametrize("z", [np.array([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])])
 def test_curvature_rows_violations_match_the_loop_form(monkeypatch, z):
     # The bounds hold on real inputs, so a negative slack makes the checks
@@ -369,7 +478,10 @@ def test_curvature_rows_violations_match_the_loop_form(monkeypatch, z):
     monkeypatch.setattr(analysis, "_BOUND_SLACK", -1.0)
     alphas = [0.1, 1.0, 5.0, 50.0]
     rows = curvature_rows(z, alphas)
-    expected = [_reference_curvature(z, a, bound_slack=-1.0)[0].violations for a in alphas]
+    expected = [
+        _reference_curvature(z, a, float(norm), bound_slack=-1.0)[0].violations
+        for a, norm in zip(alphas, rows.spectral_norm)
+    ]
     assert list(rows.violations) == expected
     assert [r.violations for r in _reports(rows, alphas)] == expected
     if rows.gap_applicable:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 import tracemalloc
 
 import jsonschema
@@ -349,6 +350,15 @@ def test_write_csv_cell_text(tmp_path):
     assert path.read_text() == (
         "a,b,c,d,e,f,g,h\n0.10000000000000001,0.33333333333333331,-0,nan,inf,7,1,2.5\n"
     )
+
+
+def test_write_csv_with_no_columns_or_one_column(tmp_path):
+    # No rows means no columns: the file is the empty header line alone.
+    path = tmp_path / "r.csv"
+    write_csv(str(path), (), [])
+    assert path.read_text() == "\n"
+    write_csv(str(path), ["x"], [{"x": 0.5, "y": 2}, {"x": 3, "y": 1.0}])
+    assert path.read_text() == "x\n0.5\n3\n"
 
 
 # -- calibrate ------------------------------------------------------------------
@@ -943,4 +953,20 @@ def test_gamma_that_overflows_the_keys_is_named_and_writes_nothing(tmp_path, cap
     assert capsys.readouterr().err == (
         "invalid input: gamma must keep the scaled keys finite, got 1e+308\n"
     )
+    assert not out.exists()
+
+
+def test_energy_gamma_that_overflows_the_logits_is_named_and_writes_nothing(tmp_path, capsys):
+    # gamma_max = 1e308 gives an energy coefficient near 4.9e307: every scaled
+    # key stays finite, but Q K^T leaves the float64 range. The error names
+    # the coefficient, and no numpy overflow warning is printed.
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({"mode": "energy", "gamma_max": 1e308, "window": {"preset": "all"}}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--steps", "3", "--blocks", "2", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"invalid input: gamma must keep the scaled logits finite, got (\S+)\n", err)
+    assert match, err
+    assert float(match[1]) == pytest.approx(4.90772347985081e307, rel=1e-12)
     assert not out.exists()

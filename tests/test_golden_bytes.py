@@ -27,7 +27,11 @@ z_max: only their variance column (and, in entropy-slope, the slope_gap and
 margin columns derived from it) changed. The curvature reports and every
 sweep report but ``sweep-tied-maximum`` were re-recorded once ``tail_mass``
 became the sum of the non-maximal probabilities instead of 1 - p_max: only
-that column changed.
+that column changed. The curvature reports and every sweep report but
+``sweep-tied-maximum`` were re-recorded once the secular solve replaced the
+dense Hessian eigensolve and the top Gershgorin term became 2 p_max t: only
+``spectral_norm`` and ``gershgorin_bound`` changed, and in the curvature
+reports the ``margin`` and ``collapse_norm`` columns derived from the norm.
 
 Float output depends on the numpy build, so the digests hold only for the
 numpy version they were recorded with; under any other version the test
@@ -57,7 +61,7 @@ CASES = {
     "verify-csv": (
         ["verify", "--draws", "30", "--probes", "6", "--seed", "5"],
         {
-            "verify_curvature.csv": "dce064df9dd86cd2b204a1d98bcd297a924219fa76c3526ea42a8ba33eeb96a2",
+            "verify_curvature.csv": "5a90cc4416287a15dbb7bb643c777562f67bbae2525e2a351e1b1581baaf4251",
             "verify_deviation.csv": "dc3d6212936d14eaa930eae2cf5001d59710c10cb6088a6723c964ea53f99e13",
             "verify_entropy-slope.csv": "ea8ba2a344052984cecbfc39f5ef2db200050d8568073b9308b9e73cee37702c",
             "verify_lipschitz.csv": "84a7d47b8c2e353efb8df62952a5a35d6d88bf9d50b19755fb223d1907412114",
@@ -67,7 +71,7 @@ CASES = {
     "verify-json": (
         ["verify", "--draws", "20", "--probes", "4", "--format", "json"],
         {
-            "verify_curvature.json": "b8b6f05dbad4dd1ce167a2ef44588b09d56bf32ae3eacf760be4e07717e6b094",
+            "verify_curvature.json": "d207410a3503c32385f7c7b9a4b643ce60d2d6bb27180e473c836af41f08fe68",
             "verify_deviation.json": "73f6b12cd9a38dd3be1095ac1ea217473dcb3b53fc0cc95d15b5b666295ae786",
             "verify_entropy-slope.json": "0c00170515500f6a95112f0dcaa985b558ca7fd1c84a6300c5741199f11c8cbc",
             "verify_lipschitz.json": "914fb2cd54ddbb576fa18e39f1ddcb99f3aa69ce62fa8e6ab5b1d9b0b81c8d45",
@@ -76,23 +80,23 @@ CASES = {
     ),
     "sweep-random": (
         ["sweep", "--draws", "20", "--seed", "7"],
-        {"sweep.csv": "8e60cd4d7a7e0e92a551af5d29bdbe225cca4d2e03dea53db2bdb726f30fc6af"},
+        {"sweep.csv": "35aff91e6eec48a7ae0d5d9539a01ca85d7ebd7247856dbf8c7232d62dfcf924"},
     ),
     "sweep-json": (
         ["sweep", "--format", "json", "--draws", "20", "--seed", "7"],
-        {"sweep.json": "f0096f451dc83374c6417d5f6b7d1c638e2475563d9811209069121ab97ce078"},
+        {"sweep.json": "7d36249ab3aad86d95861bf8e9953ac6ec2b71266ac7d130e940af4ea10c59c5"},
     ),
     "sweep-vector": (
         ["sweep", "--z", "2,1,0", "--alpha-grid", "1,2"],
-        {"sweep.csv": "b57a7c49562b616fc71b362e25674ad5dc7714e6ad05cc42adb57a8bc8c69d97"},
+        {"sweep.csv": "ea6aef6de876a503fd96a72d7b3cbc7e759e0b6a7c695f625a0abe06032e44ff"},
     ),
     "sweep-random-300": (
         ["sweep", "--draws", "300", "--seed", "31"],
-        {"sweep.csv": "5499a32f8cfe2dee2ea193072ee55eee65ebace07cb3948911ee4224f4e91f97"},
+        {"sweep.csv": "550bae795d788acb7d5a1bb12774022d259ab0b470af3a5bc4da1b88339e96b1"},
     ),
     "verify-curvature-300": (
         ["verify", "curvature", "--draws", "300", "--seed", "31"],
-        {"verify_curvature.csv": "651c41963304f6c9cc57e003c0ba18dbd532f258b4dbf8e74035770bf8a2253a"},
+        {"verify_curvature.csv": "9851526cc17d2a8f5ea8bc683c64abc551d51145050f9febc9c81786cfa54f2c"},
     ),
     "sweep-tied-maximum": (
         ["sweep", "--z", "1,1,0", "--alpha-grid", "1,2"],

@@ -96,6 +96,26 @@ def test_one_row_kernels_match_the_vector_arithmetic(z, alpha, strided):
     assert _bits(entropy(_layout(p, strided))) == _bits(_entropy_1d(p))
 
 
+@st.composite
+def _sparse_distributions(draw):
+    """(n, m) distributions where many rows hold exact zeros, in varying counts."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 64))
+    entries = st.one_of(st.just(0.0), st.just(0.0), st.floats(1e-300, 1.0))
+    raw = draw(arrays(np.float64, (n, m), elements=entries))
+    raw[:, draw(st.integers(0, m - 1))] += 1e-3  # every row has positive mass
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@seed(28)
+@settings(max_examples=300, deadline=None)
+@given(q=_sparse_distributions())
+def test_row_entropies_match_the_per_row_loop_bit_for_bit(q):
+    # Rows with zeros are summed in groups of equal positive count; each must
+    # equal the one-row sum of its positive entries.
+    assert _bits(analysis._row_entropies(q).tolist()) == _bits([_entropy_1d(row) for row in q])
+
+
 # -- entropy_alpha_report ------------------------------------------------------
 
 
@@ -347,19 +367,20 @@ def test_curvature_rows_stack_covers_ties_one_logit_and_underflow():
     _stacked_curvature_matches_rows(np.array([[3.0], [-1.0]]), np.array([[2.0], [0.5]]))
 
 
-def test_curvature_rows_stack_chunks_across_a_vector_bit_for_bit(monkeypatch):
-    # A budget of 3 Hessians of m = 4 splits the 2 x 5 grid into chunks of
-    # 3, 3, 3 and 1 rows: the second chunk spans both logit vectors.
-    z = np.array([[3.0, 1.0, 0.5, -2.0], [0.0, 4.0, 4.5, 1.0]])
-    alphas = np.array([[0.3, 1.0, 2.0, 5.0, 9.0], [0.1, 0.7, 3.0, 8.0, 20.0]])
-    whole = curvature_rows(z, alphas)
-    monkeypatch.setattr(analysis, "_HESSIAN_STACK_ENTRIES", 3 * 16)
-    solves = []
-    original = analysis.eigvalsh_sym
-    monkeypatch.setattr(analysis, "eigvalsh_sym", lambda h: solves.append(len(h)) or original(h))
-    chunked = curvature_rows(z, alphas)
-    assert solves == [3, 3, 3, 1]
-    assert _curvature_fields(chunked) == _curvature_fields(whole)
+def test_curvature_rows_stack_iterates_open_rows_bit_for_bit(monkeypatch):
+    # The secular solve iterates only the rows whose bracket is still open.
+    # The tied vector's rows close before the first step and the others after
+    # different numbers of steps, yet each stacked row equals its one-vector call.
+    z = np.array([[3.0, 1.0, 0.5, -2.0], [0.0, 4.0, 4.5, 1.0], [2.0, 2.0, 0.0, 1.0]])
+    alphas = np.array([[0.3, 1.0, 2.0, 5.0, 9.0], [0.1, 0.7, 3.0, 8.0, 20.0],
+                       [0.5, 1.0, 2.0, 4.0, 8.0]])
+    sizes = []
+    original = analysis._secular
+    monkeypatch.setattr(analysis, "_secular", lambda x, *a: sizes.append(x.size) or original(x, *a))
+    curvature_rows(z, alphas)
+    steps = sizes[:-1]  # the last call is the one step from 0 to lambda_min
+    assert steps[0] == 10
+    assert steps == sorted(steps, reverse=True) and len(set(steps)) > 2
     _stacked_curvature_matches_rows(z, alphas)
 
 

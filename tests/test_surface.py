@@ -23,7 +23,6 @@ UNREACHED = {
     "analysis.group_mass_report": "named as a layer in BENCHMARK.json",
     "tensorio.decode_tensor": "named as a layer in BENCHMARK.json",
     "tensorio.write_tensor": "writes the benchmark's generated inputs",
-    "analysis.attention_hessian": "the curvature tests' oracle",
 }
 
 

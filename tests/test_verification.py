@@ -1,18 +1,18 @@
 """Work counts of the verification hot paths.
 
-The sweep and the curvature suite solve the Hessians of all draws of one
-logit length in one stacked symmetric eigensolve, split only where the stack
-would exceed ``_HESSIAN_STACK_ENTRIES``; the entropy-slope suite makes two
-softmax stacks per subset size. A return to per-draw calls fails here.
+The sweep and the curvature suite make one ``curvature_rows`` pass per logit
+length over all of its draws, and that pass forms no Hessian and calls no
+eigensolver; the entropy-slope suite makes two softmax stacks per subset
+size. A return to per-draw calls or to a dense eigensolve fails here.
 """
 
-import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from attnlab import analysis, cli, verification
+from attnlab.analysis import curvature_rows
 from attnlab.verification import run_sweep
 
 
@@ -30,66 +30,70 @@ def eigensolves(monkeypatch):
     return shapes
 
 
-def test_sweep_explicit_grid_runs_one_stacked_eigensolve(eigensolves):
-    run_sweep(z=np.array([1.0, 1.0, 0.0]), alpha_grid=[1.0, 2.0, 2.0])
-    assert eigensolves == [(3, 3, 3)]
-
-
 @pytest.fixture
-def hessian_stacks(monkeypatch):
-    """Shapes of every ``eigvalsh_sym`` call that ``curvature_rows`` makes."""
+def curvature_passes(monkeypatch, eigensolves):
+    """The (rows, m) stack of every ``curvature_rows`` call the suites make."""
     shapes = []
-    original = analysis.eigvalsh_sym
 
-    def counting_eigvalsh_sym(a):
-        shapes.append(np.shape(a))
-        return original(a)
+    def counting_curvature_rows(z, alphas):
+        shapes.append((np.size(alphas), np.shape(z)[-1]))
+        return curvature_rows(z, alphas)
 
-    monkeypatch.setattr(analysis, "eigvalsh_sym", counting_eigvalsh_sym)
+    monkeypatch.setattr(verification, "curvature_rows", counting_curvature_rows)
     return shapes
 
 
-def _one_solve_per_length_plus_splits(shapes, rows):
-    """Every length's Hessians, ``rows`` in all, solved in the fewest chunks."""
+def test_curvature_rows_makes_no_eigensolve(eigensolves):
+    z = np.random.default_rng(8).normal(scale=3.0, size=(4, 64))
+    z[1, 5] = z[1].max()  # a tied maximum
+    rows = curvature_rows(z, np.geomspace([0.1] * 4, [100.0] * 4, 6, axis=1))
+    assert (rows.spectral_norm > 0).all()
+    assert eigensolves == []
+
+
+def test_sweep_explicit_grid_makes_no_eigensolve(eigensolves, curvature_passes):
+    run_sweep(z=np.array([1.0, 1.0, 0.0]), alpha_grid=[1.0, 2.0, 2.0])
+    assert curvature_passes == [(3, 3)]
+    assert eigensolves == []
+
+
+def _one_pass_per_length(shapes, rows):
+    """Every length's rows, ``rows`` in all, solved in one pass per length."""
     solved = Counter()
-    calls = Counter()
-    for count, m, _ in shapes:
+    for count, m in shapes:
         solved[m] += count
-        calls[m] += 1
     assert sum(solved.values()) == rows
-    assert len(calls) <= 15  # logit lengths 2..16
-    for m, count in solved.items():
-        chunk = max(1, analysis._HESSIAN_STACK_ENTRIES // (m * m))
-        assert calls[m] == math.ceil(count / chunk)
-    return sum(calls.values())
+    assert len(shapes) == len(solved) <= 15  # logit lengths 2..16
 
 
 @pytest.mark.parametrize(
     "argv, rows_per_draw",
     [(["verify", "curvature"], 2), (["sweep"], len(verification.SWEEP_GAP_RATIOS))],
 )
-def test_cli_runs_one_stacked_eigensolve_per_logit_length(
-    hessian_stacks, tmp_path, argv, rows_per_draw
+def test_cli_runs_one_curvature_pass_per_logit_length(
+    curvature_passes, eigensolves, tmp_path, argv, rows_per_draw
 ):
     draws = 200
     assert cli.main(argv + ["--draws", str(draws), "--seed", "3", "--out", str(tmp_path)]) == 0
-    calls = _one_solve_per_length_plus_splits(hessian_stacks, draws * rows_per_draw)
-    assert calls < draws // 4
+    _one_pass_per_length(curvature_passes, draws * rows_per_draw)
+    assert eigensolves == []
 
 
-def test_sweep_runs_one_stacked_eigensolve_per_logit_length(hessian_stacks):
+def test_sweep_runs_one_curvature_pass_per_logit_length(curvature_passes, eigensolves):
     draws = 25
     assert run_sweep(seed=4, draws=draws).passed
-    _one_solve_per_length_plus_splits(hessian_stacks, draws * len(verification.SWEEP_GAP_RATIOS))
-    assert len(hessian_stacks) < draws
+    _one_pass_per_length(curvature_passes, draws * len(verification.SWEEP_GAP_RATIOS))
+    assert len(curvature_passes) < draws
+    assert eigensolves == []
 
 
-def test_curvature_suite_runs_one_stacked_eigensolve_per_logit_length(hessian_stacks):
+def test_curvature_suite_runs_one_curvature_pass_per_logit_length(curvature_passes, eigensolves):
     draws = 25
     # The drawn alpha and the collapse point 50/Delta of every draw.
     assert verification.run_suite("curvature", seed=4, draws=draws).passed
-    _one_solve_per_length_plus_splits(hessian_stacks, 2 * draws)
-    assert len(hessian_stacks) < draws
+    _one_pass_per_length(curvature_passes, 2 * draws)
+    assert len(curvature_passes) < draws
+    assert eigensolves == []
 
 
 def test_entropy_slope_runs_two_softmax_stacks_per_subset_size(monkeypatch):
