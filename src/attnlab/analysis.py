@@ -64,7 +64,7 @@ def _row_entropies(q: np.ndarray) -> np.ndarray:
     # stack, whose rows each sum as a vector of c would.
     counts = positive.sum(axis=1)
     gapped = np.flatnonzero(counts < q.shape[1])
-    for c in np.unique(counts[gapped]).tolist():
+    for c in set(counts[gapped].tolist()):
         rows = gapped[counts[gapped] == c]
         nz = q[rows][positive[rows]].reshape(-1, c)
         h[rows] = -(nz * np.log(nz)).sum(axis=1)
