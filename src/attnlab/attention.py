@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, row_softmax
+from .numerics import _row_softmax, as_matrix, row_softmax
 
 GROUP_NAMES = ("text", "image", "video")
 
@@ -128,6 +128,12 @@ class AttentionResult:
     gamma: float | None = None
 
 
+def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    z = q @ k.T
+    z /= math.sqrt(q.shape[1])
+    return z
+
+
 def scaled_logits(q, k) -> np.ndarray:
     """Q K^T / sqrt(d_k), d_k the key width, with shape/width validation."""
     qm = as_matrix(q, "Q")
@@ -136,17 +142,34 @@ def scaled_logits(q, k) -> np.ndarray:
         raise ValueError(f"Q cols ({qm.shape[1]}) != K cols ({km.shape[1]})")
     if qm.shape[1] == 0:
         raise ValueError("Q and K must have at least one column")
-    return qm @ km.T / math.sqrt(qm.shape[1])
+    return _logits(qm, km)
 
 
 def attention_forward(q, k, v) -> AttentionResult:
-    """Plain scaled-dot-product attention: softmax(Q K^T / sqrt(d_k)) V."""
+    """Plain scaled-dot-product attention: softmax(Q K^T / sqrt(d_k)) V.
+
+    Each step checks its inputs; :func:`_attend` is the same computation
+    without the checks.
+    """
     vm = as_matrix(v, "V")
     logits = scaled_logits(q, k)
     if vm.shape[0] != logits.shape[1]:
         raise ValueError(f"V rows ({vm.shape[0]}) != K rows ({logits.shape[1]})")
     p = row_softmax(logits)
     return AttentionResult(logits=logits, probabilities=p, output=p @ vm)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> AttentionResult:
+    """:func:`attention_forward` without its checks, for the simulator's block loop.
+
+    The caller vouches for float64 matrices of agreeing shapes with at least
+    one key, and checks Q, K, V and the logits it gets back for NaN and
+    infinity: nothing here does, and a logit that overflows to -inf leaves
+    its probability row finite.
+    """
+    logits = _logits(q, k)
+    p = _row_softmax(logits)
+    return AttentionResult(logits, p, p @ v)
 
 
 def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.ndarray:

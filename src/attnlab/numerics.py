@@ -45,9 +45,16 @@ def row_softmax(z) -> np.ndarray:
     zm = as_matrix(z, "logits")
     if zm.shape[1] == 0:
         raise ValueError("logits must have at least one column")
-    shifted = zm - zm.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _row_softmax(zm)
+
+
+def _row_softmax(z: np.ndarray) -> np.ndarray:
+    """:func:`row_softmax` without its checks, for a float64 matrix with at least
+    one column. Logits are not checked: a row holding a NaN or +inf comes out
+    NaN, and a -inf entry in a finite row gets probability 0."""
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def softmax_vec(z) -> np.ndarray:

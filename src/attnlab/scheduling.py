@@ -18,6 +18,7 @@ from .attention import (
     AttentionResult,
     KeyPartition,
     ModulationConfig,
+    _check_positive_finite,
     apply_group_scaling,
     attention_forward,
     energy_gamma,
@@ -123,8 +124,7 @@ def block_gate(foreground_ratio: float, tau: float, gamma: float) -> float:
         raise ValueError(f"foreground_ratio must be in [0, 1], got {foreground_ratio}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive_finite("gamma", gamma)
     return gamma if foreground_ratio > tau else 1.0
 
 
@@ -173,9 +173,20 @@ def scheduled_attention(
     this call's own unscaled logits and is only computed on a scaled cell.
     A gamma that overflows a scaled key or logit raises ``ValueError`` naming it.
     """
+    return _scheduled(block, t, q, k, v, partition, config, attention_forward)
+
+
+def _scheduled(block, t, q, k, v, partition, config, attend) -> AttentionResult:
+    """:func:`scheduled_attention` with ``attend(q, k, v)`` as its attention pass.
+
+    The public call passes :func:`~attnlab.attention.attention_forward`, which
+    checks its inputs. The simulator's block loop passes the unchecked core
+    and checks each block itself; with no schedule (``config`` None) every
+    cell runs the plain pass.
+    """
+    if config is None or not (config.is_active(block, t) and config.modulation.effective):
+        return attend(q, k, v)
     mod = config.modulation
-    if not (config.is_active(block, t) and mod.effective):
-        return attention_forward(q, k, v)
     if mod.mode == "energy":
         gamma = energy_gamma(scaled_logits(q, k), mod.gamma_max, mod.kappa)
     else:
@@ -183,7 +194,7 @@ def scheduled_attention(
     k2 = apply_group_scaling(k, partition, mod.targets, gamma)
     try:
         with np.errstate(over="raise"):
-            res = attention_forward(q, k2, v)
+            res = attend(q, k2, v)
     except FloatingPointError:
         raise ValueError(f"gamma must keep the scaled logits finite, got {gamma}") from None
     return AttentionResult(res.logits, res.probabilities, res.output, gamma)

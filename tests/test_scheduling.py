@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ def test_block_gate_validation():
         block_gate(0.5, -0.1, 1.35)
     with pytest.raises(ValueError, match="gamma"):
         block_gate(0.6, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_block_gate_rejects_a_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match=f"^gamma must be positive and finite, got {gamma}$"):
+        block_gate(0.6, 0.5, gamma)
 
 
 def test_gate_table_construction():

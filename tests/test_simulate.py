@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attnlab import scheduling, simulate
+from attnlab import attention, scheduling, simulate
 from attnlab.attention import ModulationConfig, ScalingTargets, build_partition, resolve_targets
 from attnlab.numerics import sample_gaussian, spectral_norm
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
@@ -90,6 +90,14 @@ def test_probe_rejects_nonpositive_alpha():
     x = sample_gaussian((den.n_video, den.d_model), seed=8)
     with pytest.raises(ValueError, match="alpha must be positive"):
         deviation_bound_check(den, StepCoefficients.linear(8), t=1, x=x, alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_probe_rejects_a_non_finite_alpha(alpha):
+    den = make_toy_denoiser(seed=7)
+    x = sample_gaussian((den.n_video, den.d_model), seed=8)
+    with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+        deviation_bound_check(den, StepCoefficients.linear(8), t=1, x=x, alpha=alpha)
 
 
 def test_probe_rejects_query_out_of_range():
@@ -253,24 +261,17 @@ def test_trajectory_energy_mode_counts_all_gated_cells(monkeypatch):
 
 
 def test_trajectory_runs_baseline_only_on_scaled_cells(monkeypatch):
-    # Every cell runs its scheduled call; only a scaled cell adds a baseline.
-    calls = []
-
-    def counting_forward(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    original = simulate.attention_forward
-    monkeypatch.setattr(simulate, "attention_forward", counting_forward)
-    monkeypatch.setattr(scheduling, "attention_forward", counting_forward)
+    # Every cell runs the attention core once; only a scaled cell adds a baseline.
+    calls = _counting(monkeypatch, simulate, "_attend")
+    baselines = _counting(monkeypatch, simulate, "attention_forward")
     den = make_toy_denoiser(seed=0, num_blocks=4)
     coeffs = StepCoefficients.linear(10)
     traj = run_trajectory(den, coeffs, _schedule(num_blocks=4, total_steps=10),
                           sample_gaussian((den.n_video, den.d_model), seed=1))
     cells = 4 * 10
     assert traj.total_active_cells == 2 * 3  # blocks 0-1 x steps 1-3
-    assert len(calls) == cells + traj.total_active_cells
-    assert len(calls) < 2 * cells
+    assert len(calls) + len(baselines) == cells + traj.total_active_cells
+    assert len(calls) + len(baselines) < 2 * cells
 
 
 def test_trajectory_shape_mismatches_rejected():
@@ -473,7 +474,7 @@ def test_forward_ignores_the_observer_return_value():
 
 
 def test_deviation_check_makes_one_pass(monkeypatch):
-    calls = _counting(monkeypatch, simulate, "attention_forward")
+    calls = _counting(monkeypatch, simulate, "_attend")
     den = make_toy_denoiser(seed=0, num_blocks=3)
     x = sample_gaussian((den.n_video, den.d_model), seed=1)
     rep = deviation_bound_check(den, StepCoefficients.linear(5), 2, x, alpha=1.7, query=3)
@@ -490,6 +491,29 @@ def test_denoiser_blocks_share_one_key_width():
                              blocks=(den.blocks[0], wide))
 
 
+@pytest.mark.parametrize("name, shape, message", [
+    ("w_q", (5, 8), r"^block 1 w_q shape \(5, 8\) needs d_model = 6 rows$"),
+    ("w_k", (7, 8), r"^block 1 w_k shape \(7, 8\) needs d_model = 6 rows$"),
+    ("w_v", (5, 6), r"^block 1 w_v shape \(5, 6\) needs d_model = 6 rows$"),
+    ("w_o", (6, 5), r"^block 1 w_o shape \(6, 5\) != \(w_v cols, d_model\) = \(6, 6\)$"),
+    ("w_o", (5, 6), r"^block 1 w_o shape \(5, 6\) != \(w_v cols, d_model\) = \(6, 6\)$"),
+])
+def test_denoiser_rejects_a_misshapen_weight_at_construction(name, shape, message):
+    den = make_toy_denoiser(seed=0, num_blocks=3)
+    with pytest.raises(ValueError, match=message):
+        _with_weight(den, 1, name, np.ones(shape))
+
+
+def test_denoiser_rejects_key_and_query_widths_that_differ():
+    den = make_toy_denoiser(seed=0, num_blocks=2)
+    with pytest.raises(ValueError, match=r"^block 0 w_k shape \(6, 9\) != w_q shape \(6, 8\)$"):
+        _with_weight(den, 0, "w_k", np.ones((den.d_model, 9)))
+    blocks = tuple(dataclasses.replace(b, w_q=np.ones((6, 0)), w_k=np.ones((6, 0)))
+                   for b in den.blocks)
+    with pytest.raises(ValueError, match="^block 0 w_q needs at least one column$"):
+        simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed, blocks=blocks)
+
+
 def test_trajectory_takes_the_multiply_count_once_per_run(monkeypatch):
     calls = _counting(monkeypatch, simulate, "scaling_multiply_count")
     den = make_toy_denoiser(seed=0, num_blocks=4)
@@ -504,3 +528,89 @@ def test_trajectory_takes_the_multiply_count_once_per_run(monkeypatch):
 def test_conflict_config_rejects_a_non_finite_gamma(gamma):
     with pytest.raises(ValueError, match="gamma must be positive"):
         ConflictConfig(gamma=gamma)
+
+
+# -- error paths of the denoiser pass -------------------------------------------------
+
+
+def _with_weight(den, block, name, value):
+    """A copy of ``den`` whose ``block`` has ``name`` replaced by ``value``."""
+    blocks = list(den.blocks)
+    blocks[block] = dataclasses.replace(blocks[block], **{name: value})
+    return simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
+                                blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("name, message", [("w_q", "non-finite Q"), ("w_v", "non-finite V")])
+@pytest.mark.parametrize("block", [0, 2])
+@pytest.mark.parametrize("t, mode", [(1, None), (1, "scalar"), (1, "energy"), (9, "scalar")])
+def test_forward_names_a_non_finite_projection(name, message, block, t, mode):
+    # Step 1 scales blocks 0-1 and step 9 scales none; mode None runs unscheduled.
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    w = getattr(den.blocks[block], name).copy()
+    w[1, 2] = math.nan
+    bad = _with_weight(den, block, name, w)
+    x = sample_gaussian((den.n_video, den.d_model), seed=1)
+    sched = None if mode is None else _schedule(mode=mode, num_blocks=4, total_steps=10)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate._forward(bad, x, t, sched)
+
+
+@pytest.mark.parametrize("name, message", [("w_q", "non-finite Q"), ("w_v", "non-finite V")])
+def test_scaled_cell_names_a_non_finite_projection_before_an_overflow(name, message):
+    # Cell (0, 1) is scaled and its scaled logits overflow as well.
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    w = getattr(den.blocks[0], name).copy()
+    w[1, 2] = math.nan
+    x = 1e300 * sample_gaussian((den.n_video, den.d_model), seed=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate._forward(_with_weight(den, 0, name, w), x, 1,
+                          _schedule(num_blocks=4, total_steps=10))
+
+
+def test_forward_names_a_logit_that_overflows_to_minus_inf():
+    # Each video token has one coordinate and K swaps them, so every q_i . k_i is 0
+    # while q_0 . k_1 overflows to -inf. Each softmax row keeps a finite maximum,
+    # so the probabilities stay finite; only the logits show the overflow.
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    blk = simulate.BlockWeights(w_q=np.eye(2), w_k=swap, w_v=1e-200 * np.eye(2), w_o=np.eye(2))
+    den = simulate.ToyDenoiser(partition=build_partition(1, 0, 2), cond_embed=np.zeros((1, 2)),
+                               blocks=(blk,))
+    x = np.array([[1e200, 0.0], [0.0, -1e200]])
+    with pytest.raises(ValueError, match="^non-finite logits$"):
+        simulate._forward(den, x, 1)
+
+
+def test_forward_replays_a_false_alarm_through_the_checked_call(monkeypatch):
+    # Logits near 1e200 are finite, but the guard's dot product of them overflows.
+    den = make_toy_denoiser(seed=0, num_blocks=3)
+    x = 1e100 * sample_gaussian((den.n_video, den.d_model), seed=1)
+    replays = _counting(monkeypatch, simulate, "attention_forward")
+    eps = simulate._forward(den, x, 1)
+    assert len(replays) == 3
+    h = x
+    for blk in den.blocks:
+        tokens = np.vstack([den.cond_embed, h])
+        res = attention.attention_forward(tokens @ blk.w_q, tokens @ blk.w_k, tokens @ blk.w_v)
+        h = res.output[den.cond_embed.shape[0]:] @ blk.w_o
+    np.testing.assert_array_equal(eps, h)
+
+
+@pytest.mark.parametrize("window, message", [
+    ("early", "gamma must keep the scaled logits finite, got 1.35"),  # cell (0, 1) is scaled
+    ("late", "non-finite logits"),  # cell (0, 1) runs the plain pass
+])
+def test_trajectory_names_overflowing_logits_without_a_numpy_warning(window, message):
+    # filterwarnings = error turns a numpy overflow warning into the raised exception.
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    sched = dataclasses.replace(_schedule(num_blocks=4, total_steps=10), window=window_preset(window))
+    x = 1e300 * sample_gaussian((den.n_video, den.d_model), seed=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_trajectory(den, StepCoefficients.linear(10), sched, x)
+
+
+def test_deviation_check_names_overflowing_logits_without_a_numpy_warning():
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    x = 1e300 * sample_gaussian((den.n_video, den.d_model), seed=1)
+    with pytest.raises(ValueError, match="^non-finite logits$"):
+        deviation_bound_check(den, StepCoefficients.linear(10), 2, x, alpha=1.7)

@@ -17,6 +17,7 @@ from test_bench_names import _load_tracer
 # Public functions no CLI path reaches, each with why it stays.
 UNREACHED = {
     "scheduling.block_gate": "pinned by the acceptance module",
+    "scheduling.scheduled_attention": "pinned by the acceptance module; the simulator runs its core",
     "simulate.ddim_step": "pinned by the acceptance module",
     "simulate.sharpening_curve": "pinned by the acceptance module",
     "analysis.curvature_report": "named as a layer in BENCHMARK.json",
