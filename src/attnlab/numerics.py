@@ -8,9 +8,17 @@ All arrays are coerced to float64 on entry.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SYMMETRY_TOLERANCE = 1e-10
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # The sum of squares is NaN or inf when an entry is, or when the squares
+    # overflow; only then is each entry tested. vdot prints no overflow warning.
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -18,7 +26,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {m.ndim}-D")
-    if m.size and not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ValueError(f"non-finite {name}")
     return m
 
@@ -30,7 +38,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got {v.ndim}-D")
     if v.size == 0:
         raise ValueError(f"empty {name}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError(f"non-finite {name}")
     return v
 
@@ -45,14 +53,7 @@ def row_softmax(z) -> np.ndarray:
     zm = as_matrix(z, "logits")
     if zm.shape[1] == 0:
         raise ValueError("logits must have at least one column")
-    return _row_softmax(zm)
-
-
-def _row_softmax(z: np.ndarray) -> np.ndarray:
-    """:func:`row_softmax` without its checks, for a float64 matrix with at least
-    one column. Logits are not checked: a row holding a NaN or +inf comes out
-    NaN, and a -inf entry in a finite row gets probability 0."""
-    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    e = np.exp(zm - np.maximum.reduce(zm, axis=1, keepdims=True))
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
 
@@ -76,7 +77,7 @@ def eigvalsh_sym(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim < 2:
         raise ValueError(f"matrix must be at least 2-D, got {m.ndim}-D")
-    if m.size and not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ValueError("non-finite matrix")
     n, c = m.shape[-2:]
     if n != c:

@@ -160,32 +160,27 @@ def scheduled_attention(
     k,
     v,
     partition: KeyPartition,
-    config: ScheduleConfig,
+    config: ScheduleConfig | None,
 ) -> AttentionResult:
     """Attention at (block, t) under the schedule: the one place that decides
     whether a cell is scaled.
 
     A cell is scaled exactly when it is active and the modulation is
     effective; it then scales the targeted groups and returns its coefficient
-    in ``result.gamma``. Any other cell runs the plain forward pass on the
-    same code path (``result.gamma`` is None), so the result is bit-identical
-    to an unscheduled call. In energy mode the coefficient is derived from
-    this call's own unscaled logits and is only computed on a scaled cell.
-    A gamma that overflows a scaled key or logit raises ``ValueError`` naming it.
-    """
-    return _scheduled(block, t, q, k, v, partition, config, attention_forward)
+    in ``result.gamma``. Any other cell, and every cell when ``config`` is
+    None, runs :func:`~attnlab.attention.attention_forward` itself
+    (``result.gamma`` is None), so the result is bit-identical to an
+    unscheduled call. In energy mode the coefficient is derived from this
+    call's own unscaled logits and is only computed on a scaled cell.
 
-
-def _scheduled(block, t, q, k, v, partition, config, attend) -> AttentionResult:
-    """:func:`scheduled_attention` with ``attend(q, k, v)`` as its attention pass.
-
-    The public call passes :func:`~attnlab.attention.attention_forward`, which
-    checks its inputs. The simulator's block loop passes the unchecked core
-    and checks each block itself; with no schedule (``config`` None) every
-    cell runs the plain pass.
+    The attention calls check every input and name a non-finite Q, K, V or
+    logit. A gamma that takes a scaled key out of range raises ``ValueError``
+    naming it (see :func:`~attnlab.attention.apply_group_scaling`). Scaled
+    logits that overflow name gamma only when the plain pass's logits are
+    finite; otherwise the cell raises what the plain pass raises.
     """
     if config is None or not (config.is_active(block, t) and config.modulation.effective):
-        return attend(q, k, v)
+        return attention_forward(q, k, v)
     mod = config.modulation
     if mod.mode == "energy":
         gamma = energy_gamma(scaled_logits(q, k), mod.gamma_max, mod.kappa)
@@ -194,7 +189,10 @@ def _scheduled(block, t, q, k, v, partition, config, attend) -> AttentionResult:
     k2 = apply_group_scaling(k, partition, mod.targets, gamma)
     try:
         with np.errstate(over="raise"):
-            res = attend(q, k2, v)
+            res = attention_forward(q, k2, v)
     except FloatingPointError:
+        # Unscaled logits that overflow are not gamma's doing: the plain pass names them.
+        with np.errstate(all="ignore"):
+            attention_forward(q, k, v)
         raise ValueError(f"gamma must keep the scaled logits finite, got {gamma}") from None
     return AttentionResult(res.logits, res.probabilities, res.output, gamma)

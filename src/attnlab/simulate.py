@@ -19,14 +19,13 @@ from .attention import (
     DEFAULT_TARGETS,
     KeyPartition,
     ScalingTargets,
-    _attend,
     _check_positive_finite,
     attention_forward,
     build_partition,
     key_scale_factors,
 )
 from .numerics import as_matrix, row_softmax, sample_gaussian, softmax_vec, spectral_norm
-from .scheduling import ScheduleConfig, _scheduled, active_steps
+from .scheduling import ScheduleConfig, active_steps, scheduled_attention
 
 
 @dataclass(frozen=True)
@@ -175,14 +174,12 @@ def _forward(
     after attention. It only reads: its return value is ignored, and every
     block continues with ``result.output``.
 
-    The state is checked here and the weights' shapes by :class:`ToyDenoiser`,
-    so every block runs the unchecked attention core and one guard: a NaN or
-    an infinity in Q, K, V or the logits makes one of three dot products NaN
-    or infinite (0 * inf is NaN), and huge finite entries can overflow one.
-    Such a block, or one whose scheduled call raises, is replayed through the
-    checked calls, which raise the error their checks find, or return the
-    same result after a false alarm. Numpy's floating-point warnings are
-    silenced for the pass, since that error reports what they would.
+    The state is checked here and the weights' shapes by
+    :class:`ToyDenoiser`. Every block runs :func:`scheduled_attention` (the
+    plain pass when ``schedule`` is None), whose attention calls check Q, K, V
+    and the logits, so a NaN, an infinity or an overflow raises their
+    ``ValueError``. Numpy's floating-point warnings are silenced for the pass,
+    since that error reports what they would.
     """
     h = as_matrix(x, "state")
     if h.shape != (denoiser.n_video, denoiser.d_model):
@@ -199,15 +196,7 @@ def _forward(
             q = tokens @ blk.w_q
             k = tokens @ blk.w_k
             v = tokens @ blk.w_v
-            cell = (l, t, q, k, v, denoiser.partition, schedule)
-            try:
-                res = _scheduled(*cell, _attend)
-                z = res.logits
-                ok = math.isfinite(np.vdot(q, k) + np.vdot(v, v) + np.vdot(z, z))
-            except ValueError:
-                ok = False
-            if not ok:
-                res = _scheduled(*cell, attention_forward)
+            res = scheduled_attention(l, t, q, k, v, denoiser.partition, schedule)
             if observe is not None:
                 observe(l, q, k, v, res)
             np.matmul(res.output[n_cond:], blk.w_o, out=video)
@@ -277,14 +266,17 @@ def deviation_bound_check(
         y[row] = softmax_vec(a * z_row) @ v_mat
         x_next.append(coeffs.a[t - 1] * xm + b_t * (y[n_cond:] @ denoiser.blocks[-1].w_o))
     deviation = float(np.linalg.norm(x_next[1] - x_next[0]))
-    bound = (
-        abs(b_t)
-        * denoiser.lipschitz_upper
-        * 0.5
-        * spectral_norm(v_mat)
-        * float(np.linalg.norm(z_row))
-        * abs(alpha - 1.0)
-    )
+    with np.errstate(over="ignore"):
+        bound = (
+            abs(b_t)
+            * denoiser.lipschitz_upper
+            * 0.5
+            * spectral_norm(v_mat)
+            * float(np.linalg.norm(z_row))
+            * abs(alpha - 1.0)
+        )
+    if not math.isfinite(bound):
+        raise ValueError(f"deviation bound must be finite, got {bound}")
     return DeviationReport(
         alpha=alpha,
         t=t,
@@ -359,7 +351,10 @@ def run_trajectory(
     its baseline; any other cell reuses its scheduled result, which is the
     plain pass bit for bit (so such cells have ratio exactly 1). Masses and
     conditioning entropies are averaged over blocks and video query rows,
-    from one :func:`group_mass_rows` pass per step.
+    from one :func:`group_mass_rows` pass per step over the scheduled rows
+    and the scaled cells' baselines. A row's statistics do not depend on the
+    stack it sits in, so any other cell's baseline entropies are copied from
+    its scheduled rows.
     """
     if schedule.total_steps != coeffs.total_steps:
         raise ValueError(
@@ -379,25 +374,30 @@ def run_trajectory(
     )
     rows = []
     for t in range(1, coeffs.total_steps + 1):
-        results, baselines = [], []
+        results, scaled, baselines = [], [], []
 
         def observe(l, q, k, v, res):
             results.append(res)
-            baselines.append(res if res.gamma is None else attention_forward(q, k, v))
+            if res.gamma is not None:
+                scaled.append(l)
+                baselines.append(attention_forward(q, k, v))
 
         h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
-        active = sum(res.gamma is not None for res in results)
-        # Video rows of every block, block-major: scheduled, then baseline.
+        active = len(scaled)
+        # Video rows of every block, block-major, then of each scaled cell's baseline.
         probs = np.vstack([res.probabilities[n_cond:] for res in results + baselines])
         stats = group_mass_rows(probs, part)
+        h_mod = stats.entropy_cond[:n_meas]
+        h_base = h_mod.reshape(-1, denoiser.n_video).copy()
+        h_base[scaled] = stats.entropy_cond[n_meas:].reshape(-1, denoiser.n_video)
         # cumsum adds row by row, as a running total would.
         masses = [
             np.cumsum(col[:n_meas])[-1]
             for col in (stats.mass_text, stats.mass_image, stats.mass_video)
         ]
-        mean_mod = float(np.mean(stats.entropy_cond[:n_meas]))
-        mean_base = float(np.mean(stats.entropy_cond[n_meas:]))
+        mean_mod = float(np.mean(h_mod))
+        mean_base = float(np.mean(h_base))
         ratio = float(_entropy_ratio(mean_mod, mean_base))
         rows.append(
             TrajectoryRow(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attnlab.numerics import (
+    as_matrix,
+    as_vector,
     eigvalsh_sym,
     pca_top_k,
     row_softmax,
@@ -19,6 +23,33 @@ from attnlab.numerics import (
 SOFTMAX_210 = (0.66524096, 0.24472847, 0.09003057)
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+@pytest.mark.parametrize("entries, finite", [
+    ([1.0, -2.0, 0.5], True),
+    ([1.0, math.nan, 0.5], False),
+    ([1.0, math.inf, 0.5], False),
+    ([1.0, -math.inf, 0.5], False),
+    ([math.inf, -math.inf, 0.5], False),
+    ([1e200, -1e200, 1e200], True),  # the sum of squares overflows
+])
+@pytest.mark.parametrize("check, shape", [(as_vector, (3,)), (as_matrix, (1, 3)),
+                                          (as_matrix, (3, 1))])
+def test_finiteness_check_raises_exactly_on_a_non_finite_entry(entries, finite, check, shape):
+    # Tier-1 turns warnings into errors, so the 1e200 case also pins that the
+    # check prints no numpy overflow warning.
+    a = np.reshape(entries, shape)
+    if finite:
+        np.testing.assert_array_equal(check(a), a)
+    else:
+        name = "vector" if check is as_vector else "matrix"
+        with pytest.raises(ValueError, match=f"^non-finite {name}$"):
+            check(a)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_as_matrix_accepts_an_empty_matrix(shape):
+    assert as_matrix(np.zeros(shape)).shape == shape
 
 
 def test_row_softmax_frozen_values():

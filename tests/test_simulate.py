@@ -261,8 +261,8 @@ def test_trajectory_energy_mode_counts_all_gated_cells(monkeypatch):
 
 
 def test_trajectory_runs_baseline_only_on_scaled_cells(monkeypatch):
-    # Every cell runs the attention core once; only a scaled cell adds a baseline.
-    calls = _counting(monkeypatch, simulate, "_attend")
+    # Every cell runs the scheduled call once; only a scaled cell adds a baseline.
+    calls = _counting(monkeypatch, simulate, "scheduled_attention")
     baselines = _counting(monkeypatch, simulate, "attention_forward")
     den = make_toy_denoiser(seed=0, num_blocks=4)
     coeffs = StepCoefficients.linear(10)
@@ -474,7 +474,7 @@ def test_forward_ignores_the_observer_return_value():
 
 
 def test_deviation_check_makes_one_pass(monkeypatch):
-    calls = _counting(monkeypatch, simulate, "_attend")
+    calls = _counting(monkeypatch, simulate, "scheduled_attention")
     den = make_toy_denoiser(seed=0, num_blocks=3)
     x = sample_gaussian((den.n_video, den.d_model), seed=1)
     rep = deviation_bound_check(den, StepCoefficients.linear(5), 2, x, alpha=1.7, query=3)
@@ -581,13 +581,12 @@ def test_forward_names_a_logit_that_overflows_to_minus_inf():
         simulate._forward(den, x, 1)
 
 
-def test_forward_replays_a_false_alarm_through_the_checked_call(monkeypatch):
-    # Logits near 1e200 are finite, but the guard's dot product of them overflows.
+def test_forward_replays_a_false_alarm_through_the_checked_call():
+    # Logits near 1e200 are finite, but the sum of their squares in the
+    # finiteness check overflows, so the check falls back to testing each entry.
     den = make_toy_denoiser(seed=0, num_blocks=3)
     x = 1e100 * sample_gaussian((den.n_video, den.d_model), seed=1)
-    replays = _counting(monkeypatch, simulate, "attention_forward")
     eps = simulate._forward(den, x, 1)
-    assert len(replays) == 3
     h = x
     for blk in den.blocks:
         tokens = np.vstack([den.cond_embed, h])
@@ -597,7 +596,8 @@ def test_forward_replays_a_false_alarm_through_the_checked_call(monkeypatch):
 
 
 @pytest.mark.parametrize("window, message", [
-    ("early", "gamma must keep the scaled logits finite, got 1.35"),  # cell (0, 1) is scaled
+    # Cell (0, 1) is scaled, but its unscaled video-video logits overflow too.
+    ("early", "non-finite logits"),
     ("late", "non-finite logits"),  # cell (0, 1) runs the plain pass
 ])
 def test_trajectory_names_overflowing_logits_without_a_numpy_warning(window, message):
@@ -613,4 +613,27 @@ def test_deviation_check_names_overflowing_logits_without_a_numpy_warning():
     den = make_toy_denoiser(seed=0, num_blocks=4)
     x = 1e300 * sample_gaussian((den.n_video, den.d_model), seed=1)
     with pytest.raises(ValueError, match="^non-finite logits$"):
+        deviation_bound_check(den, StepCoefficients.linear(10), 2, x, alpha=1.7)
+
+
+@pytest.mark.parametrize("scale, gamma, message", [
+    # The unscaled video-video logits overflow, which no gamma causes.
+    (1e155, 1.35, "non-finite logits"),
+    (1e160, 1e-300, "non-finite logits"),
+    # Only the scaled conditioning columns overflow.
+    (1e150, 1e160, r"gamma must keep the scaled logits finite, got 1e\+160"),
+])
+def test_scaled_cell_names_the_cause_of_an_overflow(scale, gamma, message):
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    x = scale * sample_gaussian((den.n_video, den.d_model), seed=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_trajectory(den, StepCoefficients.linear(10),
+                       _schedule(gamma=gamma, num_blocks=4, total_steps=10), x)
+
+
+def test_deviation_check_rejects_a_non_finite_bound_without_a_numpy_warning():
+    # The logits are finite, but the norm of a logit row overflows.
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    x = 1e150 * sample_gaussian((den.n_video, den.d_model), seed=1)
+    with pytest.raises(ValueError, match="^deviation bound must be finite, got inf$"):
         deviation_bound_check(den, StepCoefficients.linear(10), 2, x, alpha=1.7)
