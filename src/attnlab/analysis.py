@@ -28,19 +28,42 @@ _CURVATURE_VIOLATIONS = tuple(
 )
 
 
+def _rows(x, name: str) -> tuple[np.ndarray, bool]:
+    """``x`` as C-ordered rows, and whether it is a stack.
+
+    An (n, m) stack passes the checks of :func:`as_matrix`; anything else
+    those of :func:`as_vector`, and becomes one row. The rows are C-ordered
+    so that each reduces, and each dot product rounds, as a vector would.
+    """
+    stacked = np.ndim(x) == 2
+    rows = as_matrix(x, name) if stacked else as_vector(x, name)[None, :]
+    return np.ascontiguousarray(rows), stacked
+
+
+def _tempered(z: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """softmax(alpha z) of every logit row at every alpha of its grid row.
+
+    ``z`` is an (n, m) logit stack and ``alphas`` an (n, k) grid; row i k + j
+    of the (n k, m) result is softmax(alphas[i, j] z[i]). This is the one
+    place the library forms tempered logits. They are laid out C-ordered
+    whatever the layout of ``z``, so each row reduces as a vector would.
+    """
+    products = np.multiply(alphas[:, :, None], z[:, None, :], order="C")
+    return row_softmax(products.reshape(alphas.size, z.shape[1]))
+
+
 def entropy(p):
     """Shannon entropy -sum p_j ln p_j in nats, with 0 ln 0 := 0.
 
     ``p`` must be a distribution: nonnegative entries summing to 1 within
     ``ENTROPY_SUM_TOLERANCE``. An (n, m) stack of distributions gives an
     array of n entropies, one per row. This is :func:`_row_entropies` after
-    the vector (or matrix) checks of :func:`as_vector` (:func:`as_matrix`).
+    the checks of :func:`_rows`.
     """
-    stacked = np.ndim(p) == 2
-    pm = as_matrix(p, "distribution") if stacked else as_vector(p, "distribution")[None, :]
+    pm, stacked = _rows(p, "distribution")
     if (pm < 0).any():
         raise ValueError("invalid distribution: negative entry")
-    h = _row_entropies(np.ascontiguousarray(pm))
+    h = _row_entropies(pm)
     return h if stacked else float(h[0])
 
 
@@ -119,8 +142,7 @@ def entropy_alpha_report(z, s, alpha) -> EntropyReport:
     i equals ``entropy_alpha_report(z[i], s, alpha[i])`` bit for bit: the
     three probe points of every row make one softmax and entropy stack.
     """
-    stacked = np.ndim(z) == 2
-    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    zm, stacked = _rows(z, "logits")
     a = np.ravel(np.asarray(alpha, dtype=np.float64))
     h = DEFAULT_FD_STEP
     bad = np.flatnonzero(a - h <= 0)
@@ -128,8 +150,7 @@ def entropy_alpha_report(z, s, alpha) -> EntropyReport:
         raise ValueError(f"alpha={np.ravel(alpha)[bad[0]]} too small for fd_step={h}")
     # A fancy-indexed column subset is F-ordered; the rows are summed C-ordered.
     zs = np.ascontiguousarray(zm[:, _subset_indices(s, zm.shape[1])])
-    grid = np.stack([a - h, a, a + h], axis=1)
-    p = row_softmax((grid[:, :, None] * zs[:, None, :]).reshape(-1, zs.shape[1]))
+    p = _tempered(zs, np.stack([a - h, a, a + h], axis=1))
     h_lo, h_mid, h_hi = _row_entropies(p).reshape(-1, 3).T
     variance = _variance_rows(p[1::3], zs)
     analytic = -a * variance
@@ -141,8 +162,7 @@ def entropy_alpha_report(z, s, alpha) -> EntropyReport:
 def logit_gap(z):
     """Gap between the two largest logits: 0.0 for a tied maximum or a single logit.
     An (n, m) stack of logit vectors gives an array of gaps, one per row."""
-    stacked = np.ndim(z) == 2
-    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    zm, stacked = _rows(z, "logits")
     top = np.sort(zm, axis=1)
     gaps = top[:, -1] - top[:, -2] if zm.shape[1] > 1 else np.zeros(zm.shape[0])
     return gaps if stacked else float(gaps[0])
@@ -275,7 +295,7 @@ def curvature_rows(z, alphas) -> CurvatureRows:
         raise ValueError(f"alpha grid rows ({a.shape[0]}) != logit rows ({n})")
     a = a.reshape(n, -1)
     k = a.shape[1]
-    p = row_softmax((a[:, :, None] * zm[:, None, :]).reshape(n * k, m))
+    p = _tempered(zm, a)
     delta = logit_gap(zm)
     # With m == 1 the bounds are exactly 0 and hold trivially.
     gap_applicable = (delta > 0.0) | (m == 1)
@@ -350,11 +370,10 @@ def lipschitz_report(z, v, alpha1, alpha2) -> LipschitzReport:
     every field is an array, row i equal to ``lipschitz_report(z[i], v[i],
     alpha1[i], alpha2[i])`` bit for bit: the products and the Gram solves of
     :func:`~attnlab.numerics.spectral_norm` are batched matrix by matrix, and
-    the vector norms (dot products, which a batched sum could round
-    differently) are taken row by row.
+    the vector norms are dot products of C-ordered rows, which round as each
+    row's ``np.linalg.norm`` does.
     """
-    stacked = np.ndim(z) == 2
-    zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
+    zm, stacked = _rows(z, "logits")
     vm = np.asarray(v, dtype=np.float64) if stacked else as_matrix(v, "V")[None]
     if stacked and (vm.ndim != 3 or not np.isfinite(vm).all()):
         raise ValueError("V must be a finite 3-D stack")
@@ -365,14 +384,13 @@ def lipschitz_report(z, v, alpha1, alpha2) -> LipschitzReport:
             raise ValueError(f"{name} must be positive, got {col}")
     a = np.stack([np.ravel(alpha1), np.ravel(alpha2)], axis=1).astype(np.float64)
     n, m = zm.shape
-    p = row_softmax((a[:, :, None] * zm[:, None, :]).reshape(-1, m))
     vt = np.swapaxes(vm, 1, 2)
-    y = vt[:, None] @ p.reshape(n, 2, m, 1)
-    deviation = np.array([np.linalg.norm(g) for g in (y[:, 0] - y[:, 1]).reshape(n, -1)])
+    y = vt[:, None] @ _tempered(zm, a).reshape(n, 2, m, 1)
+    gap = (y[:, 0] - y[:, 1]).reshape(n, -1)
+    deviation = np.sqrt(np.vecdot(gap, gap))
     gram = vt @ vm if m >= vm.shape[2] else vm @ vt
     v_norm = np.sqrt(np.maximum(np.abs(eigvalsh_sym(gram)).max(axis=1), 0.0))
-    z_norm = np.array([np.linalg.norm(row) for row in zm])
-    bound = 0.5 * v_norm * z_norm * np.abs(a[:, 0] - a[:, 1])
+    bound = 0.5 * v_norm * np.sqrt(np.vecdot(zm, zm)) * np.abs(a[:, 0] - a[:, 1])
     cols = (deviation, bound, bound - deviation)
     if stacked:
         return LipschitzReport(a[:, 0], a[:, 1], *cols)

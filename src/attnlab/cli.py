@@ -293,18 +293,11 @@ def cmd_simulate(args) -> int:
         "mode": cfg.mode,
         "flops": asdict(audit),
         "conflict": {
-            "gamma": conflict.gamma,
-            "boost": conflict.boost,
-            "base_mass_text": conflict.base_mass_text,
-            "base_mass_image": conflict.base_mass_image,
-            "base_mass_video": conflict.base_mass_video,
-            "delta_mass_text": conflict.delta_mass_text,
-            "delta_mass_image": conflict.delta_mass_image,
-            "delta_mass_video": conflict.delta_mass_video,
+            # The per-query tuples are summarized by the three entries below.
+            **{k: v for k, v in asdict(conflict).items() if not isinstance(v, tuple)},
             "entropy_ratio_mean": float(np.mean(conflict.entropy_ratios)),
             "entropy_ratio_max_nondegenerate": float(max(ratios_nd)) if ratios_nd else None,
             "nondegenerate_queries": int(nondeg),
-            "argmax_flips_to_text": conflict.argmax_flips_to_text,
         },
     }
     sum_path = write_json(out_dir, "summary", summary)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _row_entropies, _subset_indices, flops_overhead, group_mass_rows
+from .analysis import _row_entropies, _subset_indices, _tempered, flops_overhead, group_mass_rows
 from .attention import (
     DEFAULT_TARGETS,
     KeyPartition,
@@ -24,7 +24,7 @@ from .attention import (
     build_partition,
     key_scale_factors,
 )
-from .numerics import as_matrix, row_softmax, sample_gaussian, softmax_vec, spectral_norm
+from .numerics import as_matrix, row_softmax, sample_gaussian, spectral_norm
 from .scheduling import ScheduleConfig, active_steps, scheduled_attention
 
 
@@ -260,19 +260,25 @@ def deviation_bound_check(
     z_row = res.logits[row]
     b_t = coeffs.b[t - 1]
     x_next = []
-    for a in (1.0, alpha):
-        # The last block's output with the probe row replaced by softmax(a z) V.
+    for p in _tempered(z_row[None, :], np.array([[1.0, alpha]])):
+        # The last block's output with the probe row replaced by softmax(a z) V,
+        # for a = 1 and a = alpha.
         y = res.output.copy()
-        y[row] = softmax_vec(a * z_row) @ v_mat
+        y[row] = p @ v_mat
         x_next.append(coeffs.a[t - 1] * xm + b_t * (y[n_cond:] @ denoiser.blocks[-1].w_o))
     deviation = float(np.linalg.norm(x_next[1] - x_next[0]))
     with np.errstate(over="ignore"):
+        z_norm = float(np.linalg.norm(z_row))
+        if math.isinf(z_norm):
+            # The sum of squares overflowed, which the norm itself need not.
+            s = float(np.abs(z_row).max())
+            z_norm = s * float(np.linalg.norm(z_row / s))
         bound = (
             abs(b_t)
             * denoiser.lipschitz_upper
             * 0.5
             * spectral_norm(v_mat)
-            * float(np.linalg.norm(z_row))
+            * z_norm
             * abs(alpha - 1.0)
         )
     if not math.isfinite(bound):
@@ -543,8 +549,9 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         zs = np.ascontiguousarray(z[:, scaled_union])
         scaled_nondeg = np.var(zs, axis=1) > NONDEGENERATE_VARIANCE
         # A single scaled key has entropy 0 at every gamma, hence ratio 1.
-        h_b = _row_entropies(row_softmax(zs))
-        h_m = _row_entropies(row_softmax(config.gamma * zs))
+        # 1 * z is exact, so the first column is the baseline softmax.
+        grid = np.tile([1.0, config.gamma], (len(zs), 1))
+        h_b, h_m = _row_entropies(_tempered(zs, grid)).reshape(-1, 2).T
         scaled_ratios = _entropy_ratio(h_m, h_b)
     is_text = np.isin(cond, part.text)
     from_text_b = is_text[np.argmax(p_base[:, cond], axis=1)]
@@ -592,5 +599,5 @@ def sharpening_curve(z: np.ndarray, subset, gammas) -> np.ndarray:
         raise ValueError("gammas must be positive")
     n, k = zs.shape
     # One softmax stack over every (query, gamma) pair, query-major.
-    p = row_softmax((g[None, :, None] * zs[:, None, :]).reshape(-1, k)).reshape(n, g.size, k)
+    p = _tempered(zs, np.tile(g, (n, 1))).reshape(n, g.size, k)
     return p[np.arange(n), :, np.argmax(zs, axis=1)]

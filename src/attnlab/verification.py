@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _tempered,
     _variance_rows,
     curvature_rows,
     entropy,
@@ -37,7 +38,6 @@ from .analysis import (
     logit_gap,
 )
 from .attention import attention_forward, scaled_logits
-from .numerics import row_softmax
 from .simulate import StepCoefficients, deviation_bound_check, make_toy_denoiser
 
 PAIRWISE_TOLERANCE = 1e-12
@@ -140,7 +140,7 @@ def _scale_equivalence(seed: int, draws: int):
         v = rng.normal(size=(m, d))
         p_q = attention_forward(gamma * q, k, v).probabilities
         p_k = attention_forward(q, gamma * k, v).probabilities
-        p_t = row_softmax(gamma * scaled_logits(q, k))
+        p_t = _tempered(scaled_logits(q, k), np.full((n, 1), gamma))
         max_diff = max(float(np.abs(a - b).max()) for a, b in ((p_q, p_k), (p_q, p_t), (p_k, p_t)))
         margin = PAIRWISE_TOLERANCE - max_diff
         row = {"draw": i, "n": n, "m": m, "d": d, "gamma": gamma, "max_diff": max_diff,
@@ -170,7 +170,7 @@ def _entropy_slope(seed: int, draws: int):
 
 def _entropy_slope_pass(idx, zs, ms, alphas, alphas2):
     rep = entropy_alpha_report(zs, range(zs.shape[1]), alphas)
-    h2 = entropy(row_softmax(alphas2[:, None] * zs))
+    h2 = entropy(_tempered(zs, alphas2[:, None]))
     monotone = _nonincreasing(np.stack([rep.entropy, h2], axis=1))
     cols = _per_draw(idx, ms, alphas, alphas2, rep.entropy, rep.variance, rep.abs_gap, h2, monotone)
     for i, m, alpha, alpha2, h, variance, abs_gap, h_2, monotone_ok in cols:

@@ -631,9 +631,20 @@ def test_scaled_cell_names_the_cause_of_an_overflow(scale, gamma, message):
                        _schedule(gamma=gamma, num_blocks=4, total_steps=10), x)
 
 
-def test_deviation_check_rejects_a_non_finite_bound_without_a_numpy_warning():
-    # The logits are finite, but the norm of a logit row overflows.
+@pytest.mark.parametrize("scale, bound", [
+    # The sum of squares of a logit row overflows, but its norm and the bound do not.
+    (1e90, 7.947213230951807e+266),
+    (1e100, 7.947213230951806e+296),
+    # The logits are finite, but the bound overflows.
+    (1e110, None),
+    (1e150, None),
+])
+def test_deviation_check_rejects_a_non_finite_bound_without_a_numpy_warning(scale, bound):
     den = make_toy_denoiser(seed=0, num_blocks=4)
-    x = 1e150 * sample_gaussian((den.n_video, den.d_model), seed=1)
-    with pytest.raises(ValueError, match="^deviation bound must be finite, got inf$"):
-        deviation_bound_check(den, StepCoefficients.linear(10), 2, x, alpha=1.7)
+    x = scale * sample_gaussian((den.n_video, den.d_model), seed=1)
+    if bound is None:
+        with pytest.raises(ValueError, match="^deviation bound must be finite, got inf$"):
+            deviation_bound_check(den, StepCoefficients.linear(10), 2, x, alpha=1.7)
+    else:
+        rep = deviation_bound_check(den, StepCoefficients.linear(10), 2, x, alpha=1.7)
+        assert rep.bound == bound and rep.margin >= 0

@@ -19,7 +19,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -304,6 +304,9 @@ def _sharpening_cases(draw):
 @seed(25)
 @settings(max_examples=300, deadline=None)
 @given(case=_sharpening_cases(), strided=st.booleans())
+# One gamma over 16 keys of a column subset, which is F-ordered: rows summed
+# F-ordered round differently from a vector.
+@example(case=(np.sin(np.arange(32.0)).reshape(2, 16), list(range(16)), [1.3]), strided=False)
 def test_sharpening_curve_matches_the_double_loop(case, strided):
     z, subset, gammas = case
     got = sharpening_curve(_layout(z, strided), subset, gammas)
@@ -351,9 +354,14 @@ def _curvature_stacks(draw):
 
 @seed(26)
 @settings(max_examples=200, deadline=None)
-@given(case=_curvature_stacks())
-def test_curvature_rows_stack_matches_one_vector_calls(case):
-    _stacked_curvature_matches_rows(*case)
+@given(case=_curvature_stacks(), order=st.sampled_from("CF"))
+# One alpha per vector of 16 F-ordered logits: the tempered rows must still
+# be summed C-ordered, as a vector is.
+@example(case=(np.sin(np.arange(48.0)).reshape(3, 16), np.array([[1.3], [0.7], [2.0]])),
+         order="F")
+def test_curvature_rows_stack_matches_one_vector_calls(case, order):
+    z, alphas = case
+    _stacked_curvature_matches_rows(np.asarray(z, order=order), alphas)
 
 
 def test_curvature_rows_stack_covers_ties_one_logit_and_underflow():

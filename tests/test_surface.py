@@ -19,6 +19,7 @@ UNREACHED = {
     "scheduling.block_gate": "pinned by the acceptance module",
     "simulate.ddim_step": "pinned by the acceptance module",
     "simulate.sharpening_curve": "pinned by the acceptance module",
+    "numerics.softmax_vec": "pinned by the acceptance module",
     "analysis.curvature_report": "named as a layer in BENCHMARK.json",
     "analysis.group_mass_report": "named as a layer in BENCHMARK.json",
     "tensorio.decode_tensor": "named as a layer in BENCHMARK.json",

@@ -98,13 +98,12 @@ def test_curvature_suite_runs_one_curvature_pass_per_logit_length(curvature_pass
 
 def test_entropy_slope_runs_two_softmax_stacks_per_subset_size(monkeypatch):
     calls = []
-    original = verification.row_softmax
+    original = analysis.row_softmax
 
     def counting_row_softmax(z):
         calls.append(len(z))
         return original(z)
 
-    monkeypatch.setattr(verification, "row_softmax", counting_row_softmax)
     monkeypatch.setattr(analysis, "row_softmax", counting_row_softmax)
     draws = 200
     res = verification.run_suite("entropy-slope", seed=3, draws=draws)
