@@ -47,9 +47,19 @@ def _tempered(z: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     of the (n k, m) result is softmax(alphas[i, j] z[i]). This is the one
     place the library forms tempered logits. They are laid out C-ordered
     whatever the layout of ``z``, so each row reduces as a vector would.
+    Finite logits whose products overflow raise ``ValueError`` naming the
+    grid's largest alpha; non-finite logits keep ``row_softmax``'s message.
     """
-    products = np.multiply(alphas[:, :, None], z[:, None, :], order="C")
-    return row_softmax(products.reshape(alphas.size, z.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.multiply(alphas[:, :, None], z[:, None, :], order="C")
+    try:
+        return row_softmax(products.reshape(alphas.size, z.shape[1]))
+    except ValueError:
+        if np.isfinite(z).all() and not np.isfinite(products).all():
+            raise ValueError(
+                f"alpha must keep the tempered logits finite, got {float(np.max(alphas))!r}"
+            ) from None
+        raise
 
 
 def entropy(p):

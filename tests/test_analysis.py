@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -511,6 +512,20 @@ def test_curvature_rows_reject_nonpositive_alpha_as_the_scalar_path(alphas):
 )
 def test_curvature_rows_reject_bad_logits_as_the_scalar_path(z):
     assert _error(curvature_rows, z, [1.0, 2.0]) == _error(curvature_report, z, 1.0)
+
+
+@pytest.mark.parametrize("z, alpha", [([3.0, 1.0], 1e308), ([1e308, 0.0], 2.0)])
+def test_an_alpha_that_overflows_finite_logits_is_named(z, alpha):
+    # alpha z leaves the float64 range: the error names alpha, not the logits,
+    # and no numpy overflow warning is printed (tier-1 turns warnings into errors).
+    def message(largest):
+        return f"^{re.escape(f'alpha must keep the tempered logits finite, got {largest!r}')}$"
+
+    with pytest.raises(ValueError, match=message(alpha)):
+        curvature_rows(np.array(z), [1.0, alpha])
+    # The report's largest probe is alpha + h.
+    with pytest.raises(ValueError, match=message(alpha + analysis.DEFAULT_FD_STEP)):
+        entropy_alpha_report(np.array(z), (0, 1), alpha)
 
 
 def test_curvature_rows_reject_empty_grid():

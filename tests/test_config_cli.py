@@ -956,6 +956,17 @@ def test_gamma_that_overflows_the_keys_is_named_and_writes_nothing(tmp_path, cap
     assert not out.exists()
 
 
+def test_alpha_that_overflows_the_logits_is_named_and_writes_nothing(tmp_path, capsys):
+    # 1e308 * 3 leaves the float64 range though the logits are finite: the
+    # error names the grid's alpha, and no numpy overflow warning is printed.
+    out = tmp_path / "out"
+    assert main(["sweep", "--z", "3,1", "--alpha-grid", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: alpha must keep the tempered logits finite, got 1e+308\n"
+    )
+    assert not out.exists()
+
+
 def test_energy_gamma_that_overflows_the_logits_is_named_and_writes_nothing(tmp_path, capsys):
     # gamma_max = 1e308 gives an energy coefficient near 4.9e307: every scaled
     # key stays finite, but Q K^T leaves the float64 range. The error names

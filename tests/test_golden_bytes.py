@@ -18,6 +18,10 @@ deleted: it is the one case that scales a single key group, in the denoiser
 and in the conflict experiment. ``simulate-key-text`` was recorded before
 the conflict experiment's per-query loop became one stacked pass: it scales
 the text group alone, and its conflict summary has nonzero argmax flips.
+``verify-scale-equivalence-1000`` was recorded before the scale-equivalence
+suite drew every case first and made one softmax pass per key count: at 1,000
+draws each key count holds dozens of draws, where the 20- and 30-draw cases
+leave most of them with one.
 ``calibrate-files`` and ``calibrate-files-mask``
 were recorded before calibrate read the attention stack one block at a time;
 their ATNB inputs are written by ``_write_calibration_inputs``.
@@ -97,6 +101,10 @@ CASES = {
     "verify-curvature-300": (
         ["verify", "curvature", "--draws", "300", "--seed", "31"],
         {"verify_curvature.csv": "9851526cc17d2a8f5ea8bc683c64abc551d51145050f9febc9c81786cfa54f2c"},
+    ),
+    "verify-scale-equivalence-1000": (
+        ["verify", "scale-equivalence", "--draws", "1000", "--seed", "1"],
+        {"verify_scale-equivalence.csv": "4b02751e83b654cc915553a3f288f13bf9736a4d862b688fb6158b1edc445811"},
     ),
     "sweep-tied-maximum": (
         ["sweep", "--z", "1,1,0", "--alpha-grid", "1,2"],

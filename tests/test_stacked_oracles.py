@@ -38,7 +38,13 @@ from attnlab.analysis import (
     lipschitz_report,
     logit_gap,
 )
-from attnlab.attention import ScalingTargets, key_scale_factors, resolve_targets
+from attnlab.attention import (
+    ScalingTargets,
+    attention_forward,
+    key_scale_factors,
+    resolve_targets,
+    scaled_logits,
+)
 from attnlab.numerics import row_softmax, softmax_vec, spectral_norm
 from attnlab.simulate import (
     ConflictConfig,
@@ -447,7 +453,8 @@ def test_lipschitz_report_stack_matches_one_row_calls(z, d_v, data):
 #
 # The loops below are the suites as they were written draw by draw: each draw
 # makes its own one-vector calls, in draw order. The suites now draw every case
-# first and make one stacked pass per shape, so each report row is compared
+# first and make one stacked pass per shape (per key count and block of draws
+# for scale-equivalence), so each report row is compared
 # with the loop's by repr, with the violation count and the first problem.
 # The suite constants are read at call time, so a test can tighten them to
 # make the violation path fire in both forms.
@@ -515,6 +522,29 @@ def _curvature_loop(seed_, draws):
         yield [row], (
             f"draw {i}: bound violations {curv.violations[0]}, psd_ok={psd_ok}, "
             f"env_ok={env_ok}, norm at 50/gap = {collapse_norm:.3e}" if bad else None
+        )
+
+
+def _scale_equivalence_loop(seed_, draws):
+    rng = np.random.default_rng(seed_)
+    for i in range(draws):
+        n = int(rng.integers(1, 17))
+        m = int(rng.integers(1, 17))
+        d = int(rng.integers(1, 9))
+        gamma = float(rng.uniform(0.5, 3.0))
+        q = rng.normal(size=(n, d))
+        k = rng.normal(size=(m, d))
+        v = rng.normal(size=(m, d))
+        p_q = attention_forward(gamma * q, k, v).probabilities
+        p_k = attention_forward(q, gamma * k, v).probabilities
+        p_t = analysis._tempered(scaled_logits(q, k), np.full((n, 1), gamma))
+        max_diff = max(float(np.abs(a - b).max()) for a, b in ((p_q, p_k), (p_q, p_t), (p_k, p_t)))
+        margin = V.PAIRWISE_TOLERANCE - max_diff
+        row = {"draw": i, "n": n, "m": m, "d": d, "gamma": gamma, "max_diff": max_diff,
+               "margin": margin}
+        yield [row], (
+            f"draw {i}: pairwise diff {max_diff:.3e} exceeds {V.PAIRWISE_TOLERANCE}"
+            if margin < 0 else None
         )
 
 
@@ -601,6 +631,7 @@ def _result(res):
 
 
 SUITE_LOOPS = {
+    "scale-equivalence": _scale_equivalence_loop,
     "entropy-slope": _entropy_slope_loop,
     "curvature": _curvature_loop,
     "lipschitz": _lipschitz_loop,
@@ -617,6 +648,13 @@ def test_batched_suite_matches_its_per_draw_loop(name, seed_, draws, inject_bug)
     assert _result(got) == want
 
 
+def test_batched_scale_equivalence_matches_its_loop_across_blocks():
+    # 450 draws span two full blocks of draws and a partial third.
+    assert 2 * V._EQUIVALENCE_BLOCK < 450 < 3 * V._EQUIVALENCE_BLOCK
+    want = _loop_result("scale-equivalence", _scale_equivalence_loop(4, 450))
+    assert _result(V.run_suite("scale-equivalence", seed=4, draws=450)) == want
+
+
 def test_batched_suites_have_singleton_groups_at_seven_draws():
     # Seven draws over 15 logit lengths leave some length with a single draw.
     rng = np.random.default_rng(1)
@@ -631,6 +669,7 @@ def test_batched_suites_have_singleton_groups_at_seven_draws():
         ("entropy-slope", {"MONOTONE_SLACK": -1e-3}),
         ("curvature", {"COLLAPSE_NORM_LIMIT": 1e-40, "PSD_SLACK": -1.0}),
         ("curvature", {"MONOTONE_SLACK": -1e-3}),
+        ("scale-equivalence", {"PAIRWISE_TOLERANCE": 1e-17}),
     ],
 )
 def test_batched_suite_violations_match_the_loop(monkeypatch, name, patches):
@@ -638,6 +677,8 @@ def test_batched_suite_violations_match_the_loop(monkeypatch, name, patches):
         monkeypatch.setattr(V, attr, value)
     want = _loop_result(name, SUITE_LOOPS[name](3, 80))
     assert want[1] > 0
+    if name == "scale-equivalence":
+        assert want[1] < 80  # draws whose three routes agree exactly still pass
     assert _result(V.run_suite(name, seed=3, draws=80)) == want
 
 

@@ -3,7 +3,8 @@
 The sweep and the curvature suite make one ``curvature_rows`` pass per logit
 length over all of its draws, and that pass forms no Hessian and calls no
 eigensolver; the entropy-slope suite makes two softmax stacks per subset
-size. A return to per-draw calls or to a dense eigensolve fails here.
+size, and the scale-equivalence suite three per key count in each block of
+draws. A return to per-draw calls or to a dense eigensolve fails here.
 """
 
 from collections import Counter
@@ -111,3 +112,21 @@ def test_entropy_slope_runs_two_softmax_stacks_per_subset_size(monkeypatch):
     assert len(calls) == 2 * len(sizes) <= 32
     # Three probe rows per draw (alpha - h, alpha, alpha + h), then one at alpha2.
     assert sum(calls) == 4 * draws
+
+
+def test_scale_equivalence_runs_three_softmax_stacks_per_key_count_and_block(monkeypatch):
+    calls = []
+    original = analysis.row_softmax
+
+    def counting_row_softmax(z):
+        calls.append(len(z))
+        return original(z)
+
+    monkeypatch.setattr(analysis, "row_softmax", counting_row_softmax)
+    monkeypatch.setattr(verification, "row_softmax", counting_row_softmax)
+    draws = 450
+    res = verification.run_suite("scale-equivalence", seed=2, draws=draws)
+    groups = {(row["draw"] // verification._EQUIVALENCE_BLOCK, row["m"]) for row in res.rows}
+    assert len(calls) <= 3 * len(groups) <= 3 * 3 * 16
+    # Each route's softmax runs once over every query row of every draw.
+    assert sum(calls) == 3 * sum(row["n"] for row in res.rows)
