@@ -325,9 +325,16 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     tail_bound = np.array([(m - 1) * math.exp(-x * g) for x, g in zip(af.tolist(), gaps)])
     # The top row's Gershgorin sum p_max (1 - p_max) is p_max t, which does not cancel.
     gersh = np.maximum(2.0 * top * tail_mass, (2.0 * tail * (1.0 - tail)).max(axis=1, initial=0.0))
-    decay_bound = 2.0 * af * af * tail_bound
     lam_max, lam_min = _spectrum_ends(top, tail, tail_mass)
-    norm = af * af * lam_max
+    # alpha^2 leaves the float64 range near alpha = 1.3e154, long before the
+    # tempered logits do: name alpha rather than report a NaN norm or bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay_bound = 2.0 * af * af * tail_bound
+        norm = af * af * lam_max
+    if not (np.isfinite(decay_bound).all() and np.isfinite(norm).all()):
+        raise ValueError(
+            f"alpha must keep the curvature and its decay bound finite, got {float(np.max(a))!r}"
+        )
 
     slack = _BOUND_SLACK * np.maximum(1.0, af * af)
     mask = (norm > af * af * gersh + slack).astype(int)

@@ -5,17 +5,24 @@ the latent's channel axis to a 3-channel pseudo-RGB via PCA, segment each
 frame by thresholding, score tokens by their mean received attention, and call
 a block foreground-focused when its high-attention tokens mostly land inside
 the mask. Published block tables for three backbones ship as package data.
+
+One kernel scores a block from consecutive row slabs, reducing each slab once
+while it is in cache: ``token_scores`` gives it the whole matrix as one slab,
+and calibrate's files mode the slabs of at most 512 KiB that
+``BlockReader.row_slabs`` reads, so no (n, n) block is held. One step turns
+scores into a ``RatioReport`` for both.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .numerics import as_matrix, pca_top_k, row_softmax
+from .numerics import pca_top_k, row_softmax
 
 DEFAULT_HIGH_QUANTILE = 0.2
 OTSU_BINS = 256
@@ -116,6 +123,37 @@ def validate_mask(mask, shape: tuple[int, int, int]) -> np.ndarray:
     return m
 
 
+def _scores(slabs, shape: tuple[int, int]) -> np.ndarray:
+    """Row means of one ``shape`` attention block given as its consecutive row slabs.
+
+    Each slab is reduced once: its row sums fill the block's totals, and its
+    minimum joins a running minimum. Finite row sums imply finite entries,
+    so entries are tested one by one only where a sum is not finite. The
+    errors come in :func:`token_scores`'s order: non-finite, not square,
+    empty, negative. ``np.add.reduce`` along each row is the sum that
+    ``mean`` runs, so ``totals / n`` is ``mean(axis=1)`` bit for bit.
+    """
+    rows, cols = shape
+    totals = np.empty(rows)
+    low = math.inf
+    i = 0
+    for slab in slabs:
+        slab = np.asarray(slab, dtype=np.float64)
+        sums = np.add.reduce(slab, axis=1, out=totals[i : i + len(slab)])
+        if not (np.isfinite(sums).all() or np.isfinite(slab).all()):
+            raise ValueError("non-finite attention")
+        if slab.size:
+            low = min(low, np.minimum.reduce(slab, axis=None))
+        i += len(slab)
+    if rows != cols:
+        raise ValueError(f"attention matrix must be square, got {shape}")
+    if rows == 0:
+        raise ValueError("empty attention matrix")
+    if low < 0:
+        raise ValueError("attention matrix entries must be nonnegative")
+    return totals / rows
+
+
 def token_scores(attention) -> np.ndarray:
     """Row means of a square aggregated-attention matrix.
 
@@ -124,14 +162,10 @@ def token_scores(attention) -> np.ndarray:
     received attention. Feeding a query->key row-stochastic matrix directly
     collapses every score to 1/L (rows sum to 1) — transpose it first.
     """
-    m = as_matrix(attention, "attention")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"attention matrix must be square, got {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError("empty attention matrix")
-    if (m < 0).any():
-        raise ValueError("attention matrix entries must be nonnegative")
-    return m.mean(axis=1)
+    m = np.asarray(attention, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"attention must be 2-D, got {m.ndim}-D")
+    return _scores([m], m.shape)
 
 
 @dataclass(frozen=True)
@@ -141,6 +175,27 @@ class RatioReport:
     ratio: float
     high_count: int
     degenerate: bool
+
+
+def _ratios(scores, mask, high_quantile: float) -> list[RatioReport]:
+    """One :class:`RatioReport` per block, from an iterable of token scores.
+
+    ``high_quantile`` is checked before the first scores are drawn, so a
+    lazy iterable scores no block with a bad quantile; then each block's
+    scores are checked against the mask's size as they arrive.
+    """
+    if not 0.0 < high_quantile < 1.0:
+        raise ValueError(f"high_quantile must be in (0, 1), got {high_quantile}")
+    flat = np.asarray(mask).ravel().astype(bool)
+    reports = []
+    for s in scores:
+        if flat.size != s.size:
+            raise ValueError(f"mask has {flat.size} tokens, attention matrix has {s.size}")
+        high = s > float(np.quantile(s, 1.0 - high_quantile))
+        count = int(high.sum())
+        ratio = float(flat[high].sum() / count) if count else 0.0
+        reports.append(RatioReport(ratio=ratio, high_count=count, degenerate=count == 0))
+    return reports
 
 
 def foreground_ratio(
@@ -153,22 +208,7 @@ def foreground_ratio(
     as foreground. An empty high set (e.g. constant scores) is flagged
     degenerate with ratio 0.
     """
-    if not 0.0 < high_quantile < 1.0:
-        raise ValueError(f"high_quantile must be in (0, 1), got {high_quantile}")
-    scores = token_scores(attention)
-    flat = np.asarray(mask).ravel()
-    if flat.size != scores.size:
-        raise ValueError(
-            f"mask has {flat.size} tokens, attention matrix has {scores.size}"
-        )
-    flat = flat.astype(bool)
-    cutoff = float(np.quantile(scores, 1.0 - high_quantile))
-    high = scores > cutoff
-    count = int(high.sum())
-    if count == 0:
-        return RatioReport(ratio=0.0, high_count=0, degenerate=True)
-    ratio = float(flat[high].sum() / count)
-    return RatioReport(ratio=ratio, high_count=count, degenerate=False)
+    return _ratios(map(token_scores, [attention]), mask, high_quantile)[0]
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ import numpy as np
 
 from .calibration import (
     BlockRatioTable,
+    _ratios,
+    _scores,
     calibrate_synthetic,
     fixture_names,
     foreground_mask,
-    foreground_ratio,
     load_block_fixture,
     pca_pseudo_rgb,
     select_blocks,
@@ -218,8 +219,8 @@ def cmd_calibrate(args) -> int:
         return EXIT_OK
     if args.latent is not None:
         latent = read_tensor(args.latent)
-        # The stack is the large input: it is read and scored one block at a
-        # time and never held whole.
+        # The stack is the large input: each block is read and scored one row
+        # slab of at most 512 KiB at a time, so no block is held whole.
         with BlockReader(args.attention) as stack:
             if stack.ndim != 3:
                 raise ConfigError(
@@ -230,7 +231,8 @@ def cmd_calibrate(args) -> int:
                 mask = validate_mask(read_tensor(args.mask), rgb.shape[1:])
             else:
                 mask = foreground_mask(rgb)
-            reports = [foreground_ratio(block, mask, cfg.high_quantile) for block in stack]
+            scores = (_scores(stack.row_slabs(l), stack.shape[1:]) for l in range(stack.shape[0]))
+            reports = _ratios(scores, mask, cfg.high_quantile)
         table = BlockRatioTable(
             ratios=tuple(r.ratio for r in reports), sample_count=1
         )

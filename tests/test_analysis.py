@@ -528,6 +528,14 @@ def test_an_alpha_that_overflows_finite_logits_is_named(z, alpha):
         entropy_alpha_report(np.array(z), (0, 1), alpha)
 
 
+def test_an_alpha_whose_square_overflows_is_named():
+    # alpha z is finite, so the tempered softmax is, but alpha^2 is not: the
+    # norm and decay bound would be NaN. No numpy warning is printed either.
+    message = "alpha must keep the curvature and its decay bound finite, got 1e+160"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        curvature_rows(np.array([3.0, 0.0]), [1e160])
+
+
 def test_curvature_rows_reject_empty_grid():
     with pytest.raises(ValueError, match="alpha grid must be nonempty"):
         curvature_rows(np.array([1.0, 0.0]), [])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from attnlab import tensorio
 from attnlab.calibration import (
     BlockFixture,
     BlockRatioTable,
@@ -14,7 +15,9 @@ from attnlab.calibration import (
     select_blocks,
     token_scores,
     validate_mask,
+    _scores,
 )
+from attnlab.tensorio import BlockReader, read_tensor, write_tensor
 
 
 def _exhaustive_otsu(values, bins=256):
@@ -166,6 +169,66 @@ def test_token_scores_validation():
         token_scores(np.ones((2, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
         token_scores(np.array([[0.5, -0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_token_scores_are_row_means_bit_for_bit(order):
+    # calibrate_synthetic scores an F-ordered transposed softmax: it must be
+    # reduced as given, as mean(axis=1) reduces it.
+    rng = np.random.default_rng(11)
+    m = np.asarray(rng.random(size=(97, 97)) * 10.0 ** rng.integers(-8, 8, size=(97, 1)), order=order)
+    assert token_scores(m).tobytes() == m.mean(axis=1).tobytes()
+
+
+# -- scores from row slabs: the files path ------------------------------------
+
+
+def _slab_stack(tmp_path, dtype):
+    """A (3, 12, 12) stack whose rows mix magnitudes, exact zeros and -0.0."""
+    rng = np.random.default_rng(5)
+    a = rng.random(size=(3, 12, 12)) * 10.0 ** rng.integers(-6, 6, size=(3, 12, 1))
+    a[1, 4] = 0.0
+    a[2, :, 0] = -0.0
+    if dtype == np.bool_:
+        a = a > 0.5
+    path = tmp_path / "stack.atnb"
+    write_tensor(path, a)
+    return path
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float64", "bool"])
+@pytest.mark.parametrize(
+    "rows_per_slab, lengths",
+    [(1, [1] * 12), (4, [4, 4, 4]), (5, [5, 5, 2])],
+    ids=["one-row", "exact-multiple", "partial-last"],
+)
+def test_slab_scores_equal_token_scores_of_read_tensor(tmp_path, monkeypatch, dtype, rows_per_slab, lengths):
+    path = _slab_stack(tmp_path, dtype)
+    monkeypatch.setattr(tensorio, "_SLAB_BYTES", rows_per_slab * 12 * np.dtype(dtype).itemsize)
+    whole = read_tensor(path)
+    with BlockReader(path) as reader:
+        for l in range(3):
+            slabs = list(reader.row_slabs(l))
+            assert [len(s) for s in slabs] == lengths
+            assert all(s.dtype == dtype and s.shape[1:] == (12,) for s in slabs)
+            if dtype == np.float64:  # one buffer, refilled slab after slab
+                assert len({s.__array_interface__["data"][0] for s in slabs}) == 1
+            got = _scores(reader.row_slabs(l), reader.shape[1:])
+            assert got.tobytes() == token_scores(whole[l]).tobytes()
+
+
+def test_slab_scores_at_the_default_slab_size(tmp_path):
+    # Rows of 2,400 bytes: 218 of them (523,200 bytes) fit in 512 KiB, so a
+    # 300-row block reads as 218 + 82 rows.
+    rng = np.random.default_rng(6)
+    path = tmp_path / "stack.atnb"
+    write_tensor(path, rng.random(size=(2, 300, 300)))
+    whole = read_tensor(path)
+    with BlockReader(path) as reader:
+        assert [len(s) for s in reader.row_slabs(1)] == [218, 82]
+        for l in range(2):
+            got = _scores(reader.row_slabs(l), reader.shape[1:])
+            assert got.tobytes() == token_scores(whole[l]).tobytes()
 
 
 def test_foreground_ratio_planted_case():

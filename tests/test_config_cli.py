@@ -13,7 +13,7 @@ from attnlab.calibration import fixture_names
 from attnlab.cli import main, write_csv
 from attnlab.config import _SCHEMA, ConfigError, RunConfig, check_config, read_config_file
 from attnlab.numerics import row_softmax
-from attnlab.tensorio import encode_tensor, write_tensor
+from attnlab.tensorio import encode_tensor, read_tensor, write_tensor
 from attnlab.verification import SUITE_NAMES
 
 
@@ -512,6 +512,80 @@ def test_calibrate_bad_attention_stack_writes_no_table(tmp_path, capsys, stack, 
     assert not (out / "block_table.json").exists()
 
 
+def _nan_in_a_later_block(s):
+    s[2, 70, 5] = np.nan
+    return s
+
+
+def _negative_entry(s):
+    s[1, 71, 3] = -1e-3
+    return s
+
+
+def _negative_block_before_a_nan_block(s):
+    s[1, 0, 0], s[2, 0, 0] = -1.0, np.nan
+    return s
+
+
+def _negative_before_an_inf_in_one_block(s):
+    s[1, 0, 0], s[1, 71, 71] = -1.0, np.inf
+    return s
+
+
+def _non_square_with_a_nan(s):
+    s = s[:, :, :36].copy()
+    s[0, 50, 1] = np.nan
+    return s
+
+
+# Each stderr was recorded before calibrate scored blocks from row slabs.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_nan_in_a_later_block, "non-finite attention"),
+        (_negative_entry, "attention matrix entries must be nonnegative"),
+        (_negative_block_before_a_nan_block, "attention matrix entries must be nonnegative"),
+        (_negative_before_an_inf_in_one_block, "non-finite attention"),
+        (lambda s: s[:, :, :36].copy(), "attention matrix must be square, got (72, 36)"),
+        (_non_square_with_a_nan, "non-finite attention"),
+        (lambda s: s[:, :0, :0].copy(), "empty attention matrix"),
+        (lambda s: s[:, :64, :64].copy(), "mask has 72 tokens, attention matrix has 64"),
+    ],
+    ids=["nan-later-block", "negative", "negative-then-nan-block", "negative-then-inf",
+         "non-square", "non-square-nan", "empty", "fewer-tokens-than-mask"],
+)
+def test_calibrate_files_rejects_a_bad_block_as_before(tmp_path, capsys, edit, message):
+    lat, att, _ = _write_calibration_files(tmp_path)
+    write_tensor(att, edit(read_tensor(att)))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--latent", str(lat), "--attention", str(att), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not out.exists()
+
+
+def test_calibrate_files_rejects_a_mask_of_the_wrong_shape(tmp_path, capsys):
+    lat, att, mask = _write_calibration_files(tmp_path)
+    write_tensor(mask, read_tensor(mask)[:, :, :5].copy())
+    out = tmp_path / "out"
+    argv = ["calibrate", "--latent", str(lat), "--attention", str(att), "--mask", str(mask)]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid input: mask shape (2, 6, 5) != expected (2, 6, 6)\n"
+    assert not out.exists()
+
+
+def test_calibrate_files_scores_a_boolean_stack_as_its_0_1_floats(tmp_path, capsys):
+    lat, att, _ = _write_calibration_files(tmp_path)
+    stack = read_tensor(att) > 1 / 72
+    digests = []
+    for name, array in (("bool", stack), ("float", stack.astype(np.float64))):
+        write_tensor(att, array)
+        out = tmp_path / name
+        assert main(["calibrate", "--latent", str(lat), "--attention", str(att), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        digests.append((out / "block_table.json").read_bytes())
+    assert digests[0] == digests[1]
+
+
 def test_calibrate_files_streams_the_attention_stack(tmp_path):
     # An 8 x 256 x 256 stack is 4 MiB; read one 512 KiB block at a time, the
     # run's traced peak stays well below the stack's own size.
@@ -963,6 +1037,17 @@ def test_alpha_that_overflows_the_logits_is_named_and_writes_nothing(tmp_path, c
     assert main(["sweep", "--z", "3,1", "--alpha-grid", "1e308", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "invalid input: alpha must keep the tempered logits finite, got 1e+308\n"
+    )
+    assert not out.exists()
+
+
+def test_alpha_whose_square_overflows_is_named_and_writes_nothing(tmp_path, capsys):
+    # 1e160 * 3 is finite, but alpha^2 is not: the curvature would read NaN
+    # and certify. The error names alpha, and no numpy warning is printed.
+    out = tmp_path / "out"
+    assert main(["sweep", "--z", "3,1", "--alpha-grid", "1e160", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: alpha must keep the curvature and its decay bound finite, got 1e+160\n"
     )
     assert not out.exists()
 

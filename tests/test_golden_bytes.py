@@ -24,7 +24,10 @@ draws each key count holds dozens of draws, where the 20- and 30-draw cases
 leave most of them with one.
 ``calibrate-files`` and ``calibrate-files-mask``
 were recorded before calibrate read the attention stack one block at a time;
-their ATNB inputs are written by ``_write_calibration_inputs``.
+their ATNB inputs are written by ``_write_calibration_inputs``. Their
+128 x 128 blocks fit in one 512 KiB row slab, so ``calibrate-files-slabs``
+was recorded before calibrate scored each block from row slabs: its
+384 x 384 blocks span two full slabs and a partial one.
 The entropy-slope reports and every sweep report were re-recorded once
 ``analysis._variance_rows`` replaced E[z^2] - E[z]^2 with two passes about
 z_max: only their variance column (and, in entropy-slope, the slope_gap and
@@ -161,6 +164,10 @@ CASES = {
          "--tau", "0.4"],
         {"block_table.json": "7574d97752aed9984b6196ff7880898a54935a8c37162b07f6725511e0d5b782"},
     ),
+    "calibrate-files-slabs": (
+        ["calibrate", "--latent", "{latent}", "--attention", "{attention}"],
+        {"block_table.json": "9734d2436a10bf4da0d827d14ae1d573223e631f3f4fbe3e69fbd307326f9bf1"},
+    ),
     "calibrate-synthetic": (
         ["calibrate", "--samples", "5", "--blocks", "6", "--seed", "2"],
         {"block_table.json": "556d1d5e9fad4d13e9115f4f90747564ab416d26cf47d68c4e69539254ac7174"},
@@ -168,22 +175,27 @@ CASES = {
 }
 
 
-def _write_calibration_inputs(d):
-    """Seeded ATNB latent (1, 4, 2, 8, 8), attention stack (5, 128, 128) and mask.
+# Cases whose calibration inputs are not the default size.
+INPUT_SIZES = {"calibrate-files-slabs": {"frames": 6, "blocks": 3}}
+
+
+def _write_calibration_inputs(d, frames=2, blocks=5):
+    """Seeded ATNB latent (1, 4, frames, 8, 8), attention stack (blocks, n, n)
+    with n = 64 frames, and mask.
 
     Block l's received attention favours a planted blob by affinity[l], from
     repelled to attracted, so the ratios fall on both sides of tau.
     """
     rng = np.random.default_rng(23)
-    latent = rng.normal(0.0, 0.2, size=(1, 4, 2, 8, 8))
+    latent = rng.normal(0.0, 0.2, size=(1, 4, frames, 8, 8))
     direction = rng.normal(size=4)
     latent[0, :, :, 2:6, 1:5] += 2.0 * (direction / np.linalg.norm(direction))[:, None, None, None]
-    blob = np.zeros((2, 8, 8), dtype=bool)
+    blob = np.zeros((frames, 8, 8), dtype=bool)
     blob[:, 2:6, 1:5] = True
     n = blob.size
-    affinity = np.linspace(-0.5, 1.0, 5)[:, None, None]
-    logits = rng.normal(size=(5, n, n)) + affinity * blob.ravel()
-    stack = row_softmax(logits.reshape(-1, n)).reshape(5, n, n).transpose(0, 2, 1)
+    affinity = np.linspace(-0.5, 1.0, blocks)[:, None, None]
+    logits = rng.normal(size=(blocks, n, n)) + affinity * blob.ravel()
+    stack = row_softmax(logits.reshape(-1, n)).reshape(blocks, n, n).transpose(0, 2, 1)
     mask = np.zeros_like(blob)
     mask[:, 1:7, 1:5] = True
     paths = {}
@@ -200,7 +212,7 @@ def _write_calibration_inputs(d):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_recorded_digests(case, tmp_path):
     argv, expected = CASES[case]
-    paths = _write_calibration_inputs(tmp_path)
+    paths = _write_calibration_inputs(tmp_path, **INPUT_SIZES.get(case, {}))
     for name, config in CONFIGS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(config))

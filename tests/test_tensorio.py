@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attnlab import tensorio
 from attnlab.tensorio import (
     MAGIC,
     BlockReader,
@@ -257,6 +258,50 @@ def test_block_reader_zero_dim_has_no_slices(tmp_path):
         assert reader.ndim == 0
         with pytest.raises(ValueError, match="no leading axis"):
             list(reader)
+
+
+# -- row slabs: one slice's rows read into one reused buffer
+
+
+def test_row_slabs_invalid_boolean_byte_in_a_later_slab(tmp_path, monkeypatch):
+    # payload starts at 4+4+1+4+3*8 = 37 and slice 1 at 37+36 = 73; it reads
+    # as slabs of 2 rows (12 bytes), so its second slab starts at byte 85.
+    monkeypatch.setattr(tensorio, "_SLAB_BYTES", 12)
+    buf = bytearray(encode_tensor(np.ones((2, 6, 6), dtype=bool)))
+    buf[87] = 5
+    with BlockReader(_write(tmp_path, bytes(buf))) as reader:
+        slabs = reader.row_slabs(1)
+        assert next(slabs).all()
+        with pytest.raises(TensorFormatError) as exc:
+            next(slabs)
+    assert str(exc.value) == _decode_error(bytes(buf)) == "invalid boolean byte 5 at byte 87"
+
+
+def test_row_slabs_file_shrunk_after_open(tmp_path, monkeypatch):
+    # payload starts at byte 37; slice 1 starts at 37 + 4*4*8 = 165 and reads
+    # as slabs of 3 rows (96 bytes) and 1 row; cut the file inside the second.
+    monkeypatch.setattr(tensorio, "_SLAB_BYTES", 3 * 32)
+    path = tmp_path / "t.atnb"
+    write_tensor(path, np.arange(32.0).reshape(2, 4, 4))
+    with BlockReader(path) as reader:
+        slabs = reader.row_slabs(1)
+        np.testing.assert_array_equal(next(slabs), np.arange(16.0, 28.0).reshape(3, 4))
+        os.truncate(path, 165 + 96 + 20)
+        with pytest.raises(TensorFormatError, match="^truncated payload at byte 261: need 32 bytes, have 20$"):
+            next(slabs)
+
+
+def test_row_slabs_edges(tmp_path):
+    path = tmp_path / "t.atnb"
+    write_tensor(path, np.zeros((2, 0, 3)))
+    with BlockReader(path) as reader:
+        assert list(reader.row_slabs(1)) == []
+        with pytest.raises(IndexError, match="slice 2 out of range for 2 slices"):
+            next(reader.row_slabs(2))
+    write_tensor(path, np.zeros(3))
+    with BlockReader(path) as reader:
+        with pytest.raises(ValueError, match="a 1-d tensor has no rows"):
+            next(reader.row_slabs(0))
 
 
 # -- read_tensor: the header checked against the file size, then one read
