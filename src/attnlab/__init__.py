@@ -59,6 +59,7 @@ from .numerics import (
     softmax_vec,
     spectral_norm,
     spectral_norm_sym,
+    spectral_norms,
 )
 from .scheduling import (
     BlockGateTable,

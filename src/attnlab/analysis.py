@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import KeyPartition
-from .numerics import as_matrix, as_vector, eigvalsh_sym, row_softmax
+from .attention import KeyPartition, _group_index
+from .numerics import as_matrix, as_vector, row_softmax, spectral_norms
 
 ENTROPY_SUM_TOLERANCE = 1e-8
 DEFAULT_FD_STEP = 1e-5
@@ -91,6 +91,8 @@ def _row_entropies(q: np.ndarray) -> np.ndarray:
         raise ValueError(f"invalid distribution: sum is {float(totals[bad][0])!r}, not 1")
     positive = q > 0
     h = -(q * np.log(np.where(positive, q, 1.0))).sum(axis=1)
+    if positive.all():
+        return h
     # A zero term would change how the pairwise sum groups the positive ones,
     # so a row with zeros sums its positive entries alone: the rows with c
     # positive entries gather them, in index order, into a contiguous (rows, c)
@@ -385,8 +387,8 @@ def lipschitz_report(z, v, alpha1, alpha2) -> LipschitzReport:
 
     With an (n, m) stack ``z``, an (n, m, d) stack ``v`` and n alphas each,
     every field is an array, row i equal to ``lipschitz_report(z[i], v[i],
-    alpha1[i], alpha2[i])`` bit for bit: the products and the Gram solves of
-    :func:`~attnlab.numerics.spectral_norm` are batched matrix by matrix, and
+    alpha1[i], alpha2[i])`` bit for bit: the products are batched matrix by
+    matrix, ``||V||_2`` is :func:`~attnlab.numerics.spectral_norms`, and
     the vector norms are dot products of C-ordered rows, which round as each
     row's ``np.linalg.norm`` does.
     """
@@ -405,9 +407,7 @@ def lipschitz_report(z, v, alpha1, alpha2) -> LipschitzReport:
     y = vt[:, None] @ _tempered(zm, a).reshape(n, 2, m, 1)
     gap = (y[:, 0] - y[:, 1]).reshape(n, -1)
     deviation = np.sqrt(np.vecdot(gap, gap))
-    gram = vt @ vm if m >= vm.shape[2] else vm @ vt
-    v_norm = np.sqrt(np.maximum(np.abs(eigvalsh_sym(gram)).max(axis=1), 0.0))
-    bound = 0.5 * v_norm * np.sqrt(np.vecdot(zm, zm)) * np.abs(a[:, 0] - a[:, 1])
+    bound = 0.5 * spectral_norms(vm) * np.sqrt(np.vecdot(zm, zm)) * np.abs(a[:, 0] - a[:, 1])
     cols = (deviation, bound, bound - deviation)
     if stacked:
         return LipschitzReport(a[:, 0], a[:, 1], *cols)
@@ -455,9 +455,10 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
         raise ValueError("invalid distribution: negative entry")
 
     def columns(idx) -> np.ndarray:
-        # p[:, idx] is F-ordered, and its sum(axis=1) rounds differently from
-        # a 1-D row sum; the C-ordered copy sums each row like a vector.
-        return np.ascontiguousarray(pm[:, list(idx)])
+        # A column subset of p is not C-ordered, and its sum(axis=1) rounds
+        # differently from a 1-D row sum; the C-ordered copy sums each row
+        # like a vector.
+        return np.ascontiguousarray(pm[:, _group_index(idx)])
 
     def mass(idx) -> np.ndarray:
         return columns(idx).sum(axis=1) if idx else np.zeros(n)
@@ -468,6 +469,8 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
         c = columns(cond)
         cond_mass = c.sum(axis=1)
         ok = cond_mass > 0.0
+        if ok.all():
+            ok = slice(None)  # no masked copy when every row has conditioning mass
         h_cond[ok] = _row_entropies(c[ok] / cond_mass[ok, None])
     return GroupMassRows(
         mass_text=mass(partition.text),

@@ -30,6 +30,15 @@ def _as_index_tuple(idx, name: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _group_index(idx):
+    """A tuple of key indices as a slice when they run contiguously upward,
+    else as a list: either selects the same entries in the same order, and a
+    slice does so without a fancy-index gather."""
+    lo = idx[0] if idx else 0
+    run = range(lo, lo + len(idx))
+    return slice(lo, run.stop) if idx == tuple(run) else list(idx)
+
+
 @dataclass(frozen=True)
 class KeyPartition:
     """Disjoint key-index groups covering exactly 0..size-1."""
@@ -172,7 +181,7 @@ def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.n
                 f"key scaling requested for empty group {name!r}; no-op",
                 stacklevel=3,
             )
-        factors[list(idx)] = gamma
+        factors[_group_index(idx)] = gamma
     return factors
 
 

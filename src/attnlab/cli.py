@@ -14,7 +14,7 @@ import json
 import operator
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -279,7 +279,7 @@ def cmd_simulate(args) -> int:
         ConflictConfig(boost=cfg.boost, gamma=cfg.gamma, targets=schedule.modulation.targets),
     )
     columns = [f.name for f in fields(TrajectoryRow)]
-    rows = [asdict(r) for r in trajectory.rows]
+    rows = [vars(r) for r in trajectory.rows]
     out_dir = resolve_out_dir(cfg)
     traj_path = write_report(out_dir, "trajectory", columns, rows, cfg.format)
     nondeg = sum(conflict.nondegenerate)
@@ -293,10 +293,10 @@ def cmd_simulate(args) -> int:
         "active_steps": list(active_steps(cfg.total_steps, schedule.window)),
         "gamma": cfg.gamma,
         "mode": cfg.mode,
-        "flops": asdict(audit),
+        "flops": vars(audit),
         "conflict": {
             # The per-query tuples are summarized by the three entries below.
-            **{k: v for k, v in asdict(conflict).items() if not isinstance(v, tuple)},
+            **{k: v for k, v in vars(conflict).items() if not isinstance(v, tuple)},
             "entropy_ratio_mean": float(np.mean(conflict.entropy_ratios)),
             "entropy_ratio_max_nondegenerate": float(max(ratios_nd)) if ratios_nd else None,
             "nondegenerate_queries": int(nondeg),

@@ -1,5 +1,10 @@
 """Dense float64 numeric kernels: softmax, spectral norms, PCA, seeded sampling.
 
+The symmetric eigensolve and the general spectral norm each have a stack
+form: :func:`eigvalsh_sym` takes a (..., n, n) stack, and
+:func:`spectral_norms` an (L, r, c) stack, equal matrix by matrix, bit for
+bit, to the one-matrix :func:`spectral_norm`.
+
 Every function is pure: output depends only on the arguments. Randomness is
 confined to :func:`sample_gaussian`, which derives a fresh generator from the
 caller's seed on every call, so identical seeds give bit-identical streams.
@@ -107,6 +112,25 @@ def spectral_norm(a) -> float:
         raise ValueError("empty matrix")
     g = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
     return float(np.sqrt(max(spectral_norm_sym(g), 0.0)))
+
+
+def spectral_norms(a) -> np.ndarray:
+    """Largest singular value of each matrix in an (L, r, c) stack, in one solve.
+
+    Entry l equals ``spectral_norm(a[l])`` bit for bit: each Gram product is
+    formed as in the one-matrix route and the stack goes through
+    :func:`eigvalsh_sym`, which solves a matrix alike alone or in a stack.
+    Anything but a 3-D stack raises ``ValueError``. ``eigvalsh_sym`` makes the
+    other checks, with ``spectral_norm``'s messages: a non-finite entry makes
+    its Gram diagonal non-finite ("non-finite matrix"), as does a Gram product
+    that overflows, and an empty stack has an empty Gram stack ("empty matrix").
+    """
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 3:
+        raise ValueError(f"matrix stack must be 3-D, got {m.ndim}-D")
+    mt = np.swapaxes(m, 1, 2)
+    g = mt @ m if m.shape[1] >= m.shape[2] else m @ mt
+    return np.sqrt(np.abs(eigvalsh_sym(g)).max(axis=1))
 
 
 def pca_top_k(x, k: int) -> tuple[np.ndarray, np.ndarray]:

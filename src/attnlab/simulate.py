@@ -20,11 +20,12 @@ from .attention import (
     KeyPartition,
     ScalingTargets,
     _check_positive_finite,
+    _group_index,
     attention_forward,
     build_partition,
     key_scale_factors,
 )
-from .numerics import as_matrix, row_softmax, sample_gaussian, spectral_norm
+from .numerics import as_matrix, row_softmax, sample_gaussian, spectral_norm, spectral_norms
 from .scheduling import ScheduleConfig, active_steps, scheduled_attention
 
 
@@ -72,7 +73,9 @@ class ToyDenoiser:
     ``lipschitz_upper`` is the product of the post-attention projections'
     spectral norms — an upper Lipschitz constant for the map from any single
     block's attention output to the predicted noise, provided every factor is
-    >= 1 (which :func:`make_toy_denoiser` enforces when sampling).
+    >= 1 (which :func:`make_toy_denoiser` enforces when sampling). The norms
+    are solved as one :func:`~attnlab.numerics.spectral_norms` stack, so every
+    block has one query/key projection shape and one value width.
     """
 
     partition: KeyPartition
@@ -89,7 +92,6 @@ class ToyDenoiser:
                 f"cond_embed rows ({self.cond_embed.shape[0]}) != text+image size ({n_cond})"
             )
         d = self.d_model
-        lip = 1.0
         for i, blk in enumerate(self.blocks):
             for name in ("w_q", "w_k", "w_v"):
                 w = getattr(blk, name)
@@ -108,10 +110,13 @@ class ToyDenoiser:
                     f"block {i} w_o shape {blk.w_o.shape} != (w_v cols, d_model) = "
                     f"{(blk.w_v.shape[1], d)}"
                 )
-            lip *= spectral_norm(blk.w_o)
-        if len({blk.w_q.shape for blk in self.blocks}) != 1:
-            raise ValueError("every block needs the same query/key projection shape")
-        object.__setattr__(self, "lipschitz_upper", lip)
+        if len({(blk.w_q.shape, blk.w_v.shape) for blk in self.blocks}) != 1:
+            raise ValueError(
+                "every block needs the same query/key projection shape and value width"
+            )
+        # math.prod multiplies the norms in block order, from 1.
+        norms = spectral_norms([blk.w_o for blk in self.blocks])
+        object.__setattr__(self, "lipschitz_upper", math.prod(norms.tolist()))
 
     @property
     def n_video(self) -> int:
@@ -148,17 +153,16 @@ def make_toy_denoiser(
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(d_k)
     cond_embed = rng.normal(0.0, 1.0, size=(n_text + n_image, d_model))
-    blocks = []
-    for _ in range(num_blocks):
-        w_q = rng.normal(0.0, scale, size=(d_model, d_k))
-        w_k = rng.normal(0.0, scale, size=(d_model, d_k))
-        w_v = rng.normal(0.0, scale, size=(d_model, d_v))
-        w_o = rng.normal(0.0, scale, size=(d_v, d_model))
-        sigma = spectral_norm(w_o)
-        if sigma < 1.0:
-            w_o = w_o / sigma  # clamp the norm up to exactly 1
-        blocks.append(BlockWeights(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o))
-    return ToyDenoiser(partition=partition, cond_embed=cond_embed, blocks=tuple(blocks))
+    # Each block draws W_q, W_k, W_v, W_o in turn; then every norm is solved at once.
+    shapes = ((d_model, d_k), (d_model, d_k), (d_model, d_v), (d_v, d_model))
+    drawn = [[rng.normal(0.0, scale, size=s) for s in shapes] for _ in range(num_blocks)]
+    sigmas = spectral_norms([w[3] for w in drawn]).tolist()
+    blocks = tuple(
+        # A norm below 1 is clamped up to exactly 1.
+        BlockWeights(w_q, w_k, w_v, w_o / sigma if sigma < 1.0 else w_o)
+        for (w_q, w_k, w_v, w_o), sigma in zip(drawn, sigmas)
+    )
+    return ToyDenoiser(partition=partition, cond_embed=cond_embed, blocks=blocks)
 
 
 def _forward(
@@ -354,8 +358,10 @@ def run_trajectory(
     the same logits. A cell is scaled when its scheduled call says so
     (``result.gamma`` is set; see :func:`scheduled_attention`), and only a
     scaled cell counts its multiplies and runs a separate unscheduled call for
-    its baseline; any other cell reuses its scheduled result, which is the
-    plain pass bit for bit (so such cells have ratio exactly 1). Masses and
+    its baseline. That call runs on the video query rows alone, the only rows
+    the statistics read, and each of its rows equals the full call's row bit
+    for bit. Any other cell reuses its scheduled result, which is the plain
+    pass bit for bit (so such cells have ratio exactly 1). Masses and
     conditioning entropies are averaged over blocks and video query rows,
     from one :func:`group_mass_rows` pass per step over the scheduled rows
     and the scaled cells' baselines. A row's statistics do not depend on the
@@ -386,13 +392,13 @@ def run_trajectory(
             results.append(res)
             if res.gamma is not None:
                 scaled.append(l)
-                baselines.append(attention_forward(q, k, v))
+                baselines.append(attention_forward(q[n_cond:], k, v).probabilities)
 
         h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
         active = len(scaled)
         # Video rows of every block, block-major, then of each scaled cell's baseline.
-        probs = np.vstack([res.probabilities[n_cond:] for res in results + baselines])
+        probs = np.vstack([res.probabilities[n_cond:] for res in results] + baselines)
         stats = group_mass_rows(probs, part)
         h_mod = stats.entropy_cond[:n_meas]
         h_base = h_mod.reshape(-1, denoiser.n_video).copy()
@@ -522,7 +528,7 @@ def conflict_logits(seed: int, config: ConflictConfig) -> tuple[np.ndarray, KeyP
     """Seeded conflict logit matrix (n_queries x m) with boosted image columns."""
     part = build_partition(config.n_text, config.n_image, config.n_video)
     z = sample_gaussian((config.n_queries, part.size), seed)
-    z[:, list(part.image)] += config.boost
+    z[:, _group_index(part.image)] += config.boost
     return z, part
 
 

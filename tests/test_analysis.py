@@ -21,8 +21,8 @@ from attnlab.analysis import (
     lipschitz_report,
 )
 from attnlab import analysis
-from attnlab.attention import build_partition
-from attnlab.numerics import softmax_vec
+from attnlab.attention import KeyPartition, build_partition
+from attnlab.numerics import row_softmax, softmax_vec
 
 # Frozen oracles for z = (2, 1, 0):
 # H(1) = log(1 + e^-1 + e^-2) + (e^-1 + 2 e^-2)/(1 + e^-1 + e^-2), evaluated once
@@ -661,11 +661,18 @@ def _bits(values):
 
 @st.composite
 def _stacks(draw):
-    """(p, partition): nonnegative rows, some with exact zeros or zero conditioning mass."""
+    """(p, partition): nonnegative rows, some with exact zeros or zero conditioning mass.
+
+    Half the partitions are contiguous; the others permute the key indices, so
+    their groups are scattered and need not be in ascending order.
+    """
     n_cond = draw(st.integers(0, 16))
     n_text = draw(st.integers(0, n_cond))
     n_video = draw(st.integers(0 if n_cond else 1, 6))
     part = build_partition(n_text, n_cond - n_text, n_video)
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(part.size)))
+        part = KeyPartition(*(tuple(order[i] for i in g) for g in (part.text, part.image, part.video)))
     n_rows = draw(st.integers(1, 12))
     entries = st.one_of(st.just(0.0), st.floats(1e-300, 1e3), st.floats(0.0, 1.0))
     p = draw(arrays(np.float64, (n_rows, part.size), elements=entries))
@@ -687,6 +694,27 @@ def test_group_mass_rows_match_row_reports_bit_for_bit(case):
         assert _bits(got) == _bits(
             (rep.mass_text, rep.mass_image, rep.mass_video, rep.entropy_cond)
         )
+
+
+def test_group_mass_rows_of_a_scattered_partition_take_every_path():
+    # No group is a contiguous upward run, so each is gathered by a list.
+    part = KeyPartition(text=(5, 1), image=(3, 0, 6), video=(2, 4))
+    dense = row_softmax(np.random.default_rng(3).normal(size=(4, 7)))
+    gapped = dense.copy()
+    gapped[1, [0, 5]] = 0.0  # exact zeros inside the conditioning block
+    massless = dense.copy()
+    massless[2, list(part.conditioning)] = 0.0  # no conditioning mass
+    # dense takes both all-positive paths; gapped the zero-count pass; massless the mask.
+    for p in (dense, gapped, massless):
+        rows = group_mass_rows(p, part)
+        for i in range(p.shape[0]):
+            got = (rows.mass_text[i], rows.mass_image[i], rows.mass_video[i], rows.entropy_cond[i])
+            rep = group_mass_report(p[i], part)
+            assert _bits(got) == _bits(_reference_row(p[i], part))
+            assert _bits(got) == _bits(
+                (rep.mass_text, rep.mass_image, rep.mass_video, rep.entropy_cond)
+            )
+    assert math.isnan(group_mass_rows(massless, part).entropy_cond[2])
 
 
 @seed(12)

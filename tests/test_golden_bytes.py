@@ -22,6 +22,11 @@ the text group alone, and its conflict summary has nonzero argmax flips.
 suite drew every case first and made one softmax pass per key count: at 1,000
 draws each key count holds dozens of draws, where the 20- and 30-draw cases
 leave most of them with one.
+``simulate-long`` is the benchmark's simulate-long workload at seed 1, with
+its exact argv: 3,200 (block, step) cells, 480 of them scaled. It was
+recorded before a scaled cell's baseline ran on the video query rows alone,
+before the denoiser's norms were solved as one stack, and before contiguous
+key groups were indexed by slice.
 ``calibrate-files`` and ``calibrate-files-mask``
 were recorded before calibrate read the attention stack one block at a time;
 their ATNB inputs are written by ``_write_calibration_inputs``. Their
@@ -153,6 +158,14 @@ CASES = {
         {
             "summary.json": "71b3a05fe6769ec3e0da97ff784c659f9dede7d976d6257047ac8afa07734650",
             "trajectory.csv": "bee29e7769d127ef5083ced57dcec5b1e2227244cae98f1c96d9f1901969f0b8",
+        },
+    ),
+    "simulate-long": (
+        ["simulate", "--steps", "100", "--blocks", "32", "--preset", "early", "--gamma", "1.35",
+         "--seed", "1"],
+        {
+            "summary.json": "016c22d623d8418eb9d4c471ac9f164698f50eb7a16aed0cab94d9ad61f8fd30",
+            "trajectory.csv": "c3c18f9a8921ea224ae5729f53957c3f6eb75268a9bc438ba73cea23cd3b3943",
         },
     ),
     "calibrate-files": (

@@ -16,6 +16,7 @@ from attnlab.numerics import (
     softmax_vec,
     spectral_norm,
     spectral_norm_sym,
+    spectral_norms,
 )
 
 # Frozen oracle values, computed by hand from the definitions:
@@ -191,6 +192,40 @@ def test_eigvalsh_sym_checks_every_matrix_of_a_stack():
         eigvalsh_sym(np.zeros((0, 2, 2)))
     with pytest.raises(ValueError, match="at least 2-D"):
         eigvalsh_sym(np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 1), (4, 6, 2), (4, 2, 6), (4, 5, 5), (2, 9, 4), (3, 1, 7)])
+def test_spectral_norms_match_one_matrix_norms_bit_for_bit(shape):
+    # Tall, wide, square and 1x1 matrices, each stack spanning 1e-150 to 1e150.
+    rng = np.random.default_rng(shape[1] * 10 + shape[2])
+    for magnitudes in ([1e-150] * 4, [1.0] * 4, [1e150] * 4, [1e-150, 1e-3, 1e40, 1e150]):
+        stack = rng.normal(size=shape) * np.array(magnitudes[: shape[0]])[:, None, None]
+        got = spectral_norms(stack)
+        assert got.shape == shape[:1]
+        assert [x.hex() for x in got.tolist()] == [spectral_norm(m).hex() for m in stack]
+
+
+def test_spectral_norms_reject_what_spectral_norm_rejects():
+    for bad in (math.nan, math.inf, -math.inf):
+        stack = np.ones((2, 3, 2))
+        stack[1, 2, 0] = bad
+        for call in (lambda: spectral_norms(stack), lambda: spectral_norm(stack[1])):
+            with pytest.raises(ValueError, match="^non-finite matrix$"):
+                call()
+    huge = np.full((2, 3, 2), 1e200)  # finite, but the Gram products overflow
+    with np.errstate(over="ignore"):
+        for call in (lambda: spectral_norms(huge), lambda: spectral_norm(huge[0])):
+            with pytest.raises(ValueError, match="^non-finite matrix$"):
+                call()
+    for shape in ((2, 0, 3), (2, 3, 0), (0, 2, 2)):
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            spectral_norms(np.ones(shape))
+    for shape in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            spectral_norm(np.ones(shape))
+    for shape in ((2, 2), (2,), (1, 2, 2, 2)):
+        with pytest.raises(ValueError, match=f"^matrix stack must be 3-D, got {len(shape)}-D$"):
+            spectral_norms(np.ones(shape))
 
 
 def test_spectral_norm_general_matches_svd():

@@ -489,6 +489,13 @@ def test_denoiser_blocks_share_one_key_width():
     with pytest.raises(ValueError, match="same query/key projection shape"):
         simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
                              blocks=(den.blocks[0], wide))
+    # The value width may not differ either: the W_o norms are solved as one stack.
+    narrow = dataclasses.replace(den.blocks[1], w_v=np.ones((den.d_model, 5)),
+                                 w_o=np.ones((5, den.d_model)))
+    with pytest.raises(ValueError, match="^every block needs the same query/key projection "
+                                         "shape and value width$"):
+        simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
+                             blocks=(den.blocks[0], narrow))
 
 
 @pytest.mark.parametrize("name, shape, message", [

@@ -9,12 +9,19 @@ compared with them bit for bit. The draws cover up to 64 keys, rows whose
 softmax underflows to exact zeros, non-contiguous inputs and every key
 position of the conflict experiment.
 
+``make_toy_denoiser`` and ``ToyDenoiser`` solve every block's spectral norm
+in one ``spectral_norms`` stack, and ``run_trajectory`` runs a scaled cell's
+baseline on the video query rows alone. Their references are the per-block
+loop and the trajectory body as they were before, with a full
+``attention_forward(q, k, v)`` baseline.
+
 The last two sections go one level up. ``curvature_rows``, ``logit_gap``,
 ``entropy``, ``entropy_alpha_report`` and ``lipschitz_report`` also take a
 stack of vectors, and each stacked row must equal the one-vector call. The
 batched verification suites must equal their per-draw loops, row for row.
 """
 
+import math
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -23,7 +30,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attnlab import analysis
+from attnlab import analysis, simulate
 from attnlab import verification as V
 from attnlab.analysis import (
     DEFAULT_FD_STEP,
@@ -45,12 +52,21 @@ from attnlab.attention import (
     resolve_targets,
     scaled_logits,
 )
-from attnlab.numerics import row_softmax, softmax_vec, spectral_norm
+from attnlab.config import RunConfig
+from attnlab.numerics import row_softmax, sample_gaussian, softmax_vec, spectral_norm
 from attnlab.simulate import (
+    BlockWeights,
     ConflictConfig,
     ConflictReport,
+    StepCoefficients,
+    ToyDenoiser,
+    Trajectory,
+    TrajectoryRow,
     conflict_experiment,
     conflict_logits,
+    make_toy_denoiser,
+    run_trajectory,
+    scaling_multiply_count,
     sharpening_curve,
 )
 
@@ -319,6 +335,136 @@ def test_sharpening_curve_matches_the_double_loop(case, strided):
     want = _sharpening_loop(z, subset, gammas)
     assert got.shape == want.shape
     assert _bits(got.ravel().tolist()) == _bits(want.ravel().tolist())
+
+
+# -- the toy denoiser and run_trajectory ------------------------------------------
+
+
+def _denoiser_loop(seed_, num_blocks, n_text, n_image, n_video, d_k, d_v):
+    """make_toy_denoiser as a per-block loop: draw a block, then solve its norm."""
+    rng = np.random.default_rng(seed_)
+    scale = 1.0 / math.sqrt(d_k)
+    cond_embed = rng.normal(0.0, 1.0, size=(n_text + n_image, d_v))
+    blocks = []
+    for _ in range(num_blocks):
+        w_q = rng.normal(0.0, scale, size=(d_v, d_k))
+        w_k = rng.normal(0.0, scale, size=(d_v, d_k))
+        w_v = rng.normal(0.0, scale, size=(d_v, d_v))
+        w_o = rng.normal(0.0, scale, size=(d_v, d_v))
+        sigma = spectral_norm(w_o)
+        if sigma < 1.0:
+            w_o = w_o / sigma
+        blocks.append(BlockWeights(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o))
+    lip = 1.0
+    for blk in blocks:
+        lip *= spectral_norm(blk.w_o)
+    return cond_embed, blocks, lip
+
+
+def _trajectory_loop(denoiser, coeffs, schedule, x0):
+    """run_trajectory with a full attention_forward(q, k, v) baseline per scaled cell."""
+    x = np.array(x0, dtype=np.float64)
+    n_cond = denoiser.cond_embed.shape[0]
+    n_meas = len(denoiser.blocks) * denoiser.n_video
+    part = denoiser.partition
+    cell_multiplies = scaling_multiply_count(
+        part, schedule.modulation.targets, part.size, denoiser.blocks[0].w_q.shape[1]
+    )
+    rows = []
+    for t in range(1, coeffs.total_steps + 1):
+        results, scaled, baselines = [], [], []
+
+        def observe(l, q, k, v, res):
+            results.append(res)
+            if res.gamma is not None:
+                scaled.append(l)
+                baselines.append(attention_forward(q, k, v))
+
+        h = simulate._forward(denoiser, x, t, schedule, observe)
+        x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
+        active = len(scaled)
+        probs = np.vstack([res.probabilities[n_cond:] for res in results + baselines])
+        stats = group_mass_rows(probs, part)
+        h_mod = stats.entropy_cond[:n_meas]
+        h_base = h_mod.reshape(-1, denoiser.n_video).copy()
+        h_base[scaled] = stats.entropy_cond[n_meas:].reshape(-1, denoiser.n_video)
+        masses = [
+            np.cumsum(col[:n_meas])[-1]
+            for col in (stats.mass_text, stats.mass_image, stats.mass_video)
+        ]
+        mean_mod = float(np.mean(h_mod))
+        mean_base = float(np.mean(h_base))
+        rows.append(TrajectoryRow(
+            step=t,
+            active_blocks=active,
+            scaling_multiplies=active * cell_multiplies,
+            mass_text=float(masses[0] / n_meas),
+            mass_image=float(masses[1] / n_meas),
+            mass_video=float(masses[2] / n_meas),
+            entropy_cond=mean_mod,
+            entropy_cond_base=mean_base,
+            entropy_ratio=float(simulate._entropy_ratio(mean_mod, mean_base)),
+            state_norm=float(np.linalg.norm(x)),
+        ))
+    return Trajectory(rows=tuple(rows))
+
+
+_DIMS = {"n_text": 4, "n_image": 6, "n_video": 8, "d_k": 8, "d_v": 6}
+# (seed, dims over the defaults, config keys over the defaults): every mode,
+# scaling position and window preset, group sizes from one token to 12, and
+# key widths from 1 to 32. Two energy cases keep their coefficient within an
+# ulp of 1 (kappa = 1e-3) or far above it (gamma_max = 3).
+TRAJECTORY_CASES = [
+    (0, {}, {}),
+    (1, {}, {"position": "key-text"}),
+    (2, {}, {"position": "key-image", "window": {"preset": "middle"}}),
+    (3, {"n_text": 1, "n_image": 1, "n_video": 1, "d_k": 1, "d_v": 1}, {"window": {"preset": "all"}}),
+    (4, {"n_text": 0, "n_image": 5, "n_video": 3, "d_k": 4, "d_v": 2},
+     {"mode": "energy", "position": "key-image", "window": {"preset": "all"}}),
+    (5, {"n_text": 5, "n_image": 0, "n_video": 6, "d_k": 16},
+     {"position": "key-text", "window": {"preset": "late"}}),
+    (6, {"n_text": 2, "n_image": 3, "n_video": 12, "d_k": 2, "d_v": 4}, {"mode": "energy"}),
+    (7, {}, {"mode": "energy", "position": "key-text", "window": {"preset": "middle"}}),
+    (8, {"n_text": 8, "n_image": 8, "n_video": 2, "d_v": 3}, {"gamma": 0.7}),
+    (9, {"n_text": 3, "n_image": 4, "n_video": 5, "d_k": 32, "d_v": 8},
+     {"mode": "energy", "kappa": 0.001, "window": {"preset": "all"}}),
+    (10, {}, {"gamma": 1.0, "window": {"preset": "all"}}),
+    (11, {}, {"mode": "energy", "gamma_max": 3.0, "position": "key-image",
+              "window": {"preset": "late"}}),
+    (12, {"n_text": 6, "n_image": 1, "n_video": 4, "d_k": 3},
+     {"gamma": 4.0, "block_gates": {"source": "all"}}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TRAJECTORY_CASES)))
+def test_toy_denoiser_matches_the_per_block_loop(case):
+    seed_, dims, _ = TRAJECTORY_CASES[case]
+    dims = {**_DIMS, **dims}
+    den = make_toy_denoiser(seed_, num_blocks=5, **dims)
+    cond_embed, blocks, lip = _denoiser_loop(seed_, 5, **dims)
+    assert den.cond_embed.tolist() == cond_embed.tolist()
+    for got, want in zip(den.blocks, blocks):
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    assert den.lipschitz_upper.hex() == lip.hex()
+    rebuilt = ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed, blocks=den.blocks)
+    assert rebuilt.lipschitz_upper.hex() == lip.hex()
+
+
+@pytest.mark.parametrize("case", range(len(TRAJECTORY_CASES)))
+def test_trajectory_matches_the_full_baseline_loop(case):
+    seed_, dims, overrides = TRAJECTORY_CASES[case]
+    dims = {**_DIMS, **dims}
+    cfg = RunConfig(seed=seed_, total_steps=12, num_blocks=5, dims=dims, **overrides)
+    schedule = cfg.schedule()
+    den = make_toy_denoiser(seed_, num_blocks=5, **dims)
+    coeffs = StepCoefficients.linear(12)
+    x0 = sample_gaussian((den.n_video, den.d_model), seed=seed_ + 1)
+    got = run_trajectory(den, coeffs, schedule, x0)
+    want = _trajectory_loop(den, coeffs, schedule, x0)
+    assert _bits(astuple(got)) == _bits(astuple(want))
+    # Only the unit-gamma case scales no cell.
+    assert (got.total_active_cells == 0) == (overrides.get("gamma") == 1.0)
 
 
 # -- stack forms of the report kernels ------------------------------------------
