@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, row_softmax
+from .numerics import _max_scaled, as_matrix, row_softmax
 
 GROUP_NAMES = ("text", "image", "video")
 
@@ -48,9 +48,8 @@ class KeyPartition:
     video: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "text", _as_index_tuple(self.text, "text"))
-        object.__setattr__(self, "image", _as_index_tuple(self.image, "image"))
-        object.__setattr__(self, "video", _as_index_tuple(self.video, "video"))
+        for name in GROUP_NAMES:
+            object.__setattr__(self, name, _as_index_tuple(getattr(self, name), name))
         merged = sorted(self.text + self.image + self.video)
         if not merged:
             raise ValueError("partition must contain at least one key index")
@@ -236,14 +235,15 @@ def energy_gamma(logits, gamma_max: float = 1.5, kappa: float = 1.0) -> float:
     (1, gamma_max); in floats it is in [1, gamma_max], and it rounds to
     exactly 1.0 when (gamma_max - 1) * logistic(...) is below half an ulp of
     1. A gated cell with such a coefficient is still scaled (by 1.0, which
-    leaves its logits bit-identical).
+    leaves its logits bit-identical). Finite logits whose sum overflows take
+    their mean as s * mean(z / s), s = max |z| (see ``numerics._max_scaled``).
     """
     zm = as_matrix(logits, "logits")
     if zm.size == 0:
         raise ValueError("empty logits")
     _check_gamma_max(gamma_max)
     _check_positive_finite("kappa", kappa)
-    xbar = float(zm.mean())
+    xbar = _max_scaled(np.mean, zm)
     return 1.0 + (gamma_max - 1.0) * _logistic(-xbar / kappa)
 
 

@@ -21,11 +21,18 @@ from .attention import (
     ScalingTargets,
     _check_positive_finite,
     _group_index,
-    attention_forward,
     build_partition,
     key_scale_factors,
+    scaled_logits,
 )
-from .numerics import as_matrix, row_softmax, sample_gaussian, spectral_norm, spectral_norms
+from .numerics import (
+    _max_scaled,
+    as_matrix,
+    row_softmax,
+    sample_gaussian,
+    spectral_norm,
+    spectral_norms,
+)
 from .scheduling import ScheduleConfig, active_steps, scheduled_attention
 
 
@@ -75,13 +82,16 @@ class ToyDenoiser:
     block's attention output to the predicted noise, provided every factor is
     >= 1 (which :func:`make_toy_denoiser` enforces when sampling). The norms
     are solved as one :func:`~attnlab.numerics.spectral_norms` stack, so every
-    block has one query/key projection shape and one value width.
+    block has one query/key projection shape and one value width. That shape
+    also lets ``w_qk`` stack each block's ``(W_q, W_k)`` once, at construction,
+    so a pass forms a block's Q and K with one product.
     """
 
     partition: KeyPartition
     cond_embed: np.ndarray
     blocks: tuple[BlockWeights, ...]
     lipschitz_upper: float = field(init=False)
+    w_qk: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -117,6 +127,7 @@ class ToyDenoiser:
         # math.prod multiplies the norms in block order, from 1.
         norms = spectral_norms([blk.w_o for blk in self.blocks])
         object.__setattr__(self, "lipschitz_upper", math.prod(norms.tolist()))
+        object.__setattr__(self, "w_qk", np.stack([(b.w_q, b.w_k) for b in self.blocks]))
 
     @property
     def n_video(self) -> int:
@@ -197,8 +208,10 @@ def _forward(
     video = tokens[n_cond:]
     with np.errstate(all="ignore"):
         for l, blk in enumerate(denoiser.blocks):
-            q = tokens @ blk.w_q
-            k = tokens @ blk.w_k
+            # One product for Q and K: each slice equals its separate product bit
+            # for bit, and indexing the slices costs less than unpacking them.
+            qk = tokens @ denoiser.w_qk[l]
+            q, k = qk[0], qk[1]
             v = tokens @ blk.w_v
             res = scheduled_attention(l, t, q, k, v, denoiser.partition, schedule)
             if observe is not None:
@@ -271,12 +284,9 @@ def deviation_bound_check(
         y[row] = p @ v_mat
         x_next.append(coeffs.a[t - 1] * xm + b_t * (y[n_cond:] @ denoiser.blocks[-1].w_o))
     deviation = float(np.linalg.norm(x_next[1] - x_next[0]))
+    # The sum of squares may overflow, which the norm itself need not.
+    z_norm = _max_scaled(np.linalg.norm, z_row)
     with np.errstate(over="ignore"):
-        z_norm = float(np.linalg.norm(z_row))
-        if math.isinf(z_norm):
-            # The sum of squares overflowed, which the norm itself need not.
-            s = float(np.abs(z_row).max())
-            z_norm = s * float(np.linalg.norm(z_row / s))
         bound = (
             abs(b_t)
             * denoiser.lipschitz_upper
@@ -357,11 +367,14 @@ def run_trajectory(
     with a baseline on the same Q/K, so the reported entropy ratio compares
     the same logits. A cell is scaled when its scheduled call says so
     (``result.gamma`` is set; see :func:`scheduled_attention`), and only a
-    scaled cell counts its multiplies and runs a separate unscheduled call for
-    its baseline. That call runs on the video query rows alone, the only rows
-    the statistics read, and each of its rows equals the full call's row bit
-    for bit. Any other cell reuses its scheduled result, which is the plain
-    pass bit for bit (so such cells have ratio exactly 1). Masses and
+    scaled cell counts its multiplies and forms a separate baseline. That
+    baseline is the plain logits of the video query rows alone, the only rows
+    the statistics read, checked at the cell so that an overflow is named
+    there; every scaled cell's baseline logits are then softmaxed in one
+    :func:`~attnlab.numerics.row_softmax` per step. A row's logits and softmax
+    do not depend on the other rows, so each row equals the full plain call's
+    row bit for bit. Any other cell reuses its scheduled result, which is the
+    plain pass bit for bit (so such cells have ratio exactly 1). Masses and
     conditioning entropies are averaged over blocks and video query rows,
     from one :func:`group_mass_rows` pass per step over the scheduled rows
     and the scaled cells' baselines. A row's statistics do not depend on the
@@ -382,7 +395,7 @@ def run_trajectory(
     part = denoiser.partition
     # One count per run: every block has the same key width (see ToyDenoiser).
     cell_multiplies = scaling_multiply_count(
-        part, schedule.modulation.targets, part.size, denoiser.blocks[0].w_q.shape[1]
+        part, schedule.modulation.targets, part.size, denoiser.w_qk.shape[-1]
     )
     rows = []
     for t in range(1, coeffs.total_steps + 1):
@@ -392,14 +405,17 @@ def run_trajectory(
             results.append(res)
             if res.gamma is not None:
                 scaled.append(l)
-                baselines.append(attention_forward(q[n_cond:], k, v).probabilities)
+                # row_softmax's own logit check, made here to name an overflow at its cell.
+                baselines.append(as_matrix(scaled_logits(q[n_cond:], k), "logits"))
 
         h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
         active = len(scaled)
         # Video rows of every block, block-major, then of each scaled cell's baseline.
-        probs = np.vstack([res.probabilities[n_cond:] for res in results] + baselines)
-        stats = group_mass_rows(probs, part)
+        probs = [res.probabilities[n_cond:] for res in results]
+        if baselines:
+            probs.append(row_softmax(np.vstack(baselines)))
+        stats = group_mass_rows(np.vstack(probs), part)
         h_mod = stats.entropy_cond[:n_meas]
         h_base = h_mod.reshape(-1, denoiser.n_video).copy()
         h_base[scaled] = stats.entropy_cond[n_meas:].reshape(-1, denoiser.n_video)
@@ -410,7 +426,6 @@ def run_trajectory(
         ]
         mean_mod = float(np.mean(h_mod))
         mean_base = float(np.mean(h_base))
-        ratio = float(_entropy_ratio(mean_mod, mean_base))
         rows.append(
             TrajectoryRow(
                 step=t,
@@ -421,7 +436,7 @@ def run_trajectory(
                 mass_video=float(masses[2] / n_meas),
                 entropy_cond=mean_mod,
                 entropy_cond_base=mean_base,
-                entropy_ratio=ratio,
+                entropy_ratio=float(_entropy_ratio(mean_mod, mean_base)),
                 state_norm=float(np.linalg.norm(x)),
             )
         )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,18 @@ def test_energy_gamma_monotone_decreasing_in_energy():
 def test_energy_gamma_bounds_and_extremes():
     assert energy_gamma([[1e6]]) == pytest.approx(1.0, abs=1e-12)
     assert energy_gamma([[-1e6]]) == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("logits, want", [
+    # Finite logits whose sum overflows: the mean is 0, so gamma_e = 1.25.
+    ([[1.7e308, 1.7e308, -1.7e308, -1.7e308]], 1.25),
+    # The mean is 1e308, so logistic(-1e308) is 0.
+    ([[1e308] * 4], 1.0),
+])
+def test_energy_gamma_of_logits_whose_sum_overflows(logits, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy_gamma(logits, 1.5, 1.0) == want
 
 
 def test_energy_gamma_kappa_sharpness():

@@ -261,9 +261,10 @@ def test_trajectory_energy_mode_counts_all_gated_cells(monkeypatch):
 
 
 def test_trajectory_runs_baseline_only_on_scaled_cells(monkeypatch):
-    # Every cell runs the scheduled call once; only a scaled cell adds a baseline.
+    # Every cell runs the scheduled call once; only a scaled cell adds a
+    # baseline, which is one product of its plain logits.
     calls = _counting(monkeypatch, simulate, "scheduled_attention")
-    baselines = _counting(monkeypatch, simulate, "attention_forward")
+    baselines = _counting(monkeypatch, simulate, "scaled_logits")
     den = make_toy_denoiser(seed=0, num_blocks=4)
     coeffs = StepCoefficients.linear(10)
     traj = run_trajectory(den, coeffs, _schedule(num_blocks=4, total_steps=10),
@@ -600,6 +601,35 @@ def test_forward_replays_a_false_alarm_through_the_checked_call():
         res = attention.attention_forward(tokens @ blk.w_q, tokens @ blk.w_k, tokens @ blk.w_v)
         h = res.output[den.cond_embed.shape[0]:] @ blk.w_o
     np.testing.assert_array_equal(eps, h)
+
+
+def test_trajectory_names_an_overflowing_baseline_at_its_cell(monkeypatch):
+    # Block 0 keeps the video state near [0, b] and block 1 is the first scaled
+    # cell. There every video query meets the conditioning keys with q . k = b c,
+    # which overflows, while gamma = 0.5 keeps the scheduled call's scaled
+    # logits finite. So only the cell's plain baseline overflows, and it must
+    # raise before block 2 runs.
+    b = c = 1.5e154
+    calls = []
+    original = simulate.scheduled_attention
+
+    def counted(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(simulate, "scheduled_attention", counted)
+    keep = simulate.BlockWeights(w_q=np.zeros((2, 1)), w_k=np.zeros((2, 1)),
+                                 w_v=np.diag([0.0, 3.0]), w_o=np.eye(2))
+    meet = simulate.BlockWeights(w_q=np.array([[0.0], [1.0]]), w_k=np.array([[1.0], [0.0]]),
+                                 w_v=np.eye(2), w_o=np.eye(2))
+    den = simulate.ToyDenoiser(partition=build_partition(1, 1, 1),
+                               cond_embed=np.array([[c, 0.0], [c, 0.0]]), blocks=(keep, meet, keep))
+    sched = ScheduleConfig(gates=BlockGateTable((0, 1, 0)), total_steps=4,
+                           modulation=ModulationConfig(gamma=0.5))
+    with pytest.raises(ValueError, match="^non-finite logits$"):
+        run_trajectory(den, StepCoefficients.linear(4), sched, np.array([[0.0, b]]))
+    assert len(calls) == 2  # cell (block 1, step 1) is the second cell
+    assert calls[-1].gamma == 0.5
 
 
 @pytest.mark.parametrize("window, message", [

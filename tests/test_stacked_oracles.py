@@ -10,10 +10,12 @@ softmax underflows to exact zeros, non-contiguous inputs and every key
 position of the conflict experiment.
 
 ``make_toy_denoiser`` and ``ToyDenoiser`` solve every block's spectral norm
-in one ``spectral_norms`` stack, and ``run_trajectory`` runs a scaled cell's
-baseline on the video query rows alone. Their references are the per-block
-loop and the trajectory body as they were before, with a full
-``attention_forward(q, k, v)`` baseline.
+in one ``spectral_norms`` stack, ``ToyDenoiser`` stacks each block's
+``(W_q, W_k)`` for one Q/K product, and ``run_trajectory`` softmaxes the
+scaled cells' baseline logits, on the video query rows alone, once per step.
+Their references are the two separate products, the per-block loop and the
+trajectory body as they were before, with a full ``attention_forward(q, k, v)``
+baseline per scaled cell.
 
 The last two sections go one level up. ``curvature_rows``, ``logit_gap``,
 ``entropy``, ``entropy_alpha_report`` and ``lipschitz_report`` also take a
@@ -338,6 +340,32 @@ def test_sharpening_curve_matches_the_double_loop(case, strided):
 
 
 # -- the toy denoiser and run_trajectory ------------------------------------------
+
+
+@st.composite
+def _projections(draw):
+    """(tokens, w_q, w_k): one token matrix and two projections of one shape,
+    with n, d_model and d_k from 1 and entries of magnitude 1e-150 to 1e150."""
+    n, d, d_k = (draw(st.integers(1, 24)) for _ in range(3))
+
+    def matrix(shape):
+        mag = draw(arrays(np.float64, shape, elements=st.floats(-150.0, 150.0)))
+        sign = draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 1.0])))
+        return sign * 10.0 ** mag
+
+    return matrix((n, d)), matrix((d, d_k)), matrix((d, d_k))
+
+
+@seed(22)
+@settings(max_examples=300, deadline=None)
+@given(case=_projections())
+@example(case=(np.full((1, 1), 1e150), np.full((1, 1), 1e-150), np.full((1, 1), 3.0)))
+@example(case=(np.full((18, 6), 0.5), np.eye(6, 8), np.ones((6, 8))))
+def test_stacked_projection_matches_the_separate_products(case):
+    # ToyDenoiser.w_qk stacks (W_q, W_k), and a pass forms Q and K with one product.
+    tokens, w_q, w_k = case
+    q, k = tokens @ np.stack((w_q, w_k))
+    assert _bits((q.tolist(), k.tolist())) == _bits(((tokens @ w_q).tolist(), (tokens @ w_k).tolist()))
 
 
 def _denoiser_loop(seed_, num_blocks, n_text, n_image, n_video, d_k, d_v):
