@@ -48,8 +48,9 @@ class KeyPartition:
     video: tuple[int, ...]
 
     def __post_init__(self):
-        for name in GROUP_NAMES:
-            object.__setattr__(self, name, _as_index_tuple(getattr(self, name), name))
+        object.__setattr__(self, "text", _as_index_tuple(self.text, "text"))
+        object.__setattr__(self, "image", _as_index_tuple(self.image, "image"))
+        object.__setattr__(self, "video", _as_index_tuple(self.video, "video"))
         merged = sorted(self.text + self.image + self.video)
         if not merged:
             raise ValueError("partition must contain at least one key index")
@@ -243,7 +244,8 @@ def energy_gamma(logits, gamma_max: float = 1.5, kappa: float = 1.0) -> float:
         raise ValueError("empty logits")
     _check_gamma_max(gamma_max)
     _check_positive_finite("kappa", kappa)
-    xbar = _max_scaled(np.mean, zm)
+    with np.errstate(all="ignore"):
+        xbar = _max_scaled(np.mean, zm)
     return 1.0 + (gamma_max - 1.0) * _logistic(-xbar / kappa)
 
 

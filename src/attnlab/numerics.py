@@ -67,13 +67,12 @@ def _max_scaled(f, a) -> float:
     """``f(a)`` for a reduction ``f`` that scales with its argument, such as a
     mean or a norm; when that is not finite although ``a`` is (its sum
     overflowed), ``s * f(a / s)`` with ``s = max |a|``. The rescaled form runs
-    only then, and numpy's overflow warnings are silenced for both."""
-    with np.errstate(all="ignore"):
-        y = float(f(a))
-        if math.isfinite(y):
-            return y
-        s = np.abs(a).max()
-        return float(s * f(a / s))
+    only then. Callers silence numpy's warnings."""
+    y = float(f(a))
+    if math.isfinite(y):
+        return y
+    s = np.abs(a).max()
+    return float(s * f(a / s))
 
 
 def softmax_vec(z) -> np.ndarray:

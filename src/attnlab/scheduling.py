@@ -128,24 +128,9 @@ def block_gate(foreground_ratio: float, tau: float, gamma: float) -> float:
     return gamma if foreground_ratio > tau else 1.0
 
 
-# The last (schedule, step, step mask) that is_active derived. A step's cells
-# ask in turn, so each step derives its mask once. The schedule is matched by
-# identity, and holding it keeps that identity from being reused. Only an exact
-# int step is kept: an equal step of another type, such as Fraction(4), may
-# place phi(t) differently against the window's float ends. Each entry is
-# swapped in whole, so a thread never reads one schedule's step with another's
-# mask; a thread that finds another's entry derives its own mask.
-_last_step = (None, 0, 0)
-
-
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Full schedule: step window x block gates x modulation settings.
-
-    :meth:`is_active` derives a step's mask once for the cells of that step:
-    it keeps the last integer step it was asked about outside the schedule,
-    which stays frozen and builds nothing per step up front.
-    """
+    """Full schedule: step window x block gates x modulation settings."""
 
     gates: BlockGateTable
     total_steps: int = 25
@@ -161,15 +146,11 @@ class ScheduleConfig:
         return self.gates.num_blocks
 
     def is_active(self, block: int, t: int) -> bool:
-        global _last_step
         if not 0 <= block < self.num_blocks:
             raise ValueError(f"block {block} out of range 0..{self.num_blocks - 1}")
-        last, step, mask = _last_step
-        if last is not self or type(t) is not int or step != t:
-            mask = step_mask(t, self.total_steps, self.window)
-            if type(t) is int:
-                _last_step = (self, t, mask)
-        return bool(mask and self.gates.gates[block])
+        return bool(
+            step_mask(t, self.total_steps, self.window) and self.gates.gates[block]
+        )
 
 
 def scheduled_attention(

