@@ -5,6 +5,10 @@ Exit codes: 0 clean pass, 1 property violation, 2 usage or config error,
 significant digits with '.' decimal so values round-trip at 64-bit. Output
 lands in --out, else the config's out_dir, else $ATTNLAB_OUT, else the
 working directory.
+
+Parsing a command line and resolving its config load no suite, simulator or
+analysis module: ``verify``, ``sweep`` and ``simulate`` import the modules
+they run when they run, so ``calibrate`` never loads them.
 """
 
 from __future__ import annotations
@@ -30,20 +34,9 @@ from .calibration import (
     select_blocks,
     validate_mask,
 )
-from .config import ConfigError, RunConfig, check_config, read_config_file
-from .numerics import sample_gaussian
+from .config import SUITE_NAMES, ConfigError, RunConfig, check_config, read_config_file
 from .scheduling import BlockGateTable, WINDOW_PRESETS, active_steps
-from .simulate import (
-    ConflictConfig,
-    StepCoefficients,
-    TrajectoryRow,
-    conflict_experiment,
-    flops_audit,
-    make_toy_denoiser,
-    run_trajectory,
-)
 from .tensorio import BlockReader, TensorFormatError, read_tensor
-from .verification import SUITE_NAMES, run_suite, run_sweep
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -140,6 +133,8 @@ def resolve_out_dir(cfg: RunConfig) -> str:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args)
+    from .verification import run_suite
+
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     inject = args.inject_bug or os.environ.get(INJECT_BUG_ENV) == "1"
     failed = None
@@ -171,6 +166,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"could not parse --z vector {args.z!r}") from None
         if z.size < 2:
             raise ConfigError("--z needs at least two entries")
+    from .verification import run_sweep
+
     res = run_sweep(seed=cfg.seed, draws=cfg.draws, alpha_grid=cfg.alpha_grid, z=z)
     path = write_report(resolve_out_dir(cfg), "sweep", res.columns, res.rows, cfg.format)
     n_draws = 1 if z is not None else cfg.draws
@@ -269,6 +266,17 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     schedule = cfg.schedule()
+    from .numerics import sample_gaussian
+    from .simulate import (
+        ConflictConfig,
+        StepCoefficients,
+        TrajectoryRow,
+        conflict_experiment,
+        flops_audit,
+        make_toy_denoiser,
+        run_trajectory,
+    )
+
     denoiser = make_toy_denoiser(cfg.seed, num_blocks=schedule.num_blocks, **cfg.dims)
     coeffs = StepCoefficients.linear(cfg.total_steps)
     x0 = sample_gaussian((cfg.dims["n_video"], denoiser.d_model), seed=cfg.seed + 1_000_003)

@@ -29,6 +29,10 @@ class ConfigError(ValueError):
 # The config keys holding a dict that a config file's dict is laid over.
 _NESTED = ("window", "block_gates", "dims")
 
+# The verification suites, in the order ``verify all`` runs them. They are named
+# here, so that the CLI's parser names them without loading the suites.
+SUITE_NAMES = ("scale-equivalence", "entropy-slope", "curvature", "lipschitz", "deviation")
+
 
 _SCHEMA = json.loads(resources.files("attnlab").joinpath("data/config.schema.json").read_text())
 _TYPES = {"number": numbers.Number, "string": str, "array": list, "object": dict, "null": type(None)}

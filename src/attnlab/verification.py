@@ -41,6 +41,7 @@ from .analysis import (
     logit_gap,
 )
 from .attention import scaled_logits
+from .config import SUITE_NAMES
 from .numerics import row_softmax
 from .simulate import StepCoefficients, deviation_bound_check, make_toy_denoiser
 
@@ -299,14 +300,9 @@ def _deviation(seed: int, probes: int):
 # Suites by name; each takes (seed, count), where count is the probe count for
 # the deviation suite and the draw count for the others, and gives one
 # (rows, problem) pair per draw, in draw order.
-_SUITE_FUNCS = {
-    "scale-equivalence": _scale_equivalence,
-    "entropy-slope": _entropy_slope,
-    "curvature": _curvature,
-    "lipschitz": _lipschitz,
-    "deviation": _deviation,
-}
-SUITE_NAMES = tuple(_SUITE_FUNCS)
+_SUITE_FUNCS = dict(
+    zip(SUITE_NAMES, (_scale_equivalence, _entropy_slope, _curvature, _lipschitz, _deviation))
+)
 
 
 def run_suite(
@@ -367,21 +363,33 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
     The draws are the single vector ``z`` when given, else ``draws`` seeded
     gapped logit vectors of length 2..16. The grid is ``alpha_grid`` when
     given, else SWEEP_GAP_RATIOS / Delta per draw (Delta the top-two gap),
-    which needs Delta > 0: a tied maximum raises ``ValueError``. A draw fails
+    which needs Delta > 0 and 50/Delta finite: a tied maximum or a smaller gap
+    raises ``ValueError``, as does a ``z`` whose spread max - min overflows
+    float64, since then z - max(z) is not finite. A draw fails
     when entropy increases along the grid, the decay envelope increases past
     2/Delta, any curvature bound is violated, or (default grid only) the
     curvature at 50/Delta is not below COLLAPSE_NORM_LIMIT.
     """
     if z is not None:
-        z_draws = [(z, logit_gap(z))]
+        # In Python floats an overflowing spread reads inf without a numpy warning.
+        hi, lo = float(np.max(z)), float(np.min(z))
+        if np.isinf(hi - lo) and np.isfinite(z).all():
+            raise ValueError(f"logit spread max - min = {hi!r} - ({lo!r}) overflows float64")
+        gap = logit_gap(z)
+        # Drawn logits have a gap of at least MIN_LOGIT_GAP, so only z can fail these.
+        if not alpha_grid and gap == 0:
+            raise ValueError(
+                "draw 0 has a tied maximum (top-two gap 0), so the default grid "
+                "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
+            )
+        if not alpha_grid and np.isinf(SWEEP_GAP_RATIOS[-1] / gap):
+            raise ValueError(
+                f"draw 0 has a top-two gap of {gap!r}, so the default grid "
+                "SWEEP_GAP_RATIOS / gap overflows; give an explicit grid with --alpha-grid"
+            )
+        z_draws = [(z, gap)]
     else:
         rng = np.random.default_rng(seed)
         z_draws = [_draw_gapped_logits(rng, int(rng.integers(2, 17))) for _ in range(draws)]
-    for i, (_, gap) in enumerate(z_draws):
-        if not alpha_grid and gap == 0:
-            raise ValueError(
-                f"draw {i} has a tied maximum (top-two gap 0), so the default grid "
-                "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
-            )
     grid = sorted(alpha_grid) if alpha_grid else None
     return _collect("sweep", _batched(z_draws, lambda idx, *cols: _sweep(idx, *cols, grid)))

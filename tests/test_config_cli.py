@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from attnlab import cli, simulate, verification
+from attnlab import cli, config, simulate, verification
 from attnlab.calibration import fixture_names
 from attnlab.cli import main, write_csv
 from attnlab.config import _SCHEMA, ConfigError, RunConfig, check_config, read_config_file
@@ -179,6 +179,51 @@ def test_verify_unknown_suite_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'bogus-suite'" in err
     assert all(name in err for name in (*SUITE_NAMES, "all"))
+
+
+VERIFY_HELP = """\
+usage: attnlab verify [-h] [--draws DRAWS] [--probes PROBES] [--inject-bug]
+                      [--config CONFIG] [--seed SEED] [--out OUT_DIR]
+                      [--format {csv,json}]
+                      [{scale-equivalence,entropy-slope,curvature,lipschitz,deviation,all}]
+
+positional arguments:
+  {scale-equivalence,entropy-slope,curvature,lipschitz,deviation,all}
+                        which suite to run (default: all)
+
+options:
+  -h, --help            show this help message and exit
+  --draws DRAWS         draws per suite
+  --probes PROBES       probe configurations for the deviation suite
+  --inject-bug          harness self-test: flip one margin sign so the run
+                        must fail
+  --config CONFIG       JSON config file (validated against the published
+                        schema)
+  --seed SEED           master seed (overrides config)
+  --out OUT_DIR         output directory (default: config, then $ATTNLAB_OUT,
+                        then cwd)
+  --format {csv,json}   report format
+"""
+
+
+def test_suite_names_have_one_definition_in_run_order(capsys, monkeypatch):
+    # The parser names the suites from config.SUITE_NAMES, without loading
+    # verification, whose suite table follows the same order.
+    assert cli.SUITE_NAMES is config.SUITE_NAMES is verification.SUITE_NAMES
+    assert config.SUITE_NAMES == tuple(verification._SUITE_FUNCS)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VERIFY_HELP
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: attnlab [-h] {verify,sweep,calibrate,simulate} ...\n"
+        "attnlab: error: verify: invalid suite 'nope' (choose from scale-equivalence, "
+        "entropy-slope, curvature, lipschitz, deviation, all)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1011,7 +1056,7 @@ def test_verify_makes_no_directory_when_a_suite_fails_to_run(tmp_path, capsys, m
     def broken(*args, **kwargs):
         raise ValueError("suite broke")
 
-    monkeypatch.setattr(cli, "run_suite", broken)
+    monkeypatch.setattr(verification, "run_suite", broken)
     out = tmp_path / "out"
     assert main(["verify", "--draws", "2", "--probes", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "invalid input: suite broke\n"
@@ -1038,6 +1083,37 @@ def test_alpha_that_overflows_the_logits_is_named_and_writes_nothing(tmp_path, c
     assert capsys.readouterr().err == (
         "invalid input: alpha must keep the tempered logits finite, got 1e+308\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "z, grid, message",
+    [
+        # z - max(z) overflows: the profile would read NaN and certify.
+        ("1e308,-1e308", "1", "logit spread max - min = 1e+308 - (-1e+308) overflows float64"),
+        ("1e308,-1e308", None, "logit spread max - min = 1e+308 - (-1e+308) overflows float64"),
+        # A tied maximum whose spread overflows cannot be profiled on any grid.
+        ("1e308,1e308,-1e308", None,
+         "logit spread max - min = 1e+308 - (-1e+308) overflows float64"),
+        # 50 / gap overflows: the default grid's alpha is not the user's to blame.
+        ("1e-320,0", None,
+         "draw 0 has a top-two gap of 1e-320, so the default grid SWEEP_GAP_RATIOS / gap "
+         "overflows; give an explicit grid with --alpha-grid"),
+        ("1,1,0", None,
+         "draw 0 has a tied maximum (top-two gap 0), so the default grid SWEEP_GAP_RATIOS / gap "
+         "is undefined; give an explicit grid with --alpha-grid"),
+        ("inf,0", "1", "non-finite logits"),
+        ("1e308,nan", None, "non-finite logits"),
+    ],
+)
+def test_sweep_logits_it_cannot_profile_are_named_and_write_nothing(
+    tmp_path, capsys, z, grid, message
+):
+    # Exit 2 with no numpy warning first (tier-1 turns warnings into errors).
+    out = tmp_path / "out"
+    grid_flag = [] if grid is None else ["--alpha-grid", grid]
+    assert main(["sweep", "--z", z, *grid_flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
     assert not out.exists()
 
 

@@ -159,3 +159,53 @@ def test_a_run_imports_no_jsonschema(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout == "[]\n"
+
+
+def test_parsing_and_calibrate_import_no_suite_simulator_or_analysis(tmp_path):
+    # Each command imports what it runs when it runs: a fresh interpreter that
+    # resolves every command's argv, then calibrates in files and synthetic
+    # mode, never loads the suites, the simulator or the analysis kernels.
+    from test_surface import _write_inputs
+
+    files = _write_inputs(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"draws": 3, "format": "json"}))
+    out = ["--out", str(tmp_path / "out")]
+    calibrate_files = ["calibrate", "--latent", files["latent"], "--attention", files["attention"]]
+    parsed = [
+        ["verify", "curvature", "--config", str(cfg_path), "--probes", "2"],
+        ["sweep", "--z", "2,1,0", "--alpha-grid", "1,2"],
+        ["sweep", "--draws", "3"],
+        calibrate_files,
+        ["calibrate", "--fixture", "wan2.1"],
+        ["simulate", "--steps", "3", "--blocks", "2", "--preset", "all"],
+    ]
+    runs = [
+        calibrate_files + out,
+        calibrate_files + ["--mask", files["mask"], *out],
+        ["calibrate", "--samples", "2", "--blocks", "2", *out],
+    ]
+    code = (
+        "import contextlib, json, sys\n"
+        "import attnlab\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('attnlab.'))\n"
+        "before = loaded()\n"
+        "from attnlab import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    cli.load_config(cli.build_parser().parse_args(argv))\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([before, codes, loaded()]))\n"
+    )
+    src = str(Path(attnlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(parsed), json.dumps(runs)],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    before, codes, after = json.loads(done.stdout)
+    assert before == []  # import attnlab loads no submodule
+    assert codes == [0, 0, 0]
+    loaded = set(after)
+    assert loaded.isdisjoint({"attnlab.analysis", "attnlab.simulate", "attnlab.verification"})
+    assert "attnlab.calibration" in loaded
