@@ -52,12 +52,6 @@ def test_each_name_is_its_defining_modules_object(module, name):
     assert scope[name] is getattr(owner, name)
 
 
-def test_suite_names_are_one_object():
-    from attnlab import config, verification
-
-    assert attnlab.SUITE_NAMES is config.SUITE_NAMES is verification.SUITE_NAMES
-
-
 def test_dir_and_all_list_every_name():
     names = {name for _, name in NAMES}
     assert set(attnlab.__all__) == names
