@@ -50,24 +50,23 @@ INJECT_BUG_ENV = "ATTNLAB_INJECT_BUG"
 
 
 def write_csv(path: str, columns, rows) -> None:
-    """One line per row, each cell formatted with ``%.17g``, streamed to the file.
+    """One line per row tuple, each cell formatted with ``%.17g``, streamed to the file.
 
-    Every cell is a float or an int: ``%.17g`` prints a float exactly as
-    ``format(x, ".17g")`` does, an int of magnitude up to 2**53 as its exact
-    decimal, and a bool as 1 or 0.
+    Suite and sweep rows are zipped from their report columns. Every cell is
+    a float or an int: ``%.17g`` prints a float exactly as ``format(x,
+    ".17g")`` does, an int of magnitude up to 2**53 as its exact decimal, and
+    a bool as 1 or 0.
     """
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(columns) + "\n")
-        if columns:  # a run with no rows has no columns, and itemgetter() takes one
-            cells = operator.itemgetter(*columns)
-            f.writelines(row_format % cells(row) for row in rows)
+        f.writelines(row_format % row for row in rows)
 
 
 def write_report(out_dir: str, stem: str, columns, rows, fmt: str) -> str:
-    """Write a tabular report; returns the path written."""
+    """Write a tabular report of row tuples, in ``columns`` order; returns the path written."""
     if fmt != "csv":
-        payload = {"columns": list(columns), "rows": [{c: r[c] for c in columns} for r in rows]}
+        payload = {"columns": list(columns), "rows": [dict(zip(columns, r)) for r in rows]}
         return write_json(out_dir, stem, payload)
     path = os.path.join(out_dir, stem + ".csv")
     write_csv(path, columns, rows)
@@ -144,10 +143,10 @@ def cmd_verify(args) -> int:
             name, seed=cfg.seed, draws=cfg.draws, probes=cfg.probes, inject_bug=inject and idx == 0
         )
         path = write_report(
-            resolve_out_dir(cfg), f"verify_{res.name}", res.columns, res.rows, cfg.format
+            resolve_out_dir(cfg), f"verify_{res.name}", res.columns, res.row_tuples(), cfg.format
         )
         status = "ok" if res.passed else "FAIL"
-        print(f"{res.name}: {status} rows={len(res.rows)} violations={res.violations} -> {path}")
+        print(f"{res.name}: {status} rows={res.row_count} violations={res.violations} -> {path}")
         if not res.passed and failed is None:
             failed = res
     if failed is not None:
@@ -169,9 +168,9 @@ def cmd_sweep(args) -> int:
     from .verification import run_sweep
 
     res = run_sweep(seed=cfg.seed, draws=cfg.draws, alpha_grid=cfg.alpha_grid, z=z)
-    path = write_report(resolve_out_dir(cfg), "sweep", res.columns, res.rows, cfg.format)
+    path = write_report(resolve_out_dir(cfg), "sweep", res.columns, res.row_tuples(), cfg.format)
     n_draws = 1 if z is not None else cfg.draws
-    print(f"sweep: draws={n_draws} rows={len(res.rows)} violations={res.violations} -> {path}")
+    print(f"sweep: draws={n_draws} rows={res.row_count} violations={res.violations} -> {path}")
     if not res.passed:
         print(f"first failure: {res.detail}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -287,7 +286,7 @@ def cmd_simulate(args) -> int:
         ConflictConfig(boost=cfg.boost, gamma=cfg.gamma, targets=schedule.modulation.targets),
     )
     columns = [f.name for f in fields(TrajectoryRow)]
-    rows = [vars(r) for r in trajectory.rows]
+    rows = map(operator.attrgetter(*columns), trajectory.rows)
     out_dir = resolve_out_dir(cfg)
     traj_path = write_report(out_dir, "trajectory", columns, rows, cfg.format)
     nondeg = sum(conflict.nondegenerate)

@@ -13,14 +13,17 @@ Five suites cover the machinery end to end:
 - deviation: the single-step state deviation bound holds on probed toy
   denoisers.
 
-Each suite gives every draw its report rows and a problem string (None when
-the draw passes); one collector turns the draws into a :class:`SuiteResult`
-with the violation count and the first problem as ``detail``. Every suite but
-deviation, and the sweep (:func:`run_sweep`), draws its cases first, in the
-seeded order, then makes one stacked pass per group: of same-shaped draws, or
-for scale-equivalence of the draws with one key count m in each block of
-``_EQUIVALENCE_BLOCK`` draws. There each draw's three logit products stay
-unpadded 2-D calls, since their rounding is what ``max_diff`` records.
+Each suite reports its draws as columns: one array per report column (int64
+for the integer and flag columns, float64 for the rest), a per-draw failure
+mask, and a function that describes a failing draw. One collector turns them
+into a :class:`SuiteResult` with the violation count and, as ``detail``, the
+description of the first failing draw; no row dict is built unless ``rows``
+is read. Every suite but deviation, and the sweep (:func:`run_sweep`), draws
+its cases first, in the seeded order, then makes one stacked pass per group:
+of same-shaped draws, or for scale-equivalence of the draws with one key
+count m in each block of ``_EQUIVALENCE_BLOCK`` draws. There each draw's
+three logit products stay unpadded 2-D calls, since their rounding is what
+``max_diff`` records. :func:`_batched` joins the groups' columns in draw order.
 ``inject_bug=True`` flips the sign of the first row's margin column after the
 fact — a harness self-test proving the violation path is live.
 """
@@ -28,6 +31,7 @@ fact — a harness self-test proving the violation path is live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,22 +64,37 @@ _EQUIVALENCE_BLOCK = 200
 SWEEP_GAP_RATIOS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class SuiteResult:
-    """Rows for the report, their columns, and the violation count.
+    """A report as columns, and the violation count.
 
-    ``columns`` are the keys of the first row, in order (empty with no rows).
+    ``data`` holds one array per name of ``columns``, with one entry per row
+    in report order: int64 for the integer and flag columns, float64 for the
+    rest. With no rows both are empty. :meth:`row_tuples` gives the rows as
+    tuples of Python numbers, and ``rows`` as one dict per row, built the
+    first time it is read.
     """
 
     name: str
     columns: tuple[str, ...]
-    rows: list[dict]
+    data: tuple[np.ndarray, ...]
     violations: int
     detail: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+    @property
+    def row_count(self) -> int:
+        return len(self.data[0]) if self.data else 0
+
+    def row_tuples(self):
+        return zip(*(c.tolist() for c in self.data))
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        return [dict(zip(self.columns, row)) for row in self.row_tuples()]
 
 
 def _draw_gapped_logits(rng: np.random.Generator, m: int) -> tuple[np.ndarray, float]:
@@ -91,53 +110,59 @@ def _draw_gapped_logits(rng: np.random.Generator, m: int) -> tuple[np.ndarray, f
             return z, gap
 
 
-def _collect(name: str, draws) -> SuiteResult:
-    """Build a SuiteResult from ``(rows, problem)`` pairs, one per draw."""
-    rows = []
-    violations = 0
-    detail = None
-    for draw_rows, problem in draws:
-        rows.extend(draw_rows)
-        if problem is not None:
-            violations += 1
-            if detail is None:
-                detail = problem
-    columns = tuple(rows[0]) if rows else ()
-    return SuiteResult(name, columns, rows, violations, detail)
+def _collect(name: str, cols: dict, bad: np.ndarray, problem) -> SuiteResult:
+    """Build a SuiteResult from a report's columns and its per-draw failure mask.
+
+    ``cols`` maps each column name to its array over the rows, ``bad`` marks
+    the failing draws, and ``problem(i)`` describes draw i; only the first
+    failing draw is described, as ``detail``.
+    """
+    violations = int(np.count_nonzero(bad))
+    detail = problem(int(np.argmax(bad))) if violations else None
+    cols = cols if len(bad) else {}
+    return SuiteResult(name, tuple(cols), tuple(cols.values()), violations, detail)
 
 
-def _batched(draws: list, run_group) -> list:
-    """Replace each draw of ``draws`` by its ``(rows, problem)`` pair, one pass per group.
+def _batched(draws: list, run_group) -> tuple:
+    """The ``(cols, bad, problem)`` report of ``draws``, from one pass per group.
 
     ``draws`` holds one tuple of fields per draw, and draws whose fields have
-    equal shapes form a group. ``run_group(idx, *columns)`` gets the group's
-    draw indices and each field stacked over its draws, and yields one pair
-    per draw of the group, in order; each pair takes its draw's slot, so the
-    list ends in draw order and holds each draw's inputs or its result.
+    equal shapes form a group. ``run_group(idx, *fields)`` gets the group's
+    draw indices and each field stacked over its draws, and returns the
+    group's report: its columns, whose first axis runs over the group's
+    draws and whose second, if any, over each draw's rows; its failure mask;
+    and ``problem(k)``, which describes the group's k-th draw. The groups'
+    columns and masks are joined and put back in draw order with one inverse
+    permutation; a per-draw column is repeated on each of its draw's rows.
     """
     groups: dict[tuple, list[int]] = {}
     for i, draw in enumerate(draws):
         groups.setdefault(tuple(getattr(x, "shape", ()) for x in draw), []).append(i)
-    for idx in groups.values():
-        columns = (np.array(col) for col in zip(*(draws[i] for i in idx)))
-        for i, pair in zip(idx, run_group(idx, *columns)):
-            draws[i] = pair
-    return draws
+    idxs = list(groups.values())
+    if not idxs:
+        return {}, np.zeros(0, bool), None
+    parts = [run_group(idx, *(np.array(f) for f in zip(*(draws[i] for i in idx)))) for idx in idxs]
+    inv = np.argsort(np.concatenate(idxs))
+    joined = [np.concatenate(c)[inv].reshape(len(draws), -1)
+              for c in zip(*(part[0].values() for part in parts))]
+
+    def problem(i):
+        g = next(g for g, idx in enumerate(idxs) if i in idx)
+        return parts[g][2](idxs[g].index(i))
+
+    cols = dict(zip(parts[0][0], (c.ravel() for c in np.broadcast_arrays(*joined))))
+    return cols, np.concatenate([part[1] for part in parts])[inv], problem
 
 
-def _per_draw(*columns):
-    """Zip the columns of a group pass, arrays as Python numbers."""
-    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-
-
-def _nonincreasing(values: np.ndarray, scale=1.0) -> list[bool]:
+def _nonincreasing(values: np.ndarray, scale=1.0) -> np.ndarray:
     """Per row: each value is at most its predecessor plus MONOTONE_SLACK * scale."""
     slack = MONOTONE_SLACK * np.reshape(scale, (-1, 1))
-    return (values[:, 1:] <= values[:, :-1] + slack).all(axis=1).tolist()
+    return (values[:, 1:] <= values[:, :-1] + slack).all(axis=1)
 
 
 def _scale_equivalence(seed: int, draws: int):
     rng = np.random.default_rng(seed)
+    shapes, gammas, max_diff = [], [], np.empty(draws)
     for start in range(0, draws, _EQUIVALENCE_BLOCK):
         block, groups = [], {}
         for j in range(min(_EQUIVALENCE_BLOCK, draws - start)):
@@ -146,31 +171,28 @@ def _scale_equivalence(seed: int, draws: int):
             q = rng.normal(size=(n, d))
             k = rng.normal(size=(m, d))
             rng.normal(size=(m, d))  # V: no route reads it, but the stream keeps its draw
-            block.append((n, m, d, gamma, q, k))
+            block.append((n, gamma, q, k))
             groups.setdefault(m, []).append(j)
-        max_diffs = {}
+            shapes.append((n, m, d))
+            gammas.append(gamma)
         for idx in groups.values():
             # Each draw's products stay 2-D and unpadded, as attention_forward
             # forms them; only the softmax passes run on the stacks.
-            ns, gammas, z_q, z_k, z = zip(*(
+            ns, gs, z_q, z_k, z = zip(*(
                 (n, g, scaled_logits(g * q, k), scaled_logits(q, g * k), scaled_logits(q, k))
-                for n, _, _, g, q, k in (block[j] for j in idx)))
+                for n, g, q, k in (block[j] for j in idx)))
             p_q, p_k = row_softmax(np.concatenate(z_q)), row_softmax(np.concatenate(z_k))
-            p_t = _tempered(np.concatenate(z), np.repeat(gammas, ns)[:, None])
+            p_t = _tempered(np.concatenate(z), np.repeat(gs, ns)[:, None])
             pairs = ((p_q, p_k), (p_q, p_t), (p_k, p_t))
             diffs = np.max([np.abs(a - b).max(axis=1) for a, b in pairs], axis=0)
-            starts = np.cumsum((0,) + ns[:-1])
-            max_diffs.update(zip(idx, np.maximum.reduceat(diffs, starts).tolist()))
-        for j, (n, m, d, gamma, _, _) in enumerate(block):
-            i, max_diff = start + j, max_diffs[j]
-            margin = PAIRWISE_TOLERANCE - max_diff
-            row = {"draw": i, "n": n, "m": m, "d": d, "gamma": gamma, "max_diff": max_diff,
-                   "margin": margin}
-            yield [row], (
-                f"draw {i}: pairwise diff {max_diff:.3e} exceeds {PAIRWISE_TOLERANCE}"
-                if margin < 0
-                else None
-            )
+            # max_diff[start:] is a view, so this fills the group's slots in max_diff.
+            max_diff[start:][idx] = np.maximum.reduceat(diffs, np.cumsum((0,) + ns[:-1]))
+    n, m, d = np.reshape(shapes, (-1, 3)).T
+    margin = PAIRWISE_TOLERANCE - max_diff
+    cols = {"draw": np.arange(draws), "n": n, "m": m, "d": d, "gamma": np.array(gammas),
+            "max_diff": max_diff, "margin": margin}
+    return cols, margin < 0, lambda i: (
+        f"draw {i}: pairwise diff {max_diff[i]:.3e} exceeds {PAIRWISE_TOLERANCE}")
 
 
 def _entropy_slope(seed: int, draws: int):
@@ -191,19 +213,15 @@ def _entropy_slope(seed: int, draws: int):
 
 def _entropy_slope_pass(idx, zs, ms, alphas, alphas2):
     rep = entropy_alpha_report(zs, range(zs.shape[1]), alphas)
+    h, gap = rep.entropy, rep.abs_gap
     h2 = entropy(_tempered(zs, alphas2[:, None]))
-    monotone = _nonincreasing(np.stack([rep.entropy, h2], axis=1))
-    cols = _per_draw(idx, ms, alphas, alphas2, rep.entropy, rep.variance, rep.abs_gap, h2, monotone)
-    for i, m, alpha, alpha2, h, variance, abs_gap, h_2, monotone_ok in cols:
-        row = {"draw": i, "m": m, "subset_size": zs.shape[1], "alpha": alpha, "entropy": h,
-               "variance": variance, "slope_gap": abs_gap, "margin": SLOPE_TOLERANCE - abs_gap,
-               "monotone_ok": int(monotone_ok)}
-        yield [row], (
-            f"draw {i}: slope gap {abs_gap:.3e}, "
-            f"H({alpha2:.3f})={h_2:.6f} vs H({alpha:.3f})={h:.6f}"
-            if not (monotone_ok and abs_gap < SLOPE_TOLERANCE)
-            else None
-        )
+    monotone = _nonincreasing(np.stack([h, h2], axis=1))
+    cols = {"draw": idx, "m": ms, "subset_size": np.full(len(idx), zs.shape[1]), "alpha": alphas,
+            "entropy": h, "variance": rep.variance, "slope_gap": gap,
+            "margin": SLOPE_TOLERANCE - gap, "monotone_ok": monotone.astype(int)}
+    return cols, ~(monotone & (gap < SLOPE_TOLERANCE)), lambda k: (
+        f"draw {idx[k]}: slope gap {gap[k]:.3e}, "
+        f"H({alphas2[k]:.3f})={h2[k]:.6f} vs H({alphas[k]:.3f})={h[k]:.6f}")
 
 
 def _curvature(seed: int, draws: int):
@@ -219,23 +237,20 @@ def _curvature_pass(idx, zs, deltas, alphas):
     curv = curvature_rows(zs, np.stack([alphas, 50.0 / deltas], axis=1))
     grid = np.linspace(2.0 / deltas, 50.0 / deltas, 25, axis=1)
     envelope = 2.0 * grid**2 * (m - 1) * np.exp(-grid * deltas[:, None])
-    env_oks = _nonincreasing(envelope, np.maximum(1.0, envelope[:, 0]))
-    psd_oks = curv.min_eigenvalue[:, 0] >= -PSD_SLACK
-    cols = _per_draw(idx, alphas, deltas, curv.spectral_norm, curv.decay_bound[:, 0],
-                     curv.tail_mass[:, 0], curv.tail_bound[:, 0], curv.gershgorin_bound[:, 0],
-                     psd_oks, env_oks, [v[0] for v in curv.violations])
-    for i, alpha, delta, (norm, collapse), decay, tail, tail_b, gersh, psd_ok, env_ok, viol in cols:
-        row = {"draw": i, "m": m, "alpha": alpha, "logit_gap": delta, "spectral_norm": norm,
-               "decay_bound": decay, "tail_mass": tail, "tail_bound": tail_b,
-               "gershgorin_bound": gersh, "margin": decay - norm, "collapse_norm": collapse,
-               "psd_ok": int(psd_ok), "envelope_ok": int(env_ok)}
-        bad = bool(viol) or not (psd_ok and env_ok and collapse < COLLAPSE_NORM_LIMIT)
-        yield [row], (
-            f"draw {i}: bound violations {viol}, psd_ok={psd_ok}, "
-            f"env_ok={env_ok}, norm at 50/gap = {collapse:.3e}"
-            if bad
-            else None
-        )
+    env_ok = _nonincreasing(envelope, np.maximum(1.0, envelope[:, 0]))
+    psd_ok = curv.min_eigenvalue[:, 0] >= -PSD_SLACK
+    norm, collapse = curv.spectral_norm.T
+    decay = curv.decay_bound[:, 0]
+    viol = [v[0] for v in curv.violations]
+    cols = {"draw": idx, "m": np.full(len(idx), m), "alpha": alphas, "logit_gap": deltas,
+            "spectral_norm": norm, "decay_bound": decay, "tail_mass": curv.tail_mass[:, 0],
+            "tail_bound": curv.tail_bound[:, 0], "gershgorin_bound": curv.gershgorin_bound[:, 0],
+            "margin": decay - norm, "collapse_norm": collapse, "psd_ok": psd_ok.astype(int),
+            "envelope_ok": env_ok.astype(int)}
+    bad = np.array([bool(v) for v in viol]) | ~(psd_ok & env_ok & (collapse < COLLAPSE_NORM_LIMIT))
+    return cols, bad, lambda k: (
+        f"draw {idx[k]}: bound violations {viol[k]}, psd_ok={psd_ok[k]}, "
+        f"env_ok={env_ok[k]}, norm at 50/gap = {collapse[k]:.3e}")
 
 
 def _lipschitz(seed: int, draws: int):
@@ -251,14 +266,13 @@ def _lipschitz(seed: int, draws: int):
 
 
 def _lipschitz_pass(idx, zs, vs, alphas1, alphas2):
-    _, m, d_v = vs.shape
+    g, m, d_v = vs.shape
     rep = lipschitz_report(zs, vs, alphas1, alphas2)
-    cols = _per_draw(idx, alphas1, alphas2, rep.deviation, rep.bound, rep.margin)
-    for i, alpha1, alpha2, deviation, bound, margin in cols:
-        row = {"draw": i, "m": m, "d_v": d_v, "alpha1": alpha1, "alpha2": alpha2,
-               "deviation": deviation, "bound": bound, "margin": margin}
-        problem = f"draw {i}: deviation {deviation:.6e} exceeds bound {bound:.6e}"
-        yield [row], problem if margin < 0 else None
+    cols = {"draw": idx, "m": np.full(g, m), "d_v": np.full(g, d_v), "alpha1": alphas1,
+            "alpha2": alphas2, "deviation": rep.deviation, "bound": rep.bound,
+            "margin": rep.margin}
+    return cols, rep.margin < 0, lambda k: (
+        f"draw {idx[k]}: deviation {rep.deviation[k]:.6e} exceeds bound {rep.bound[k]:.6e}")
 
 
 DEVIATION_ALPHA_GRID = (1.15, 1.25, 1.35)
@@ -268,6 +282,7 @@ def _deviation(seed: int, probes: int):
     """Half the probes use the sweep grid alphas, half continuous [0.5, 3]."""
     total_steps = 8
     coeffs = StepCoefficients.linear(total_steps)
+    reps = []
     for i in range(probes):
         rng = np.random.default_rng([seed, i])
         n_video = int(rng.integers(3, 9))
@@ -287,19 +302,16 @@ def _deviation(seed: int, probes: int):
         else:
             alpha = float(rng.uniform(0.5, 3.0))
         query = int(rng.integers(0, n_video))
-        rep = deviation_bound_check(den, coeffs, t, x, alpha, query=query)
-        row = {"probe": i, "alpha": alpha, "t": t, "b_t": rep.b_t, "deviation": rep.deviation,
-               "bound": rep.bound, "margin": rep.margin, "lipschitz_upper": rep.lipschitz_upper}
-        yield [row], (
-            f"probe {i}: deviation {rep.deviation:.6e} exceeds bound {rep.bound:.6e}"
-            if rep.margin < 0
-            else None
-        )
+        reps.append(deviation_bound_check(den, coeffs, t, x, alpha, query=query))
+    names = ("alpha", "t", "b_t", "deviation", "bound", "margin", "lipschitz_upper")
+    cols = {"probe": np.arange(probes), **{c: np.array([getattr(r, c) for r in reps]) for c in names}}
+    return cols, cols["margin"] < 0, lambda i: (
+        f"probe {i}: deviation {reps[i].deviation:.6e} exceeds bound {reps[i].bound:.6e}")
 
 
 # Suites by name; each takes (seed, count), where count is the probe count for
-# the deviation suite and the draw count for the others, and gives one
-# (rows, problem) pair per draw, in draw order.
+# the deviation suite and the draw count for the others, and gives the
+# (cols, bad, problem) report that _collect takes, in draw order.
 _SUITE_FUNCS = dict(
     zip(SUITE_NAMES, (_scale_equivalence, _entropy_slope, _curvature, _lipschitz, _deviation))
 )
@@ -311,11 +323,10 @@ def run_suite(
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; valid: {sorted(_SUITE_FUNCS)}")
     count = probes if name == "deviation" else draws
-    result = _collect(name, _SUITE_FUNCS[name](seed, count))
-    if inject_bug and result.rows:
-        first = result.rows[0]
-        if "margin" in first:
-            first["margin"] = -abs(first["margin"]) - 1.0
+    result = _collect(name, *_SUITE_FUNCS[name](seed, count))
+    if inject_bug and result.data:
+        margin = result.data[result.columns.index("margin")]
+        margin[0] = -abs(margin[0]) - 1.0
         result.violations += 1
         result.detail = "injected-bug hook: flipped the sign of row 0's margin"
     return result
@@ -329,32 +340,26 @@ def _sweep(idx, zs, gaps, grid):
     variances = _variance_rows(curv.p, zs[:, None, :])
     monotone = _nonincreasing(entropies)
     # The envelope is checked from 2/Delta on, a suffix of each sorted grid;
-    # the decay bounds before it (all of them when Delta = 0) read as inf.
-    checked = alphas >= np.divide(2.0, gaps, out=np.full(n, np.inf), where=gaps > 0)[:, None]
+    # the decay bounds before it (all of them when Delta = 0, or when 2/Delta
+    # overflows to inf for a subnormal Delta) read as inf.
+    with np.errstate(over="ignore"):
+        start = np.divide(2.0, gaps, out=np.full(n, np.inf), where=gaps > 0)
+    checked = alphas >= start[:, None]
     first = curv.decay_bound[np.arange(n), np.argmax(checked, axis=1)]
     env = np.where(checked, curv.decay_bound, np.inf)
     envelope = _nonincreasing(env, np.maximum(1.0, first))
     # The default grid ends at 50/Delta, where the curvature has collapsed.
     collapse = (curv.spectral_norm[:, -1] < COLLAPSE_NORM_LIMIT) | bool(grid)
-    cols = _per_draw(idx, gaps, [grid] * n if grid else alphas, monotone, envelope, collapse,
-                     curv.violations, entropies, variances, curv.spectral_norm, curv.tail_mass,
-                     curv.tail_bound, curv.gershgorin_bound, curv.decay_bound)
-    for i, gap, grid_i, monotone_ok, envelope_ok, collapse_ok, violations, *per_alpha in cols:
-        bound_ok = not any(violations)
-        rows = [
-            {"draw": i, "alpha": alpha, "entropy": h, "variance": var, "spectral_norm": norm,
-             "tail_mass": tail, "tail_bound": tail_bound, "gershgorin_bound": gersh,
-             "decay_bound": decay, "logit_gap": gap, "entropy_monotone_ok": int(monotone_ok),
-             "envelope_ok": int(envelope_ok), "collapse_ok": int(collapse_ok)}
-            for alpha, h, var, norm, tail, tail_bound, gersh, decay in zip(grid_i, *per_alpha)
-        ]
-        bad = not (monotone_ok and envelope_ok and collapse_ok and bound_ok)
-        yield rows, (
-            f"draw {i}: monotone_ok={monotone_ok} envelope_ok={envelope_ok} "
-            f"collapse_ok={collapse_ok} bounds_ok={bound_ok}"
-            if bad
-            else None
-        )
+    bounds = np.array([not any(v) for v in curv.violations])
+    cols = {"draw": idx, "alpha": alphas, "entropy": entropies, "variance": variances,
+            "spectral_norm": curv.spectral_norm, "tail_mass": curv.tail_mass,
+            "tail_bound": curv.tail_bound, "gershgorin_bound": curv.gershgorin_bound,
+            "decay_bound": curv.decay_bound, "logit_gap": gaps,
+            "entropy_monotone_ok": monotone.astype(int), "envelope_ok": envelope.astype(int),
+            "collapse_ok": collapse.astype(int)}
+    return cols, ~(monotone & envelope & collapse & bounds), lambda k: (
+        f"draw {idx[k]}: monotone_ok={monotone[k]} envelope_ok={envelope[k]} "
+        f"collapse_ok={collapse[k]} bounds_ok={bounds[k]}")
 
 
 def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> SuiteResult:
@@ -392,4 +397,4 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
         rng = np.random.default_rng(seed)
         z_draws = [_draw_gapped_logits(rng, int(rng.integers(2, 17))) for _ in range(draws)]
     grid = sorted(alpha_grid) if alpha_grid else None
-    return _collect("sweep", _batched(z_draws, lambda idx, *cols: _sweep(idx, *cols, grid)))
+    return _collect("sweep", *_batched(z_draws, lambda idx, *fields: _sweep(idx, *fields, grid)))

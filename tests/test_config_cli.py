@@ -391,7 +391,7 @@ def test_write_csv_cell_text(tmp_path):
         "f": 7, "g": True, "h": np.float64(2.5),
     }
     path = tmp_path / "r.csv"
-    write_csv(str(path), list(row), [row])
+    write_csv(str(path), list(row), [tuple(row.values())])
     assert path.read_text() == (
         "a,b,c,d,e,f,g,h\n0.10000000000000001,0.33333333333333331,-0,nan,inf,7,1,2.5\n"
     )
@@ -402,7 +402,7 @@ def test_write_csv_with_no_columns_or_one_column(tmp_path):
     path = tmp_path / "r.csv"
     write_csv(str(path), (), [])
     assert path.read_text() == "\n"
-    write_csv(str(path), ["x"], [{"x": 0.5, "y": 2}, {"x": 3, "y": 1.0}])
+    write_csv(str(path), ["x"], [(0.5,), (3,)])
     assert path.read_text() == "x\n0.5\n3\n"
 
 
