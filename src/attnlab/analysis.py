@@ -171,12 +171,17 @@ def entropy_alpha_report(z, s, alpha) -> EntropyReport:
     return EntropyReport(a, *cols) if stacked else EntropyReport(alpha, *(float(c[0]) for c in cols))
 
 
+def _top_gaps(zm: np.ndarray) -> np.ndarray:
+    """:func:`logit_gap` of each row of an (n, m) logit stack, without its checks."""
+    top = np.sort(zm, axis=1)
+    return top[:, -1] - top[:, -2] if zm.shape[1] > 1 else np.zeros(zm.shape[0])
+
+
 def logit_gap(z):
     """Gap between the two largest logits: 0.0 for a tied maximum or a single logit.
     An (n, m) stack of logit vectors gives an array of gaps, one per row."""
     zm, stacked = _rows(z, "logits")
-    top = np.sort(zm, axis=1)
-    gaps = top[:, -1] - top[:, -2] if zm.shape[1] > 1 else np.zeros(zm.shape[0])
+    gaps = _top_gaps(zm)
     return gaps if stacked else float(gaps[0])
 
 
@@ -308,7 +313,7 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     a = a.reshape(n, -1)
     k = a.shape[1]
     p = _tempered(zm, a)
-    delta = logit_gap(zm)
+    delta = _top_gaps(zm)
     # With m == 1 the bounds are exactly 0 and hold trivially.
     gap_applicable = (delta > 0.0) | (m == 1)
     # The mass off the top logit, s/(1+s) with s = sum_{j != j*} exp(alpha (z_j -

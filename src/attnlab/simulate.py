@@ -66,69 +66,53 @@ class StepCoefficients:
 
 
 @dataclass(frozen=True)
-class BlockWeights:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-
-
-@dataclass(frozen=True)
 class ToyDenoiser:
     """Fixed-weight attention stack with a [text | image | video] token layout.
+
+    The weights are three block stacks, one array per kind: ``w_qk`` holds
+    each block's ``(W_q, W_k)`` as an ``(L, 2, d_model, d_k)`` array, so a
+    pass forms a block's Q and K with one product; ``w_v`` is ``(L, d_model,
+    d_v)`` and ``w_o`` is ``(L, d_v, d_model)``. A stack cannot be ragged, so
+    every block has one shape.
 
     ``lipschitz_upper`` is the product of the post-attention projections'
     spectral norms — an upper Lipschitz constant for the map from any single
     block's attention output to the predicted noise, provided every factor is
-    >= 1 (which :func:`make_toy_denoiser` enforces when sampling). The norms
-    are solved as one :func:`~attnlab.numerics.spectral_norms` stack, so every
-    block has one query/key projection shape and one value width. That shape
-    also lets ``w_qk`` stack each block's ``(W_q, W_k)`` once, at construction,
-    so a pass forms a block's Q and K with one product.
+    >= 1 (which :func:`make_toy_denoiser` enforces when sampling).
     """
 
     partition: KeyPartition
     cond_embed: np.ndarray
-    blocks: tuple[BlockWeights, ...]
+    w_qk: np.ndarray
+    w_v: np.ndarray
+    w_o: np.ndarray
     lipschitz_upper: float = field(init=False)
-    w_qk: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("denoiser needs at least one block")
         n_cond = len(self.partition.text) + len(self.partition.image)
         if self.cond_embed.shape[0] != n_cond:
             raise ValueError(
                 f"cond_embed rows ({self.cond_embed.shape[0]}) != text+image size ({n_cond})"
             )
         d = self.d_model
-        for i, blk in enumerate(self.blocks):
-            for name in ("w_q", "w_k", "w_v"):
-                w = getattr(blk, name)
-                if w.ndim != 2 or w.shape[0] != d:
-                    raise ValueError(
-                        f"block {i} {name} shape {w.shape} needs d_model = {d} rows"
-                    )
-            if blk.w_k.shape != blk.w_q.shape:
-                raise ValueError(
-                    f"block {i} w_k shape {blk.w_k.shape} != w_q shape {blk.w_q.shape}"
-                )
-            if blk.w_q.shape[1] == 0:
-                raise ValueError(f"block {i} w_q needs at least one column")
-            if blk.w_o.shape != (blk.w_v.shape[1], d):
-                raise ValueError(
-                    f"block {i} w_o shape {blk.w_o.shape} != (w_v cols, d_model) = "
-                    f"{(blk.w_v.shape[1], d)}"
-                )
-        if len({(blk.w_q.shape, blk.w_v.shape) for blk in self.blocks}) != 1:
-            raise ValueError(
-                "every block needs the same query/key projection shape and value width"
-            )
+        qk, v = self.w_qk.shape, self.w_v.shape
+        if len(qk) != 4 or qk[1:3] != (2, d):
+            raise ValueError(f"w_qk shape {qk} needs (blocks, 2, d_model = {d}, d_k)")
+        if not qk[0]:
+            raise ValueError("denoiser needs at least one block")
+        if not qk[3]:
+            raise ValueError("w_qk needs at least one key column")
+        if len(v) != 3 or v[:2] != (qk[0], d):
+            raise ValueError(f"w_v shape {v} needs (blocks = {qk[0]}, d_model = {d}, d_v)")
+        if self.w_o.shape != (qk[0], v[2], d):
+            raise ValueError(f"w_o shape {self.w_o.shape} != (blocks, d_v, d_model) = "
+                             f"{(qk[0], v[2], d)}")
         # math.prod multiplies the norms in block order, from 1.
-        norms = spectral_norms([blk.w_o for blk in self.blocks])
-        object.__setattr__(self, "lipschitz_upper", math.prod(norms.tolist()))
-        # np.array builds the few-block stack in about half of np.stack's time.
-        object.__setattr__(self, "w_qk", np.array([(b.w_q, b.w_k) for b in self.blocks]))
+        object.__setattr__(self, "lipschitz_upper", math.prod(spectral_norms(self.w_o).tolist()))
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.w_qk)
 
     @property
     def n_video(self) -> int:
@@ -150,7 +134,9 @@ def make_toy_denoiser(
 ) -> ToyDenoiser:
     """Sample a denoiser with N(0, 1/sqrt(d_k))-style weights from one seed.
 
-    The model width equals the value width ``d_v``.
+    The model width equals the value width ``d_v``. Each block draws W_q, W_k,
+    W_v and W_o in turn, and the draws are then stacked as
+    :class:`ToyDenoiser` holds them.
 
     Every post-attention projection is rescaled to spectral norm >= 1 so the
     product over blocks dominates each individual factor; see
@@ -165,16 +151,18 @@ def make_toy_denoiser(
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(d_k)
     cond_embed = rng.normal(0.0, 1.0, size=(n_text + n_image, d_model))
-    # Each block draws W_q, W_k, W_v, W_o in turn; then every norm is solved at once.
     shapes = ((d_model, d_k), (d_model, d_k), (d_model, d_v), (d_v, d_model))
     drawn = [[rng.normal(0.0, scale, size=s) for s in shapes] for _ in range(num_blocks)]
-    sigmas = spectral_norms([w[3] for w in drawn]).tolist()
-    blocks = tuple(
-        # A norm below 1 is clamped up to exactly 1.
-        BlockWeights(w_q, w_k, w_v, w_o / sigma if sigma < 1.0 else w_o)
-        for (w_q, w_k, w_v, w_o), sigma in zip(drawn, sigmas)
+    w_o = np.array([w[3] for w in drawn])
+    # A norm below 1 is clamped up to exactly 1; x / 1.0 is x.
+    w_o /= np.minimum(spectral_norms(w_o), 1.0)[:, None, None]
+    return ToyDenoiser(
+        partition=partition,
+        cond_embed=cond_embed,
+        w_qk=np.array([w[:2] for w in drawn]),
+        w_v=np.array([w[2] for w in drawn]),
+        w_o=w_o,
     )
-    return ToyDenoiser(partition=partition, cond_embed=cond_embed, blocks=blocks)
 
 
 def _forward(
@@ -208,16 +196,16 @@ def _forward(
     tokens = np.vstack([denoiser.cond_embed, h])
     video = tokens[n_cond:]
     with np.errstate(all="ignore"):
-        for l, blk in enumerate(denoiser.blocks):
+        for l in range(denoiser.num_blocks):
             # One product for Q and K: each slice equals its separate product bit
             # for bit, and indexing the slices costs less than unpacking them.
             qk = tokens @ denoiser.w_qk[l]
             q, k = qk[0], qk[1]
-            v = tokens @ blk.w_v
+            v = tokens @ denoiser.w_v[l]
             res = scheduled_attention(l, t, q, k, v, denoiser.partition, schedule)
             if observe is not None:
                 observe(l, q, k, v, res)
-            np.matmul(res.output[n_cond:], blk.w_o, out=video)
+            np.matmul(res.output[n_cond:], denoiser.w_o[l], out=video)
     return video
 
 
@@ -283,7 +271,7 @@ def deviation_bound_check(
         # for a = 1 and a = alpha.
         y = res.output.copy()
         y[row] = p @ v_mat
-        x_next.append(coeffs.a[t - 1] * xm + b_t * (y[n_cond:] @ denoiser.blocks[-1].w_o))
+        x_next.append(coeffs.a[t - 1] * xm + b_t * (y[n_cond:] @ denoiser.w_o[-1]))
     deviation = float(np.linalg.norm(x_next[1] - x_next[0]))
     with np.errstate(over="ignore"):
         # The sum of squares may overflow, which the norm itself need not.
@@ -386,17 +374,17 @@ def run_trajectory(
         raise ValueError(
             f"schedule has {schedule.total_steps} steps, coefficients {coeffs.total_steps}"
         )
-    if len(denoiser.blocks) != schedule.num_blocks:
+    if denoiser.num_blocks != schedule.num_blocks:
         raise ValueError(
-            f"denoiser has {len(denoiser.blocks)} blocks, schedule {schedule.num_blocks}"
+            f"denoiser has {denoiser.num_blocks} blocks, schedule {schedule.num_blocks}"
         )
     x = as_matrix(x0, "state").copy()
     n_cond = denoiser.cond_embed.shape[0]
-    n_meas = len(denoiser.blocks) * denoiser.n_video
+    n_meas = denoiser.num_blocks * denoiser.n_video
     part = denoiser.partition
     # One count per run: every block has the same key width (see ToyDenoiser).
     cell_multiplies = scaling_multiply_count(
-        part, schedule.modulation.targets, part.size, denoiser.blocks[0].w_q.shape[1]
+        part, schedule.modulation.targets, part.size, denoiser.w_qk.shape[-1]
     )
     rows = []
     for t in range(1, coeffs.total_steps + 1):

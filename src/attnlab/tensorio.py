@@ -16,14 +16,13 @@ Every decode error names the byte offset where the problem sits.
 One header parser serves every reader. ``decode_tensor`` parses bytes
 already in memory. ``BlockReader`` opens a file, runs every header check and
 compares the file size with the declared dims, so a truncated file or
-trailing bytes fail before any payload byte is read. It then reads the file
-one slice of its leading axis at a time, so a large stack is never held
-whole; or one slice's rows as slabs of at most 512 KiB, read one after
-another into one reused buffer, so a slab is still in cache when it is
-reduced; or (for ``read_tensor``) the whole payload with one read, so the
-array is held once. Every read goes through one helper, so a file that
-shrank after it was opened and a bad boolean byte each raise one message,
-with absolute offsets.
+trailing bytes fail before any payload byte is read. It then reads one
+slice's rows as slabs of at most 512 KiB, one after another into one reused
+buffer, so a large stack is never held whole and a slab is still in cache
+when it is reduced; or (for ``read_tensor``) the whole payload with one
+read, so the array is held once. Both fill their array through one helper,
+so a file that shrank after it was opened and a bad boolean byte each raise
+one message, with absolute offsets.
 """
 
 from __future__ import annotations
@@ -145,17 +144,16 @@ def decode_tensor(buf: bytes) -> np.ndarray:
 
 
 class BlockReader:
-    """An ATNB file read one slice of its leading axis at a time, or whole.
+    """An ATNB file read one slice's rows at a time, or whole.
 
     Opening the file runs every check of ``decode_tensor`` that the header
     and the file size (from ``fstat``) allow: magic, version, dtype code,
     ndim, dims, a truncated payload and trailing bytes all raise before a
-    single payload byte is read. Iterating reads each slice into a fresh
-    array equal to ``read_tensor(path)[l]``; :meth:`read` reads the whole
-    array the same way, and :meth:`row_slabs` one slice's rows in slabs of
-    a reused buffer. Boolean data keeps the 0/1 byte check, and its error
-    names the absolute byte offset. Use it as a context manager so that the
-    file is closed.
+    single payload byte is read. :meth:`row_slabs` reads one slice's rows in
+    slabs of a reused buffer, and :meth:`read` the whole array into a fresh
+    one. Boolean data keeps the 0/1 byte check, and its error names the
+    absolute byte offset. Use it as a context manager so that the file is
+    closed.
     """
 
     def __init__(self, path):
@@ -202,19 +200,6 @@ class BlockReader:
             return raw.astype(np.float64, copy=False)
         return _bools(raw, offset)
 
-    def _read_at(self, offset: int, shape: tuple[int, ...]) -> np.ndarray:
-        """The array of ``shape`` whose payload starts at file byte ``offset``."""
-        raw = np.empty(math.prod(shape), dtype=self._header.dtype)
-        return self._read_into(offset, raw).reshape(shape)
-
-    def __iter__(self):
-        h = self._header
-        if not h.dims:
-            raise ValueError("a 0-d tensor has no leading axis to read slices of")
-        step = math.prod(h.dims[1:]) * h.dtype.itemsize
-        for l in range(h.dims[0]):
-            yield self._read_at(h.payload_offset + l * step, h.dims[1:])
-
     def row_slabs(self, l: int):
         """Slice ``l``'s rows, in order, as slabs of one buffer the reader reuses.
 
@@ -222,7 +207,7 @@ class BlockReader:
         ``_SLAB_BYTES``, and at least one; stacked, the slabs equal
         ``read_tensor(path)[l]``. The next slab read, from any slice,
         overwrites the last one, so copy a slab to keep it. Reads and errors
-        are those of iteration, with each slab's absolute offset.
+        are those of :meth:`read`, with each slab's absolute offset.
         """
         h = self._header
         if len(h.dims) < 2:
@@ -243,7 +228,9 @@ class BlockReader:
 
     def read(self) -> np.ndarray:
         """The whole array, equal to ``decode_tensor`` of the file's bytes."""
-        return self._read_at(self._header.payload_offset, self._header.dims)
+        h = self._header
+        raw = np.empty(math.prod(h.dims), dtype=h.dtype)
+        return self._read_into(h.payload_offset, raw).reshape(h.dims)
 
     def close(self) -> None:
         self._file.close()

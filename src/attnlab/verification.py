@@ -21,9 +21,9 @@ description of the first failing draw; no row dict is built unless ``rows``
 is read. Every suite but deviation, and the sweep (:func:`run_sweep`), draws
 its cases first, in the seeded order, then makes one stacked pass per group:
 of same-shaped draws, or for scale-equivalence of the draws with one key
-count m in each block of ``_EQUIVALENCE_BLOCK`` draws. There each draw's
-three logit products stay unpadded 2-D calls, since their rounding is what
-``max_diff`` records. :func:`_batched` joins the groups' columns in draw order.
+count m. There each draw's three logit products stay unpadded 2-D calls,
+since their rounding is what ``max_diff`` records. :func:`_batched` joins
+the groups' columns in draw order.
 ``inject_bug=True`` flips the sign of the first row's margin column after the
 fact — a harness self-test proving the violation path is live.
 """
@@ -37,6 +37,7 @@ import numpy as np
 
 from .analysis import (
     _tempered,
+    _top_gaps,
     _variance_rows,
     curvature_rows,
     entropy,
@@ -55,9 +56,6 @@ MONOTONE_SLACK = 1e-12
 PSD_SLACK = 1e-10
 COLLAPSE_NORM_LIMIT = 1e-6
 MIN_LOGIT_GAP = 1e-3
-# Draws the scale-equivalence suite holds at once: its softmax stacks are formed
-# per key count within each block of this many consecutive draws.
-_EQUIVALENCE_BLOCK = 200
 
 # Default sweep grid, in units of 1/Delta: spans the pre-collapse regime up to
 # the 50/Delta collapse point checked by the curvature suite.
@@ -105,7 +103,7 @@ def _draw_gapped_logits(rng: np.random.Generator, m: int) -> tuple[np.ndarray, f
     """
     while True:
         z = rng.uniform(-10.0, 10.0, size=m)
-        gap = logit_gap(z)
+        gap = float(_top_gaps(z[None, :])[0])
         if m == 1 or gap >= MIN_LOGIT_GAP:
             return z, gap
 
@@ -162,35 +160,30 @@ def _nonincreasing(values: np.ndarray, scale=1.0) -> np.ndarray:
 
 def _scale_equivalence(seed: int, draws: int):
     rng = np.random.default_rng(seed)
-    shapes, gammas, max_diff = [], [], np.empty(draws)
-    for start in range(0, draws, _EQUIVALENCE_BLOCK):
-        block, groups = [], {}
-        for j in range(min(_EQUIVALENCE_BLOCK, draws - start)):
-            n, m, d = (int(rng.integers(1, high)) for high in (17, 17, 9))
-            gamma = float(rng.uniform(0.5, 3.0))
-            q = rng.normal(size=(n, d))
-            k = rng.normal(size=(m, d))
-            rng.normal(size=(m, d))  # V: no route reads it, but the stream keeps its draw
-            block.append((n, gamma, q, k))
-            groups.setdefault(m, []).append(j)
-            shapes.append((n, m, d))
-            gammas.append(gamma)
-        for idx in groups.values():
-            # Each draw's products stay 2-D and unpadded, as attention_forward
-            # forms them; only the softmax passes run on the stacks.
-            ns, gs, z_q, z_k, z = zip(*(
-                (n, g, scaled_logits(g * q, k), scaled_logits(q, g * k), scaled_logits(q, k))
-                for n, g, q, k in (block[j] for j in idx)))
-            p_q, p_k = row_softmax(np.concatenate(z_q)), row_softmax(np.concatenate(z_k))
-            p_t = _tempered(np.concatenate(z), np.repeat(gs, ns)[:, None])
-            pairs = ((p_q, p_k), (p_q, p_t), (p_k, p_t))
-            diffs = np.max([np.abs(a - b).max(axis=1) for a, b in pairs], axis=0)
-            # max_diff[start:] is a view, so this fills the group's slots in max_diff.
-            max_diff[start:][idx] = np.maximum.reduceat(diffs, np.cumsum((0,) + ns[:-1]))
+    shapes, drawn, groups = [], [], {}
+    for i in range(draws):
+        n, m, d = (int(rng.integers(1, high)) for high in (17, 17, 9))
+        gamma = float(rng.uniform(0.5, 3.0))
+        drawn.append((gamma, rng.normal(size=(n, d)), rng.normal(size=(m, d))))
+        rng.normal(size=(m, d))  # V: no route reads it, but the stream keeps its draw
+        shapes.append((n, m, d))
+        groups.setdefault(m, []).append(i)
+    max_diff = np.empty(draws)
+    for idx in groups.values():
+        # Each draw's products stay 2-D and unpadded, as attention_forward
+        # forms them; only the softmax passes run on the stacks.
+        ns, gs, z_q, z_k, z = zip(*(
+            (len(q), g, scaled_logits(g * q, k), scaled_logits(q, g * k), scaled_logits(q, k))
+            for g, q, k in (drawn[i] for i in idx)))
+        p_q, p_k = row_softmax(np.concatenate(z_q)), row_softmax(np.concatenate(z_k))
+        p_t = _tempered(np.concatenate(z), np.repeat(gs, ns)[:, None])
+        pairs = ((p_q, p_k), (p_q, p_t), (p_k, p_t))
+        diffs = np.max([np.abs(a - b).max(axis=1) for a, b in pairs], axis=0)
+        max_diff[idx] = np.maximum.reduceat(diffs, np.cumsum((0,) + ns[:-1]))
     n, m, d = np.reshape(shapes, (-1, 3)).T
     margin = PAIRWISE_TOLERANCE - max_diff
-    cols = {"draw": np.arange(draws), "n": n, "m": m, "d": d, "gamma": np.array(gammas),
-            "max_diff": max_diff, "margin": margin}
+    cols = {"draw": np.arange(draws), "n": n, "m": m, "d": d,
+            "gamma": np.array([g for g, _, _ in drawn]), "max_diff": max_diff, "margin": margin}
     return cols, margin < 0, lambda i: (
         f"draw {i}: pairwise diff {max_diff[i]:.3e} exceeds {PAIRWISE_TOLERANCE}")
 

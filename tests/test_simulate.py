@@ -44,13 +44,14 @@ def test_make_toy_denoiser_deterministic():
     d1 = make_toy_denoiser(seed=3)
     d2 = make_toy_denoiser(seed=3)
     np.testing.assert_array_equal(d1.cond_embed, d2.cond_embed)
-    np.testing.assert_array_equal(d1.blocks[0].w_o, d2.blocks[0].w_o)
+    for name in ("w_qk", "w_v", "w_o"):
+        np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name))
     assert d1.lipschitz_upper == d2.lipschitz_upper
 
 
 def test_make_toy_denoiser_output_norms_clamped():
     den = make_toy_denoiser(seed=1, num_blocks=5)
-    norms = [spectral_norm(blk.w_o) for blk in den.blocks]
+    norms = [spectral_norm(w_o) for w_o in den.w_o]
     assert all(s >= 1.0 - 1e-12 for s in norms)
     assert den.lipschitz_upper == pytest.approx(np.prod(norms), rel=1e-12)
     assert den.lipschitz_upper >= 1.0 - 1e-10
@@ -483,43 +484,43 @@ def test_deviation_check_makes_one_pass(monkeypatch):
     assert 0.0 < rep.deviation <= rep.bound
 
 
-def test_denoiser_blocks_share_one_key_width():
-    den = make_toy_denoiser(seed=0, num_blocks=2)
-    wide = dataclasses.replace(den.blocks[1], w_q=np.ones((den.d_model, 9)),
-                               w_k=np.ones((den.d_model, 9)))
-    with pytest.raises(ValueError, match="same query/key projection shape"):
-        simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
-                             blocks=(den.blocks[0], wide))
-    # The value width may not differ either: the W_o norms are solved as one stack.
-    narrow = dataclasses.replace(den.blocks[1], w_v=np.ones((den.d_model, 5)),
-                                 w_o=np.ones((5, den.d_model)))
-    with pytest.raises(ValueError, match="^every block needs the same query/key projection "
-                                         "shape and value width$"):
-        simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
-                             blocks=(den.blocks[0], narrow))
-
-
 @pytest.mark.parametrize("name, shape, message", [
-    ("w_q", (5, 8), r"^block 1 w_q shape \(5, 8\) needs d_model = 6 rows$"),
-    ("w_k", (7, 8), r"^block 1 w_k shape \(7, 8\) needs d_model = 6 rows$"),
-    ("w_v", (5, 6), r"^block 1 w_v shape \(5, 6\) needs d_model = 6 rows$"),
-    ("w_o", (6, 5), r"^block 1 w_o shape \(6, 5\) != \(w_v cols, d_model\) = \(6, 6\)$"),
-    ("w_o", (5, 6), r"^block 1 w_o shape \(5, 6\) != \(w_v cols, d_model\) = \(6, 6\)$"),
+    ("w_qk", (3, 2, 5, 8), r"^w_qk shape \(3, 2, 5, 8\) needs \(blocks, 2, d_model = 6, d_k\)$"),
+    ("w_qk", (3, 3, 6, 8), r"^w_qk shape \(3, 3, 6, 8\) needs \(blocks, 2, d_model = 6, d_k\)$"),
+    ("w_qk", (2, 6, 8), r"^w_qk shape \(2, 6, 8\) needs \(blocks, 2, d_model = 6, d_k\)$"),
+    ("w_v", (3, 5, 6), r"^w_v shape \(3, 5, 6\) needs \(blocks = 3, d_model = 6, d_v\)$"),
+    ("w_v", (2, 6, 6), r"^w_v shape \(2, 6, 6\) needs \(blocks = 3, d_model = 6, d_v\)$"),
+    ("w_v", (6, 6), r"^w_v shape \(6, 6\) needs \(blocks = 3, d_model = 6, d_v\)$"),
+    ("w_o", (3, 6, 5), r"^w_o shape \(3, 6, 5\) != \(blocks, d_v, d_model\) = \(3, 6, 6\)$"),
+    ("w_o", (3, 5, 6), r"^w_o shape \(3, 5, 6\) != \(blocks, d_v, d_model\) = \(3, 6, 6\)$"),
+    ("w_o", (4, 6, 6), r"^w_o shape \(4, 6, 6\) != \(blocks, d_v, d_model\) = \(3, 6, 6\)$"),
 ])
-def test_denoiser_rejects_a_misshapen_weight_at_construction(name, shape, message):
+def test_denoiser_rejects_a_misshapen_stack_at_construction(name, shape, message):
     den = make_toy_denoiser(seed=0, num_blocks=3)
     with pytest.raises(ValueError, match=message):
-        _with_weight(den, 1, name, np.ones(shape))
+        dataclasses.replace(den, **{name: np.ones(shape)})
 
 
-def test_denoiser_rejects_key_and_query_widths_that_differ():
+def test_denoiser_needs_a_block_and_a_key_column():
     den = make_toy_denoiser(seed=0, num_blocks=2)
-    with pytest.raises(ValueError, match=r"^block 0 w_k shape \(6, 9\) != w_q shape \(6, 8\)$"):
-        _with_weight(den, 0, "w_k", np.ones((den.d_model, 9)))
-    blocks = tuple(dataclasses.replace(b, w_q=np.ones((6, 0)), w_k=np.ones((6, 0)))
-                   for b in den.blocks)
-    with pytest.raises(ValueError, match="^block 0 w_q needs at least one column$"):
-        simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed, blocks=blocks)
+    with pytest.raises(ValueError, match="^denoiser needs at least one block$"):
+        dataclasses.replace(den, w_qk=den.w_qk[:0], w_v=den.w_v[:0], w_o=den.w_o[:0])
+    with pytest.raises(ValueError, match="^w_qk needs at least one key column$"):
+        dataclasses.replace(den, w_qk=den.w_qk[..., :0])
+
+
+def test_forward_reads_the_stacks_in_place():
+    # Each stack is the one copy of its weights: editing it in place changes the pass.
+    den = make_toy_denoiser(seed=0, num_blocks=3)
+    x = sample_gaussian((den.n_video, den.d_model), seed=1)
+    before = simulate._forward(den, x, 1)
+    for name in ("w_qk", "w_v", "w_o"):
+        w = getattr(den, name)
+        saved = w.copy()
+        w[0] *= 0.5
+        assert not np.array_equal(simulate._forward(den, x, 1), before), name
+        w[...] = saved
+        np.testing.assert_array_equal(simulate._forward(den, x, 1), before)
 
 
 def test_trajectory_takes_the_multiply_count_once_per_run(monkeypatch):
@@ -541,12 +542,12 @@ def test_conflict_config_rejects_a_non_finite_gamma(gamma):
 # -- error paths of the denoiser pass -------------------------------------------------
 
 
-def _with_weight(den, block, name, value):
-    """A copy of ``den`` whose ``block`` has ``name`` replaced by ``value``."""
-    blocks = list(den.blocks)
-    blocks[block] = dataclasses.replace(blocks[block], **{name: value})
-    return simulate.ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed,
-                                blocks=tuple(blocks))
+def _with_nan(den, block, name):
+    """A copy of ``den`` with one NaN in ``block``'s W_q (``name`` "w_q") or W_v."""
+    stacks = {"w_qk": den.w_qk.copy(), "w_v": den.w_v.copy()}
+    w = stacks["w_qk"][block, 0] if name == "w_q" else stacks["w_v"][block]
+    w[1, 2] = math.nan
+    return dataclasses.replace(den, **stacks)
 
 
 @pytest.mark.parametrize("name, message", [("w_q", "non-finite Q"), ("w_v", "non-finite V")])
@@ -554,11 +555,8 @@ def _with_weight(den, block, name, value):
 @pytest.mark.parametrize("t, mode", [(1, None), (1, "scalar"), (1, "energy"), (9, "scalar")])
 def test_forward_names_a_non_finite_projection(name, message, block, t, mode):
     # Step 1 scales blocks 0-1 and step 9 scales none; mode None runs unscheduled.
-    den = make_toy_denoiser(seed=0, num_blocks=4)
-    w = getattr(den.blocks[block], name).copy()
-    w[1, 2] = math.nan
-    bad = _with_weight(den, block, name, w)
-    x = sample_gaussian((den.n_video, den.d_model), seed=1)
+    bad = _with_nan(make_toy_denoiser(seed=0, num_blocks=4), block, name)
+    x = sample_gaussian((bad.n_video, bad.d_model), seed=1)
     sched = None if mode is None else _schedule(mode=mode, num_blocks=4, total_steps=10)
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate._forward(bad, x, t, sched)
@@ -567,13 +565,10 @@ def test_forward_names_a_non_finite_projection(name, message, block, t, mode):
 @pytest.mark.parametrize("name, message", [("w_q", "non-finite Q"), ("w_v", "non-finite V")])
 def test_scaled_cell_names_a_non_finite_projection_before_an_overflow(name, message):
     # Cell (0, 1) is scaled and its scaled logits overflow as well.
-    den = make_toy_denoiser(seed=0, num_blocks=4)
-    w = getattr(den.blocks[0], name).copy()
-    w[1, 2] = math.nan
-    x = 1e300 * sample_gaussian((den.n_video, den.d_model), seed=1)
+    bad = _with_nan(make_toy_denoiser(seed=0, num_blocks=4), 0, name)
+    x = 1e300 * sample_gaussian((bad.n_video, bad.d_model), seed=1)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        simulate._forward(_with_weight(den, 0, name, w), x, 1,
-                          _schedule(num_blocks=4, total_steps=10))
+        simulate._forward(bad, x, 1, _schedule(num_blocks=4, total_steps=10))
 
 
 def test_forward_names_a_logit_that_overflows_to_minus_inf():
@@ -581,9 +576,9 @@ def test_forward_names_a_logit_that_overflows_to_minus_inf():
     # while q_0 . k_1 overflows to -inf. Each softmax row keeps a finite maximum,
     # so the probabilities stay finite; only the logits show the overflow.
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    blk = simulate.BlockWeights(w_q=np.eye(2), w_k=swap, w_v=1e-200 * np.eye(2), w_o=np.eye(2))
     den = simulate.ToyDenoiser(partition=build_partition(1, 0, 2), cond_embed=np.zeros((1, 2)),
-                               blocks=(blk,))
+                               w_qk=np.array([[np.eye(2), swap]]), w_v=1e-200 * np.eye(2)[None],
+                               w_o=np.eye(2)[None])
     x = np.array([[1e200, 0.0], [0.0, -1e200]])
     with pytest.raises(ValueError, match="^non-finite logits$"):
         simulate._forward(den, x, 1)
@@ -596,10 +591,10 @@ def test_forward_replays_a_false_alarm_through_the_checked_call():
     x = 1e100 * sample_gaussian((den.n_video, den.d_model), seed=1)
     eps = simulate._forward(den, x, 1)
     h = x
-    for blk in den.blocks:
+    for (w_q, w_k), w_v, w_o in zip(den.w_qk, den.w_v, den.w_o):
         tokens = np.vstack([den.cond_embed, h])
-        res = attention.attention_forward(tokens @ blk.w_q, tokens @ blk.w_k, tokens @ blk.w_v)
-        h = res.output[den.cond_embed.shape[0]:] @ blk.w_o
+        res = attention.attention_forward(tokens @ w_q, tokens @ w_k, tokens @ w_v)
+        h = res.output[den.cond_embed.shape[0]:] @ w_o
     np.testing.assert_array_equal(eps, h)
 
 
@@ -618,12 +613,14 @@ def test_trajectory_names_an_overflowing_baseline_at_its_cell(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(simulate, "scheduled_attention", counted)
-    keep = simulate.BlockWeights(w_q=np.zeros((2, 1)), w_k=np.zeros((2, 1)),
-                                 w_v=np.diag([0.0, 3.0]), w_o=np.eye(2))
-    meet = simulate.BlockWeights(w_q=np.array([[0.0], [1.0]]), w_k=np.array([[1.0], [0.0]]),
-                                 w_v=np.eye(2), w_o=np.eye(2))
+    # Blocks 0 and 2 keep the state; block 1 meets the video query with the keys.
+    keep_qk, meet_qk = np.zeros((2, 2, 1)), np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
+    keep_v = np.diag([0.0, 3.0])
     den = simulate.ToyDenoiser(partition=build_partition(1, 1, 1),
-                               cond_embed=np.array([[c, 0.0], [c, 0.0]]), blocks=(keep, meet, keep))
+                               cond_embed=np.array([[c, 0.0], [c, 0.0]]),
+                               w_qk=np.array([keep_qk, meet_qk, keep_qk]),
+                               w_v=np.array([keep_v, np.eye(2), keep_v]),
+                               w_o=np.tile(np.eye(2), (3, 1, 1)))
     sched = ScheduleConfig(gates=BlockGateTable((0, 1, 0)), total_steps=4,
                            modulation=ModulationConfig(gamma=0.5))
     with pytest.raises(ValueError, match="^non-finite logits$"):

@@ -10,7 +10,7 @@ softmax underflows to exact zeros, non-contiguous inputs and every key
 position of the conflict experiment.
 
 ``make_toy_denoiser`` and ``ToyDenoiser`` solve every block's spectral norm
-in one ``spectral_norms`` stack, ``ToyDenoiser`` stacks each block's
+in one ``spectral_norms`` stack, ``ToyDenoiser.w_qk`` holds each block's
 ``(W_q, W_k)`` for one Q/K product, and ``run_trajectory`` softmaxes the
 scaled cells' baseline logits, on the video query rows alone, once per step.
 Their references are the two separate products, the per-block loop and the
@@ -57,7 +57,6 @@ from attnlab.attention import (
 from attnlab.config import RunConfig
 from attnlab.numerics import row_softmax, sample_gaussian, softmax_vec, spectral_norm
 from attnlab.simulate import (
-    BlockWeights,
     ConflictConfig,
     ConflictReport,
     StepCoefficients,
@@ -362,7 +361,7 @@ def _projections(draw):
 @example(case=(np.full((1, 1), 1e150), np.full((1, 1), 1e-150), np.full((1, 1), 3.0)))
 @example(case=(np.full((18, 6), 0.5), np.eye(6, 8), np.ones((6, 8))))
 def test_stacked_projection_matches_the_separate_products(case):
-    # ToyDenoiser.w_qk stacks (W_q, W_k), and a pass forms Q and K with one product.
+    # ToyDenoiser.w_qk holds each block's (W_q, W_k), and a pass forms Q and K with one product.
     tokens, w_q, w_k = case
     q, k = tokens @ np.stack((w_q, w_k))
     assert _bits((q.tolist(), k.tolist())) == _bits(((tokens @ w_q).tolist(), (tokens @ w_k).tolist()))
@@ -382,21 +381,22 @@ def _denoiser_loop(seed_, num_blocks, n_text, n_image, n_video, d_k, d_v):
         sigma = spectral_norm(w_o)
         if sigma < 1.0:
             w_o = w_o / sigma
-        blocks.append(BlockWeights(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o))
+        blocks.append(((w_q, w_k), w_v, w_o))
     lip = 1.0
-    for blk in blocks:
-        lip *= spectral_norm(blk.w_o)
-    return cond_embed, blocks, lip
+    for _, _, w_o in blocks:
+        lip *= spectral_norm(w_o)
+    # Stacked as ToyDenoiser holds them: w_qk, w_v, w_o.
+    return cond_embed, [np.stack(ws) for ws in zip(*blocks)], lip
 
 
 def _trajectory_loop(denoiser, coeffs, schedule, x0):
     """run_trajectory with a full attention_forward(q, k, v) baseline per scaled cell."""
     x = np.array(x0, dtype=np.float64)
     n_cond = denoiser.cond_embed.shape[0]
-    n_meas = len(denoiser.blocks) * denoiser.n_video
+    n_meas = len(denoiser.w_qk) * denoiser.n_video
     part = denoiser.partition
     cell_multiplies = scaling_multiply_count(
-        part, schedule.modulation.targets, part.size, denoiser.blocks[0].w_q.shape[1]
+        part, schedule.modulation.targets, part.size, denoiser.w_qk.shape[3]
     )
     rows = []
     for t in range(1, coeffs.total_steps + 1):
@@ -469,13 +469,13 @@ def test_toy_denoiser_matches_the_per_block_loop(case):
     seed_, dims, _ = TRAJECTORY_CASES[case]
     dims = {**_DIMS, **dims}
     den = make_toy_denoiser(seed_, num_blocks=5, **dims)
-    cond_embed, blocks, lip = _denoiser_loop(seed_, 5, **dims)
+    cond_embed, stacks, lip = _denoiser_loop(seed_, 5, **dims)
     assert den.cond_embed.tolist() == cond_embed.tolist()
-    for got, want in zip(den.blocks, blocks):
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    names = ("w_qk", "w_v", "w_o")
+    for name, want in zip(names, stacks):
+        assert getattr(den, name).tolist() == want.tolist()
     assert den.lipschitz_upper.hex() == lip.hex()
-    rebuilt = ToyDenoiser(partition=den.partition, cond_embed=den.cond_embed, blocks=den.blocks)
+    rebuilt = ToyDenoiser(den.partition, cond_embed, **dict(zip(names, stacks)))
     assert rebuilt.lipschitz_upper.hex() == lip.hex()
 
 
@@ -822,9 +822,7 @@ def test_batched_suite_matches_its_per_draw_loop(name, seed_, draws, inject_bug)
     assert _result(got) == want
 
 
-def test_batched_scale_equivalence_matches_its_loop_across_blocks():
-    # 450 draws span two full blocks of draws and a partial third.
-    assert 2 * V._EQUIVALENCE_BLOCK < 450 < 3 * V._EQUIVALENCE_BLOCK
+def test_batched_scale_equivalence_matches_its_loop_at_450_draws():
     want = _loop_result("scale-equivalence", _scale_equivalence_loop(4, 450))
     assert _result(V.run_suite("scale-equivalence", seed=4, draws=450)) == want
 

@@ -114,7 +114,7 @@ def test_entropy_slope_runs_two_softmax_stacks_per_subset_size(monkeypatch):
     assert sum(calls) == 4 * draws
 
 
-def test_scale_equivalence_runs_three_softmax_stacks_per_key_count_and_block(monkeypatch):
+def test_scale_equivalence_runs_three_softmax_stacks_per_key_count(monkeypatch):
     calls = []
     original = analysis.row_softmax
 
@@ -126,7 +126,7 @@ def test_scale_equivalence_runs_three_softmax_stacks_per_key_count_and_block(mon
     monkeypatch.setattr(verification, "row_softmax", counting_row_softmax)
     draws = 450
     res = verification.run_suite("scale-equivalence", seed=2, draws=draws)
-    groups = {(row["draw"] // verification._EQUIVALENCE_BLOCK, row["m"]) for row in res.rows}
-    assert len(calls) <= 3 * len(groups) <= 3 * 3 * 16
+    key_counts = {row["m"] for row in res.rows}
+    assert len(calls) <= 3 * len(key_counts) <= 3 * 16
     # Each route's softmax runs once over every query row of every draw.
     assert sum(calls) == 3 * sum(row["n"] for row in res.rows)
