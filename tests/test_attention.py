@@ -14,6 +14,7 @@ from attnlab.attention import (
     resolve_targets,
     scaled_logits,
 )
+from attnlab.scheduling import BlockGateTable, ScheduleConfig, scheduled_attention
 
 PAIRWISE_TOLERANCE = 1e-12
 
@@ -296,3 +297,91 @@ def test_apply_group_scaling_names_a_gamma_that_overflows_the_keys():
         apply_group_scaling(k, part, ScalingTargets({"image"}), 1e307)
     with pytest.raises(ValueError, match=r"got 1e\+308$"):
         apply_group_scaling(k, part, ScalingTargets({"text"}), 1e308)
+
+
+# -- the message each bad input gets --------------------------------------------------
+#
+# Q, K and V each take one of four states: finite; one NaN or one +inf entry;
+# or every entry 1e200, so that Q K^T overflows when Q and K both have it.
+# Every combination runs at (6, 6), (0, 6) and (6, 0) query x key rows, at
+# three call sites, under warnings-as-errors. The expected outcome is the
+# order in which the inputs are named: V, Q and K first, then the product.
+
+INPUT_STATES = ("finite", "nan", "inf", "1e200")
+ROW_COUNTS = ((6, 6), (0, 6), (6, 0))
+_SCALED_CELL = ScheduleConfig(gates=BlockGateTable((1,)), total_steps=1)
+_SITES = {
+    "attention_forward": lambda q, k, v: attention_forward(q, k, v),
+    "scaled_logits": lambda q, k, v: scaled_logits(q, k),
+    "scaled cell": lambda q, k, v: scheduled_attention(
+        0, 1, q, k, v, build_partition(2, 2, 2), _SCALED_CELL),
+}
+
+
+def _in_state(state, rows, cols, seed):
+    if state == "1e200":
+        return np.full((rows, cols), 1e200)
+    a = np.random.default_rng(seed).normal(size=(rows, cols))
+    if state != "finite" and rows:
+        a[0, 0] = np.nan if state == "nan" else np.inf
+    return a
+
+
+def _named(site, n, m, qs, ks, vs):
+    """(exception type, message) the site raises, or None when it returns."""
+    bad = {name: state in ("nan", "inf") and rows
+           for name, state, rows in (("Q", qs, n), ("K", ks, m), ("V", vs, m))}
+    overflow = qs == ks == "1e200" and n and m
+    if site == "scaled cell":
+        if bad["K"]:
+            return ValueError, "non-finite K"
+        if m != 6:
+            return ValueError, f"partition size 6 != K rows {m}"
+        order = ("V", "Q")
+        # The scaled product's overflow sends the cell to the plain pass, which names it.
+        last = (ValueError, "non-finite logits")
+    else:
+        order = ("V", "Q", "K") if site == "attention_forward" else ("Q", "K")
+        last = (RuntimeWarning, "overflow encountered in matmul")
+    for name in order:
+        if bad[name]:
+            return ValueError, f"non-finite {name}"
+    if overflow:
+        return last
+    if site == "attention_forward" and not m:
+        return ValueError, "logits must have at least one column"
+    return None
+
+
+_CASES = [
+    (n, m, qs, ks, vs)
+    for n, m in ROW_COUNTS
+    for qs in INPUT_STATES
+    for ks in INPUT_STATES
+    for vs in INPUT_STATES
+]
+
+
+@pytest.mark.parametrize("site", sorted(_SITES))
+@pytest.mark.parametrize("n, m, qs, ks, vs", _CASES)
+def test_each_bad_input_is_named_in_order(site, n, m, qs, ks, vs):
+    q, k, v = _in_state(qs, n, 4, 1), _in_state(ks, m, 4, 2), _in_state(vs, m, 3, 3)
+    want = _named(site, n, m, qs, ks, vs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            _SITES[site](q, k, v)
+        else:
+            with pytest.raises(want[0], match=f"^{want[1]}$"):
+                _SITES[site](q, k, v)
+
+
+@pytest.mark.parametrize("site, message", [
+    ("attention_forward", "non-finite Q"),
+    ("scaled_logits", "non-finite Q"),
+    ("scaled cell", "K must be 2-D, got 3-D"),
+])
+def test_a_non_finite_q_beside_a_3d_k_is_named_as_before(site, message):
+    q = _in_state("nan", 6, 4, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _SITES[site](q, np.ones((6, 4, 1)), np.ones((6, 3)))
