@@ -179,8 +179,11 @@ def _top_gaps(zm: np.ndarray) -> np.ndarray:
 
 def logit_gap(z):
     """Gap between the two largest logits: 0.0 for a tied maximum or a single logit.
-    An (n, m) stack of logit vectors gives an array of gaps, one per row."""
+    An (n, m) stack of logit vectors gives an array of gaps, one per row.
+    Empty logits, a vector or a stack with no column, raise ``ValueError``."""
     zm, stacked = _rows(z, "logits")
+    if not zm.shape[1]:
+        raise ValueError("empty logits")
     gaps = _top_gaps(zm)
     return gaps if stacked else float(gaps[0])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _max_scaled, as_matrix, row_softmax
+from .numerics import _all_finite, _max_scaled, _row_softmax, as_matrix, row_softmax
 
 GROUP_NAMES = ("text", "image", "video")
 
@@ -48,9 +48,8 @@ class KeyPartition:
     video: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "text", _as_index_tuple(self.text, "text"))
-        object.__setattr__(self, "image", _as_index_tuple(self.image, "image"))
-        object.__setattr__(self, "video", _as_index_tuple(self.video, "video"))
+        for name in GROUP_NAMES:
+            object.__setattr__(self, name, _as_index_tuple(getattr(self, name), name))
         merged = sorted(self.text + self.image + self.video)
         if not merged:
             raise ValueError("partition must contain at least one key index")
@@ -73,17 +72,15 @@ class KeyPartition:
 
 
 def build_partition(n_text: int, n_image: int, n_video: int) -> KeyPartition:
-    """Contiguous [text | image | video] partition from group sizes."""
+    """Contiguous [text | image | video] partition from group sizes, each a
+    nonnegative integer (a Python or numpy int)."""
     for name, n in (("n_text", n_text), ("n_image", n_image), ("n_video", n_video)):
-        if n < 0:
-            raise ValueError(f"{name} must be nonnegative, got {n}")
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
     if n_text + n_image + n_video == 0:
         raise ValueError("all group sizes are zero; partition would be empty")
-    a, b = n_text, n_text + n_image
-    c = b + n_video
-    return KeyPartition(
-        text=tuple(range(a)), image=tuple(range(a, b)), video=tuple(range(b, c))
-    )
+    b = n_text + n_image
+    return KeyPartition(text=range(n_text), image=range(n_text, b), video=range(b, b + n_video))
 
 
 @dataclass(frozen=True)
@@ -137,31 +134,52 @@ class AttentionResult:
     gamma: float | None = None
 
 
-def scaled_logits(q, k) -> np.ndarray:
-    """Q K^T / sqrt(d_k), d_k the key width, with shape/width validation."""
-    qm = as_matrix(q, "Q")
-    km = as_matrix(k, "K")
+def scaled_logits(q, k, v_rows=None) -> np.ndarray:
+    """Q K^T / sqrt(d_k), d_k the key width, with shape/width validation.
+
+    ``v_rows``, when given, is the row count of a V that must have one row
+    per key (see :func:`attention_forward`). A NaN or an infinity in Q or K,
+    or a logit that overflows, raises ``ValueError`` naming the first of Q,
+    K and the logits that has one.
+
+    The product is formed under the caller's errstate and tested once. Only
+    when that test fails, or a shape check does, or the product is empty
+    (which hides a non-finite input), are Q, then K, then the widths, then V's
+    rows checked before the logits are named; so the first bad input is
+    named as if each had been checked before the product.
+    """
+    qm = np.asarray(q, dtype=np.float64)
+    km = np.asarray(k, dtype=np.float64)
+    if qm.ndim == km.ndim == 2 and qm.shape[1] == km.shape[1] > 0 and v_rows in (None, len(km)):
+        z = qm @ km.T
+        z /= math.sqrt(qm.shape[1])
+        if z.size and _all_finite(z):
+            return z
+    # A failed test or shape check: name the first bad input.
+    as_matrix(qm, "Q")
+    as_matrix(km, "K")
     if qm.shape[1] != km.shape[1]:
         raise ValueError(f"Q cols ({qm.shape[1]}) != K cols ({km.shape[1]})")
     if qm.shape[1] == 0:
         raise ValueError("Q and K must have at least one column")
-    z = qm @ km.T
-    z /= math.sqrt(qm.shape[1])
-    return z
+    if v_rows not in (None, len(km)):
+        raise ValueError(f"V rows ({v_rows}) != K rows ({len(km)})")
+    return as_matrix(z, "logits")
 
 
 def attention_forward(q, k, v) -> AttentionResult:
     """Plain scaled-dot-product attention: softmax(Q K^T / sqrt(d_k)) V.
 
-    Each step checks its inputs: V here, Q and K in :func:`scaled_logits`, the
-    logits in :func:`~attnlab.numerics.row_softmax`. A NaN or an infinity in
-    any of them, or a logit that overflows, raises ``ValueError`` naming it.
+    V is checked first. The logits are then formed and tested once, and Q
+    and K are checked only when that test fails or the logits are empty, so a
+    NaN or an infinity in V, Q, K or the logits, or a logit that overflows,
+    raises ``ValueError`` naming the first of them in that order. Tested
+    logits go to the unchecked softmax kernel.
     """
     vm = as_matrix(v, "V")
-    logits = scaled_logits(q, k)
-    if vm.shape[0] != logits.shape[1]:
-        raise ValueError(f"V rows ({vm.shape[0]}) != K rows ({logits.shape[1]})")
-    p = row_softmax(logits)
+    logits = scaled_logits(q, k, len(vm))
+    # Empty logits take the checked softmax, which rejects a row with no column.
+    p = _row_softmax(logits) if logits.size else row_softmax(logits)
     return AttentionResult(logits=logits, probabilities=p, output=p @ vm)
 
 

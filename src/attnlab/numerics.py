@@ -53,11 +53,17 @@ def row_softmax(z) -> np.ndarray:
 
     Subtracting the row maximum keeps every exponent nonpositive, so the
     computation never overflows and each row sums to 1 within 1e-12 even for
-    logits in the hundreds.
+    logits in the hundreds. The checks run here; the arithmetic is
+    :func:`_row_softmax`, which callers that have tested their logits use.
     """
     zm = as_matrix(z, "logits")
     if zm.shape[1] == 0:
         raise ValueError("logits must have at least one column")
+    return _row_softmax(zm)
+
+
+def _row_softmax(zm):
+    """:func:`row_softmax` of finite float64 (n, m) logits, m >= 1, without its checks."""
     e = np.exp(zm - np.maximum.reduce(zm, axis=1, keepdims=True))
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e

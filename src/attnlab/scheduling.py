@@ -173,11 +173,14 @@ def scheduled_attention(
     unscheduled call. In energy mode the coefficient is derived from this
     call's own unscaled logits and is only computed on a scaled cell.
 
-    The attention calls check every input and name a non-finite Q, K, V or
-    logit. A gamma that takes a scaled key out of range raises ``ValueError``
-    naming it (see :func:`~attnlab.attention.apply_group_scaling`). Scaled
-    logits that overflow name gamma only when the plain pass's logits are
-    finite; otherwise the cell raises what the plain pass raises.
+    A scaled cell checks K when it scales it (a gamma that takes a scaled key
+    out of range raises ``ValueError`` naming it; see
+    :func:`~attnlab.attention.apply_group_scaling`). Each attention call then
+    checks V and tests its logits once, and checks Q and K only when that
+    test fails, so a non-finite Q, K, V or logit is named as if each had
+    been checked first. The scaled call runs under ``errstate(over="raise")``:
+    scaled logits that overflow name gamma only when the plain pass's logits
+    are finite; otherwise the cell raises what the plain pass raises.
     """
     if config is None or not (config.is_active(block, t) and config.modulation.effective):
         return attention_forward(q, k, v)

@@ -27,6 +27,7 @@ from .attention import (
 )
 from .numerics import (
     _max_scaled,
+    _row_softmax,
     as_matrix,
     row_softmax,
     sample_gaussian,
@@ -44,8 +45,8 @@ class StepCoefficients:
     b: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
+        for name in ("a", "b"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if len(self.a) != len(self.b):
             raise ValueError("a and b tables must have equal length")
         if not self.a:
@@ -59,9 +60,9 @@ class StepCoefficients:
 
     @classmethod
     def linear(cls, total_steps: int) -> "StepCoefficients":
-        """The default table a_t = 1, b_t = 1/T."""
-        if total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
+        """The default table a_t = 1, b_t = 1/T; ``total_steps`` must be an integer >= 1."""
+        if not isinstance(total_steps, (int, np.integer)) or total_steps < 1:
+            raise ValueError(f"total_steps must be an integer >= 1, got {total_steps!r}")
         return cls(a=(1.0,) * total_steps, b=(1.0 / total_steps,) * total_steps)
 
 
@@ -73,7 +74,9 @@ class ToyDenoiser:
     each block's ``(W_q, W_k)`` as an ``(L, 2, d_model, d_k)`` array, so a
     pass forms a block's Q and K with one product; ``w_v`` is ``(L, d_model,
     d_v)`` and ``w_o`` is ``(L, d_v, d_model)``. A stack cannot be ragged, so
-    every block has one shape.
+    every block has one shape. Each weight, and ``cond_embed`` (one 2-D row
+    per conditioning token), must be a numpy array; any other object or shape
+    raises ``ValueError`` naming the field.
 
     ``lipschitz_upper`` is the product of the post-attention projections'
     spectral norms — an upper Lipschitz constant for the map from any single
@@ -89,10 +92,13 @@ class ToyDenoiser:
     lipschitz_upper: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("cond_embed", "w_qk", "w_v", "w_o"):
+            if not isinstance(getattr(self, name), np.ndarray):
+                raise ValueError(f"{name} must be a numpy array")
         n_cond = len(self.partition.text) + len(self.partition.image)
-        if self.cond_embed.shape[0] != n_cond:
+        if self.cond_embed.ndim != 2 or len(self.cond_embed) != n_cond:
             raise ValueError(
-                f"cond_embed rows ({self.cond_embed.shape[0]}) != text+image size ({n_cond})"
+                f"cond_embed shape {self.cond_embed.shape} needs (text+image = {n_cond}, d_model)"
             )
         d = self.d_model
         qk, v = self.w_qk.shape, self.w_v.shape
@@ -134,7 +140,8 @@ def make_toy_denoiser(
 ) -> ToyDenoiser:
     """Sample a denoiser with N(0, 1/sqrt(d_k))-style weights from one seed.
 
-    The model width equals the value width ``d_v``. Each block draws W_q, W_k,
+    The model width equals the value width ``d_v``; ``num_blocks`` and the key
+    width ``d_k`` must be at least 1. Each block draws W_q, W_k,
     W_v and W_o in turn, and the draws are then stacked as
     :class:`ToyDenoiser` holds them.
 
@@ -144,7 +151,9 @@ def make_toy_denoiser(
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    if min(n_text + n_image, n_video) < 1 or n_video < 1:
+    if d_k < 1:
+        raise ValueError("d_k must be >= 1")
+    if min(n_text + n_image, n_video) < 1:
         raise ValueError("need at least one conditioning token and one video token")
     d_model = d_v
     partition = build_partition(n_text, n_image, n_video)
@@ -180,10 +189,11 @@ def _forward(
 
     The state is checked here and the weights' shapes by
     :class:`ToyDenoiser`. Every block runs :func:`scheduled_attention` (the
-    plain pass when ``schedule`` is None), whose attention calls check Q, K, V
-    and the logits, so a NaN, an infinity or an overflow raises their
-    ``ValueError``. Numpy's floating-point warnings are silenced for the pass,
-    since that error reports what they would.
+    plain pass when ``schedule`` is None), whose attention calls check V and
+    test the logits once, and check Q and K only when that test fails; so a
+    NaN, an infinity or an overflow raises their ``ValueError``. Numpy's
+    floating-point warnings are silenced for the pass, since that error
+    reports what they would.
     """
     h = as_matrix(x, "state")
     if h.shape != (denoiser.n_video, denoiser.d_model):
@@ -358,8 +368,9 @@ def run_trajectory(
     (``result.gamma`` is set; see :func:`scheduled_attention`), and only a
     scaled cell counts its multiplies and forms a separate baseline. That
     baseline is the plain logits of the video query rows alone, the only rows
-    the statistics read, checked at the cell so that an overflow is named
-    there; every scaled cell's baseline logits are then softmaxed in one
+    the statistics read. :func:`scaled_logits` tests them at the cell, so an
+    overflow is named there, and every scaled cell's tested baseline logits
+    are then softmaxed in one pass of the unchecked kernel behind
     :func:`~attnlab.numerics.row_softmax` per step. A row's logits and softmax
     do not depend on the other rows, so each row equals the full plain call's
     row bit for bit. Any other cell reuses its scheduled result, which is the
@@ -394,8 +405,8 @@ def run_trajectory(
             results.append(res)
             if res.gamma is not None:
                 scaled.append(l)
-                # row_softmax's own logit check, made here to name an overflow at its cell.
-                baselines.append(as_matrix(scaled_logits(q[n_cond:], k), "logits"))
+                # scaled_logits tests the logits, so an overflow is named at its cell.
+                baselines.append(scaled_logits(q[n_cond:], k))
 
         h = _forward(denoiser, x, t, schedule, observe)
         x = coeffs.a[t - 1] * x + coeffs.b[t - 1] * h
@@ -403,7 +414,7 @@ def run_trajectory(
         # Video rows of every block, block-major, then of each scaled cell's baseline.
         probs = [res.probabilities[n_cond:] for res in results]
         if baselines:
-            probs.append(row_softmax(np.vstack(baselines)))
+            probs.append(_row_softmax(np.vstack(baselines)))
         stats = group_mass_rows(np.vstack(probs), part)
         h_mod = stats.entropy_cond[:n_meas]
         h_base = h_mod.reshape(-1, denoiser.n_video).copy()

@@ -41,6 +41,18 @@ def test_build_partition_rejects_all_empty():
         build_partition(-1, 2, 3)
 
 
+@pytest.mark.parametrize("sizes, name", [
+    ((1.5, 2, 3), "n_text"), ((1, 2.0, 3), "n_image"), ((1, 2, "3"), "n_video"),
+])
+def test_build_partition_names_a_size_that_is_not_an_integer(sizes, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got "):
+        build_partition(*sizes)
+
+
+def test_build_partition_takes_numpy_integers():
+    assert build_partition(np.int64(1), 2, np.int32(3)) == build_partition(1, 2, 3)
+
+
 def test_partition_rejects_overlap_and_gaps():
     with pytest.raises(ValueError, match="disjoint"):
         KeyPartition(text=(0, 1), image=(1, 2), video=(3,))
@@ -385,3 +397,19 @@ def test_a_non_finite_q_beside_a_3d_k_is_named_as_before(site, message):
     q = _in_state("nan", 6, 4, 1)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _SITES[site](q, np.ones((6, 4, 1)), np.ones((6, 3)))
+
+
+def test_scaled_logits_names_logits_that_overflow_under_a_silenced_errstate():
+    # Finite Q and K whose product overflows: the logits are named even when
+    # numpy's overflow warning is silenced, as the simulator's pass does.
+    huge = np.full((2, 2), 1e200)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^non-finite logits$"):
+        scaled_logits(huge, huge)
+
+
+def test_an_infinite_query_that_meets_a_zero_key_entry_is_named():
+    # inf * 0 makes a NaN logit; the blame falls on Q, not on the logits.
+    q = np.array([[np.inf, 1.0], [1.0, 1.0]])
+    k = np.array([[0.0, 1.0], [1.0, 1.0]])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^non-finite Q$"):
+        attention_forward(q, k, np.ones((2, 2)))

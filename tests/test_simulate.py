@@ -40,6 +40,16 @@ def test_step_coefficients_validation():
         StepCoefficients(a=(1.0,), b=(math.nan,))
 
 
+@pytest.mark.parametrize("total_steps", [2.5, 3.0, "4", None])
+def test_linear_coefficients_name_a_step_count_that_is_not_an_integer(total_steps):
+    with pytest.raises(ValueError, match=r"^total_steps must be an integer >= 1, got "):
+        StepCoefficients.linear(total_steps)
+
+
+def test_linear_coefficients_take_a_numpy_integer():
+    assert StepCoefficients.linear(np.int64(4)) == StepCoefficients.linear(4)
+
+
 def test_make_toy_denoiser_deterministic():
     d1 = make_toy_denoiser(seed=3)
     d2 = make_toy_denoiser(seed=3)
@@ -507,6 +517,24 @@ def test_denoiser_needs_a_block_and_a_key_column():
         dataclasses.replace(den, w_qk=den.w_qk[:0], w_v=den.w_v[:0], w_o=den.w_o[:0])
     with pytest.raises(ValueError, match="^w_qk needs at least one key column$"):
         dataclasses.replace(den, w_qk=den.w_qk[..., :0])
+
+
+def test_make_toy_denoiser_names_a_zero_key_width():
+    with pytest.raises(ValueError, match="^d_k must be >= 1$"):
+        make_toy_denoiser(0, d_k=0)
+
+
+def test_denoiser_names_a_cond_embed_that_is_not_2d():
+    den = make_toy_denoiser(seed=0)
+    with pytest.raises(ValueError, match=r"^cond_embed shape \(10,\) needs \(text\+image = 10, "):
+        dataclasses.replace(den, cond_embed=np.zeros(10))
+
+
+@pytest.mark.parametrize("name", ["cond_embed", "w_qk", "w_v", "w_o"])
+def test_denoiser_names_a_list_in_place_of_an_array(name):
+    den = make_toy_denoiser(seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be a numpy array$"):
+        dataclasses.replace(den, **{name: getattr(den, name).tolist()})
 
 
 def test_forward_reads_the_stacks_in_place():

@@ -580,6 +580,13 @@ def test_logit_gap_stack_matches_one_vector_calls():
         logit_gap(np.array([[1.0, np.inf]]))
 
 
+@pytest.mark.parametrize("z", [np.zeros((2, 0)), np.zeros((0, 0)), np.zeros(0)])
+def test_logit_gap_rejects_empty_logits(z):
+    # As entropy and energy_gamma do: a row with no logit has no gap.
+    with pytest.raises(ValueError, match="^empty logits$"):
+        logit_gap(z)
+
+
 def test_curvature_rows_stack_rejects_what_the_vector_form_rejects():
     z = np.array([[1.0, 0.0], [2.0, 0.5]])
     with pytest.raises(ValueError, match="alpha must be positive, got -1.0"):
