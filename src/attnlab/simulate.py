@@ -10,11 +10,11 @@ the single-step deviation bound checkable end to end, not to generate video.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _row_entropies, _subset_indices, _tempered, flops_overhead, group_mass_rows
+from .analysis import _subset_indices, _tempered, flops_overhead, group_mass_rows
 from .attention import (
     DEFAULT_TARGETS,
     KeyPartition,
@@ -26,6 +26,7 @@ from .attention import (
     scaled_logits,
 )
 from .numerics import (
+    _all_finite,
     _max_scaled,
     _row_softmax,
     as_matrix,
@@ -75,13 +76,14 @@ class ToyDenoiser:
     pass forms a block's Q and K with one product; ``w_v`` is ``(L, d_model,
     d_v)`` and ``w_o`` is ``(L, d_v, d_model)``. A stack cannot be ragged, so
     every block has one shape. Each weight, and ``cond_embed`` (one 2-D row
-    per conditioning token), must be a numpy array; any other object or shape
-    raises ``ValueError`` naming the field.
+    per conditioning token), must be a numpy array; any other object or shape,
+    or a non-finite ``w_o``, raises ``ValueError`` naming the field.
 
     ``lipschitz_upper`` is the product of the post-attention projections'
-    spectral norms — an upper Lipschitz constant for the map from any single
-    block's attention output to the predicted noise, provided every factor is
-    >= 1 (which :func:`make_toy_denoiser` enforces when sampling).
+    spectral norms, solved from ``w_o`` each time it is read — an upper
+    Lipschitz constant for the map from any single block's attention output
+    to the predicted noise, provided every factor is >= 1 (which
+    :func:`make_toy_denoiser` enforces when sampling).
     """
 
     partition: KeyPartition
@@ -89,13 +91,12 @@ class ToyDenoiser:
     w_qk: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
-    lipschitz_upper: float = field(init=False)
 
     def __post_init__(self):
         for name in ("cond_embed", "w_qk", "w_v", "w_o"):
             if not isinstance(getattr(self, name), np.ndarray):
                 raise ValueError(f"{name} must be a numpy array")
-        n_cond = len(self.partition.text) + len(self.partition.image)
+        n_cond = len(self.partition.conditioning)
         if self.cond_embed.ndim != 2 or len(self.cond_embed) != n_cond:
             raise ValueError(
                 f"cond_embed shape {self.cond_embed.shape} needs (text+image = {n_cond}, d_model)"
@@ -113,8 +114,14 @@ class ToyDenoiser:
         if self.w_o.shape != (qk[0], v[2], d):
             raise ValueError(f"w_o shape {self.w_o.shape} != (blocks, d_v, d_model) = "
                              f"{(qk[0], v[2], d)}")
+        # The last block's W_o reaches the state unchecked by any later pass.
+        if not _all_finite(self.w_o):
+            raise ValueError("non-finite w_o")
+
+    @property
+    def lipschitz_upper(self) -> float:
         # math.prod multiplies the norms in block order, from 1.
-        object.__setattr__(self, "lipschitz_upper", math.prod(spectral_norms(self.w_o).tolist()))
+        return math.prod(spectral_norms(self.w_o).tolist())
 
     @property
     def num_blocks(self) -> int:
@@ -275,6 +282,7 @@ def deviation_bound_check(
     v_mat, res = seen[-1]
     z_row = res.logits[row]
     b_t = coeffs.b[t - 1]
+    lip = denoiser.lipschitz_upper
     x_next = []
     for p in _tempered(z_row[None, :], np.array([[1.0, alpha]])):
         # The last block's output with the probe row replaced by softmax(a z) V,
@@ -288,7 +296,7 @@ def deviation_bound_check(
         z_norm = _max_scaled(np.linalg.norm, z_row)
         bound = (
             abs(b_t)
-            * denoiser.lipschitz_upper
+            * lip
             * 0.5
             * spectral_norm(v_mat)
             * z_norm
@@ -303,7 +311,7 @@ def deviation_bound_check(
         deviation=deviation,
         bound=bound,
         margin=bound - deviation,
-        lipschitz_upper=denoiser.lipschitz_upper,
+        lipschitz_upper=lip,
     )
 
 
@@ -510,15 +518,11 @@ class ConflictReport:
     """Mass and entropy movement when conditioning keys are scaled by gamma.
 
     ``entropy_ratios`` compare the renormalized conditioning block after vs
-    before scaling, per query — a measured quantity whose direction depends on
-    which groups are scaled; ``nondegenerate`` flags the queries whose
-    conditioning logits vary and whose baseline entropy is positive.
-    ``scaled_entropy_ratios`` restrict instead to the union of the scaled key
-    groups, where scaling is a pure temperature change and the decrease is
-    certified for every query flagged in ``scaled_nondegenerate`` (positive
-    logit variance within that union). When the whole conditioning block is
-    scaled the two coincide. Every ratio follows :func:`_entropy_ratio`. Mass
-    deltas are means over queries and are reported, not certified.
+    before scaling, per query, following :func:`_entropy_ratio`; their
+    direction depends on which groups are scaled. ``nondegenerate`` flags the
+    queries whose conditioning logits vary and whose baseline entropy is
+    positive. Mass deltas are means over queries. ``simulate`` writes every
+    scalar field and summarises the two per-query tuples.
     """
 
     gamma: float
@@ -531,12 +535,10 @@ class ConflictReport:
     delta_mass_video: float
     entropy_ratios: tuple[float, ...]
     nondegenerate: tuple[bool, ...]
-    scaled_entropy_ratios: tuple[float, ...]
-    scaled_nondegenerate: tuple[bool, ...]
     argmax_flips_to_text: int
 
 
-# A query's logits over a key subset vary when their variance exceeds this.
+# A query's conditioning logits vary when their variance exceeds this.
 NONDEGENERATE_VARIANCE = 1e-12
 
 
@@ -557,24 +559,12 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
     p_base = row_softmax(z)
     p_mod = row_softmax(z_mod)
     cond = list(part.conditioning)
-    scaled_union = sorted(
-        i for name in config.targets.key_groups for i in part.group(name)
-    )
     stats_b = group_mass_rows(p_base, part)
     stats_m = group_mass_rows(p_mod, part)
     ratios = _entropy_ratio(stats_m.entropy_cond, stats_b.entropy_cond)
     # Column subsets are copied C-ordered, so each row reduces like a vector.
     nondeg = np.var(np.ascontiguousarray(z[:, cond]), axis=1) > NONDEGENERATE_VARIANCE
     nondeg &= stats_b.entropy_cond > 0.0
-    scaled_ratios = scaled_nondeg = np.empty(0)
-    if scaled_union:
-        zs = np.ascontiguousarray(z[:, scaled_union])
-        scaled_nondeg = np.var(zs, axis=1) > NONDEGENERATE_VARIANCE
-        # A single scaled key has entropy 0 at every gamma, hence ratio 1.
-        # 1 * z is exact, so the first column is the baseline softmax.
-        grid = np.tile([1.0, config.gamma], (len(zs), 1))
-        h_b, h_m = _row_entropies(_tempered(zs, grid)).reshape(-1, 2).T
-        scaled_ratios = _entropy_ratio(h_m, h_b)
     is_text = np.isin(cond, part.text)
     from_text_b = is_text[np.argmax(p_base[:, cond], axis=1)]
     to_text_m = is_text[np.argmax(p_mod[:, cond], axis=1)]
@@ -600,8 +590,6 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
         delta_mass_video=mv - bv,
         entropy_ratios=tuple(ratios.tolist()),
         nondegenerate=tuple(nondeg.tolist()),
-        scaled_entropy_ratios=tuple(scaled_ratios.tolist()),
-        scaled_nondegenerate=tuple(scaled_nondeg.tolist()),
         argmax_flips_to_text=flips,
     )
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -676,6 +677,19 @@ def test_simulate_default_schedule(tmp_path, capsys):
     assert summary["flops"]["measured_cells"] == summary["flops"]["expected_cells"]
     assert summary["conflict"]["base_mass_image"] > summary["conflict"]["base_mass_text"]
     assert summary["active_steps"] == [1, 2, 3]  # phi(t) = (t-1)/9 <= 0.30
+
+
+def test_every_conflict_report_field_reaches_the_summary(tmp_path):
+    # A field is written to summary.json's conflict object, or is one of the
+    # per-query tuples its three named summaries are built from; a field
+    # that is computed and then dropped fails here.
+    assert main(["simulate", "--steps", "2", "--blocks", "2", "--out", str(tmp_path)]) == 0
+    conflict = json.loads((tmp_path / "summary.json").read_text())["conflict"]
+    summarised = {"entropy_ratios", "nondegenerate"}
+    assert {"entropy_ratio_mean", "entropy_ratio_max_nondegenerate",
+            "nondegenerate_queries"} <= conflict.keys()
+    for f in dataclasses.fields(simulate.ConflictReport):
+        assert f.name in conflict or f.name in summarised, f.name
 
 
 def test_simulate_gamma_one_zero_cells(tmp_path):

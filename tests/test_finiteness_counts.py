@@ -55,4 +55,4 @@ def test_a_scaled_cell_tests_k_v_and_the_scaled_logits(finiteness_tests):
 
 def test_a_short_simulate_run_makes_a_fixed_number_of_tests(finiteness_tests, tmp_path):
     assert cli.main(["simulate", "--steps", "10", "--blocks", "4", "--out", str(tmp_path)]) == 0
-    assert len(finiteness_tests) == 120
+    assert len(finiteness_tests) == 119

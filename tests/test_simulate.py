@@ -7,7 +7,7 @@ import pytest
 
 from attnlab import attention, scheduling, simulate
 from attnlab.attention import ModulationConfig, ScalingTargets, build_partition, resolve_targets
-from attnlab.numerics import sample_gaussian, spectral_norm
+from attnlab.numerics import sample_gaussian, spectral_norm, spectral_norms
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
 from attnlab.simulate import (
     ConflictConfig,
@@ -65,6 +65,21 @@ def test_make_toy_denoiser_output_norms_clamped():
     assert all(s >= 1.0 - 1e-12 for s in norms)
     assert den.lipschitz_upper == pytest.approx(np.prod(norms), rel=1e-12)
     assert den.lipschitz_upper >= 1.0 - 1e-10
+
+
+def test_lipschitz_upper_follows_an_in_place_edit_of_w_o():
+    den = make_toy_denoiser(0)
+    den.w_o[0] *= 4
+    assert den.lipschitz_upper == math.prod(spectral_norms(den.w_o).tolist())
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_denoiser_names_a_non_finite_w_o(block):
+    den = make_toy_denoiser(0)
+    w_o = den.w_o.copy()
+    w_o[block, 0, 0] = math.nan
+    with pytest.raises(ValueError, match=r"^non-finite w_o$"):
+        dataclasses.replace(den, w_o=w_o)
 
 
 def test_make_toy_denoiser_validation():
@@ -332,25 +347,18 @@ def test_conflict_image_dominates_baseline():
     assert rep.base_mass_image > rep.base_mass_text
 
 
-def test_conflict_scaled_union_entropy_certified():
-    # scaling the whole conditioning block: the restricted distribution is a
-    # pure temperature sharpening, so every nondegenerate ratio drops below 1
+def test_conflict_whole_block_entropy_drops():
+    # Scaling the whole conditioning block is a pure temperature sharpening of
+    # the renormalized block, so every nondegenerate ratio drops below 1.
     for seed in range(5):
         rep = conflict_experiment(seed=seed)
-        for ratio, ok in zip(rep.scaled_entropy_ratios, rep.scaled_nondegenerate):
-            if ok:
-                assert ratio < 1.0
-        # whole-block scaling: measured and certified objects coincide
-        np.testing.assert_allclose(rep.entropy_ratios, rep.scaled_entropy_ratios, atol=1e-12)
+        assert any(rep.nondegenerate)
+        assert all(r < 1.0 for r, ok in zip(rep.entropy_ratios, rep.nondegenerate) if ok)
 
 
 def test_conflict_text_only_scaling_direction():
     cfg = ConflictConfig(gamma=1.35, targets=ScalingTargets(key_groups={"text"}))
     rep = conflict_experiment(seed=0, config=cfg)
-    # certified object: entropy restricted to the scaled (text) group drops
-    for ratio, ok in zip(rep.scaled_entropy_ratios, rep.scaled_nondegenerate):
-        if ok:
-            assert ratio < 1.0
     # measured direction on average: text mass up, image mass down
     assert rep.delta_mass_text > 0.0
     assert rep.delta_mass_image < 0.0

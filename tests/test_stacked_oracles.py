@@ -208,27 +208,20 @@ def test_lipschitz_report_matches_the_two_call_form(z, d_v, alphas, strided):
 
 
 def _conflict_loop(seed_, config):
-    """The per-query loop: variances, scaled-union entropies and argmax flips."""
+    """The per-query loop: variances and argmax flips."""
     z, part = conflict_logits(seed_, config)
     z_mod = z * key_scale_factors(part, config.targets.key_groups, config.gamma)
     p_base = row_softmax(z)
     p_mod = row_softmax(z_mod)
     cond = list(part.conditioning)
-    scaled_union = sorted(i for name in config.targets.key_groups for i in part.group(name))
     text_set = set(part.text)
     stats_b = group_mass_rows(p_base, part)
     stats_m = group_mass_rows(p_mod, part)
     ratios = stats_m.entropy_cond / stats_b.entropy_cond
-    nondeg, scaled_ratios, scaled_nondeg = [], [], []
+    nondeg = []
     flips = 0
     for i in range(z.shape[0]):
         nondeg.append(bool(np.var(z[i, cond]) > 1e-12))
-        if scaled_union:
-            zs = z[i, scaled_union]
-            scaled_nondeg.append(bool(np.var(zs) > 1e-12))
-            h_b = _entropy_1d(_softmax_1d(zs)) if len(zs) > 1 else 0.0
-            h_m = _entropy_1d(_softmax_1d(config.gamma * zs)) if len(zs) > 1 else 0.0
-            scaled_ratios.append(h_m / h_b if h_b > 0 else 1.0)
         argmax_b = cond[int(np.argmax(p_base[i, cond]))]
         argmax_m = cond[int(np.argmax(p_mod[i, cond]))]
         if argmax_b not in text_set and argmax_m in text_set:
@@ -249,8 +242,6 @@ def _conflict_loop(seed_, config):
         delta_mass_video=mv - bv,
         entropy_ratios=tuple(ratios.tolist()),
         nondegenerate=tuple(nondeg),
-        scaled_entropy_ratios=tuple(scaled_ratios),
-        scaled_nondegenerate=tuple(scaled_nondeg),
         argmax_flips_to_text=flips,
     )
 
@@ -286,7 +277,7 @@ def test_conflict_experiment_matches_the_per_query_loop(seed_, config):
 
 def test_conflict_experiment_oracle_covers_flips_and_underflow():
     # The default config under key-text flips some argmaxes to text, and the
-    # boost of 800 leaves exact zeros in the scaled-union softmax rows.
+    # boost of 800 leaves exact zeros in the softmax rows of group_mass_rows.
     config = ConflictConfig(targets=resolve_targets("key-text"))
     assert _conflict_loop(1, config).argmax_flips_to_text > 0
     assert _bits(astuple(conflict_experiment(1, config))) == _bits(
@@ -294,7 +285,7 @@ def test_conflict_experiment_oracle_covers_flips_and_underflow():
     )
     config = ConflictConfig(boost=800.0, targets=resolve_targets("key-image and key-text"))
     z, part = conflict_logits(1, config)
-    assert (row_softmax(z[:, list(part.conditioning)]) == 0.0).any()
+    assert (row_softmax(z)[:, list(part.conditioning)] == 0.0).any()
     assert _bits(astuple(conflict_experiment(1, config))) == _bits(
         astuple(_conflict_loop(1, config))
     )
