@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import KeyPartition, _group_index
+from .attention import KeyPartition
 from .numerics import as_matrix, as_vector, row_softmax, spectral_norms
 
 ENTROPY_SUM_TOLERANCE = 1e-8
@@ -462,14 +462,11 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
     if (pm < 0).any():
         raise ValueError("invalid distribution: negative entry")
 
-    def columns(idx) -> np.ndarray:
-        # A column subset of p is not C-ordered, and its sum(axis=1) rounds
+    def columns(idx: range) -> np.ndarray:
+        # A column slice of p is not C-ordered, and its sum(axis=1) rounds
         # differently from a 1-D row sum; the C-ordered copy sums each row
-        # like a vector.
-        return np.ascontiguousarray(pm[:, _group_index(idx)])
-
-    def mass(idx) -> np.ndarray:
-        return columns(idx).sum(axis=1) if idx else np.zeros(n)
+        # like a vector. An empty group sums to exact zeros.
+        return np.ascontiguousarray(pm[:, idx.start:idx.stop])
 
     h_cond = np.full(n, math.nan)
     cond = partition.conditioning
@@ -481,9 +478,9 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
             ok = slice(None)  # no masked copy when every row has conditioning mass
         h_cond[ok] = _row_entropies(c[ok] / cond_mass[ok, None])
     return GroupMassRows(
-        mass_text=mass(partition.text),
-        mass_image=mass(partition.image),
-        mass_video=mass(partition.video),
+        mass_text=columns(partition.text).sum(axis=1),
+        mass_image=columns(partition.image).sum(axis=1),
+        mass_video=columns(partition.video).sum(axis=1),
         entropy_cond=h_cond,
     )
 

@@ -1,6 +1,8 @@
 """Multi-modal attention with key-group partitioning and group-targeted key scaling.
 
-Keys are partitioned into text / image / video index groups. Scaling a key
+Keys sit in one fixed layout, [text | image | video]: the conditioning keys
+(text, then image) first and the video keys last, so every group is a
+contiguous range of key indices (see :class:`KeyPartition`). Scaling a key
 group's rows by gamma multiplies exactly that group's logit columns by gamma,
 so modulation is local: untouched groups keep bit-identical logits. In joint
 self-attention over the whole sequence this is the only per-group scaling:
@@ -20,67 +22,60 @@ from .numerics import _all_finite, _max_scaled, _row_softmax, as_matrix, row_sof
 GROUP_NAMES = ("text", "image", "video")
 
 
-def _as_index_tuple(idx, name: str) -> tuple[int, ...]:
-    out = []
-    for v in idx:
-        i = int(v)
-        if i != v or i < 0:
-            raise ValueError(f"{name} indices must be nonnegative integers, got {v!r}")
-        out.append(i)
-    return tuple(out)
-
-
-def _group_index(idx):
-    """A tuple of key indices as a slice when they run contiguously upward,
-    else as a list: either selects the same entries in the same order, and a
-    slice does so without a fancy-index gather."""
-    lo = idx[0] if idx else 0
-    run = range(lo, lo + len(idx))
-    return slice(lo, run.stop) if idx == tuple(run) else list(idx)
-
-
 @dataclass(frozen=True)
 class KeyPartition:
-    """Disjoint key-index groups covering exactly 0..size-1."""
+    """The fixed [text | image | video] key layout, held as its three group sizes.
 
-    text: tuple[int, ...]
-    image: tuple[int, ...]
-    video: tuple[int, ...]
+    Each size is a nonnegative integer (a Python or numpy int, stored as an
+    int), and not all are zero. The groups are read-only ranges in that order:
+    text, then image, then video, so the conditioning keys (text and image)
+    come first and the video keys last, and a group's logit columns are a
+    slice.
+    """
+
+    n_text: int
+    n_image: int
+    n_video: int
 
     def __post_init__(self):
-        for name in GROUP_NAMES:
-            object.__setattr__(self, name, _as_index_tuple(getattr(self, name), name))
-        merged = sorted(self.text + self.image + self.video)
-        if not merged:
-            raise ValueError("partition must contain at least one key index")
-        if merged != list(range(len(merged))):
-            raise ValueError("groups must be disjoint and cover 0..m-1 exactly")
+        for name in ("n_text", "n_image", "n_video"):
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or n < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
+        if not self.size:
+            raise ValueError("all group sizes are zero; partition would be empty")
 
     @property
     def size(self) -> int:
-        return len(self.text) + len(self.image) + len(self.video)
+        return self.n_text + self.n_image + self.n_video
 
-    def group(self, name: str) -> tuple[int, ...]:
+    @property
+    def text(self) -> range:
+        return range(self.n_text)
+
+    @property
+    def image(self) -> range:
+        return range(self.n_text, self.n_text + self.n_image)
+
+    @property
+    def video(self) -> range:
+        return range(self.n_text + self.n_image, self.size)
+
+    @property
+    def conditioning(self) -> range:
+        """Text and image indices (the conditioning block), which lead the layout."""
+        return range(self.n_text + self.n_image)
+
+    def group(self, name: str) -> range:
         if name not in GROUP_NAMES:
             raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
         return getattr(self, name)
 
-    @property
-    def conditioning(self) -> tuple[int, ...]:
-        """Text and image indices (the conditioning block), sorted."""
-        return tuple(sorted(self.text + self.image))
-
 
 def build_partition(n_text: int, n_image: int, n_video: int) -> KeyPartition:
-    """Contiguous [text | image | video] partition from group sizes, each a
-    nonnegative integer (a Python or numpy int)."""
-    for name, n in (("n_text", n_text), ("n_image", n_image), ("n_video", n_video)):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-    if n_text + n_image + n_video == 0:
-        raise ValueError("all group sizes are zero; partition would be empty")
-    b = n_text + n_image
-    return KeyPartition(text=range(n_text), image=range(n_text, b), video=range(b, b + n_video))
+    """The [text | image | video] partition of these group sizes; see :class:`KeyPartition`."""
+    return KeyPartition(n_text, n_image, n_video)
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.n
                 f"key scaling requested for empty group {name!r}; no-op",
                 stacklevel=3,
             )
-        factors[_group_index(idx)] = gamma
+        factors[idx.start:idx.stop] = gamma
     return factors
 
 
@@ -258,10 +253,16 @@ def energy_gamma(logits, gamma_max: float = 1.5, kappa: float = 1.0) -> float:
     their mean as s * mean(z / s), s = max |z| (see ``numerics._max_scaled``).
     """
     zm = as_matrix(logits, "logits")
-    if zm.size == 0:
-        raise ValueError("empty logits")
     _check_gamma_max(gamma_max)
     _check_positive_finite("kappa", kappa)
+    return _energy_gamma(zm, gamma_max, kappa)
+
+
+def _energy_gamma(zm: np.ndarray, gamma_max: float, kappa: float) -> float:
+    """:func:`energy_gamma` of finite float64 logits and valid parameters,
+    without their checks; empty logits still raise."""
+    if zm.size == 0:
+        raise ValueError("empty logits")
     with np.errstate(all="ignore"):
         xbar = _max_scaled(np.mean, zm)
     return 1.0 + (gamma_max - 1.0) * _logistic(-xbar / kappa)

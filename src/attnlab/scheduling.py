@@ -19,9 +19,9 @@ from .attention import (
     KeyPartition,
     ModulationConfig,
     _check_positive_finite,
+    _energy_gamma,
     apply_group_scaling,
     attention_forward,
-    energy_gamma,
     scaled_logits,
 )
 
@@ -186,7 +186,8 @@ def scheduled_attention(
         return attention_forward(q, k, v)
     mod = config.modulation
     if mod.mode == "energy":
-        gamma = energy_gamma(scaled_logits(q, k), mod.gamma_max, mod.kappa)
+        # Tested logits and validated parameters go to the unchecked kernel.
+        gamma = _energy_gamma(scaled_logits(q, k), mod.gamma_max, mod.kappa)
     else:
         gamma = mod.gamma
     k2 = apply_group_scaling(k, partition, mod.targets, gamma)

@@ -20,7 +20,6 @@ from .attention import (
     KeyPartition,
     ScalingTargets,
     _check_positive_finite,
-    _group_index,
     build_partition,
     key_scale_factors,
     scaled_logits,
@@ -233,12 +232,16 @@ def ddim_step(
     coeffs: StepCoefficients,
     schedule: ScheduleConfig | None = None,
 ) -> np.ndarray:
-    """One update x <- a_t x + b_t eps_theta(x, t); t is 1-based."""
+    """One update x <- a_t x + b_t eps_theta(x, t); t is 1-based.
+
+    The denoiser pass checks x; the returned state is tested too, so a
+    non-finite one raises ``ValueError`` at the step that makes it.
+    """
     if not 1 <= t <= coeffs.total_steps:
         raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
-    xm = as_matrix(x, "state")
+    xm = np.asarray(x, dtype=np.float64)
     eps = _forward(denoiser, xm, t, schedule)
-    return coeffs.a[t - 1] * xm + coeffs.b[t - 1] * eps
+    return as_matrix(coeffs.a[t - 1] * xm + coeffs.b[t - 1] * eps, "state")
 
 
 @dataclass(frozen=True)
@@ -387,7 +390,9 @@ def run_trajectory(
     from one :func:`group_mass_rows` pass per step over the scheduled rows
     and the scaled cells' baselines. A row's statistics do not depend on the
     stack it sits in, so any other cell's baseline entropies are copied from
-    its scheduled rows.
+    its scheduled rows. A step whose state is not finite raises ``ValueError``
+    ("non-finite state") at that step; the finite common case costs no extra
+    test, since only a non-finite ``state_norm`` triggers one.
     """
     if schedule.total_steps != coeffs.total_steps:
         raise ValueError(
@@ -435,6 +440,9 @@ def run_trajectory(
         mean_mod = float(np.mean(h_mod))
         mean_base = float(np.mean(h_base))
         ratio = float(_entropy_ratio(mean_mod, mean_base))
+        state_norm = float(np.linalg.norm(x))
+        if not math.isfinite(state_norm):
+            as_matrix(x, "state")  # names a non-finite state; an overflowing norm passes
         rows.append(
             TrajectoryRow(
                 step=t,
@@ -446,7 +454,7 @@ def run_trajectory(
                 entropy_cond=mean_mod,
                 entropy_cond_base=mean_base,
                 entropy_ratio=ratio,
-                state_norm=float(np.linalg.norm(x)),
+                state_norm=state_norm,
             )
         )
     return Trajectory(rows=tuple(rows))
@@ -546,7 +554,7 @@ def conflict_logits(seed: int, config: ConflictConfig) -> tuple[np.ndarray, KeyP
     """Seeded conflict logit matrix (n_queries x m) with boosted image columns."""
     part = build_partition(config.n_text, config.n_image, config.n_video)
     z = sample_gaussian((config.n_queries, part.size), seed)
-    z[:, _group_index(part.image)] += config.boost
+    z[:, part.image.start:part.image.stop] += config.boost
     return z, part
 
 
@@ -558,16 +566,16 @@ def conflict_experiment(seed: int, config: ConflictConfig | None = None) -> Conf
     z_mod = z * key_scale_factors(part, config.targets.key_groups, config.gamma)
     p_base = row_softmax(z)
     p_mod = row_softmax(z_mod)
-    cond = list(part.conditioning)
+    # The conditioning keys lead the layout, text first.
+    cond = slice(part.conditioning.stop)
     stats_b = group_mass_rows(p_base, part)
     stats_m = group_mass_rows(p_mod, part)
     ratios = _entropy_ratio(stats_m.entropy_cond, stats_b.entropy_cond)
-    # Column subsets are copied C-ordered, so each row reduces like a vector.
+    # Column slices are copied C-ordered, so each row reduces like a vector.
     nondeg = np.var(np.ascontiguousarray(z[:, cond]), axis=1) > NONDEGENERATE_VARIANCE
     nondeg &= stats_b.entropy_cond > 0.0
-    is_text = np.isin(cond, part.text)
-    from_text_b = is_text[np.argmax(p_base[:, cond], axis=1)]
-    to_text_m = is_text[np.argmax(p_mod[:, cond], axis=1)]
+    from_text_b = np.argmax(p_base[:, cond], axis=1) < part.n_text
+    to_text_m = np.argmax(p_mod[:, cond], axis=1) < part.n_text
     flips = int(np.count_nonzero(~from_text_b & to_text_m))
 
     def mass_means(stats):

@@ -30,6 +30,7 @@ fact — a harness self-test proving the violation path is live.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -371,7 +372,7 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
     if z is not None:
         # In Python floats an overflowing spread reads inf without a numpy warning.
         hi, lo = float(np.max(z)), float(np.min(z))
-        if np.isinf(hi - lo) and np.isfinite(z).all():
+        if math.isinf(hi - lo) and np.isfinite(z).all():
             raise ValueError(f"logit spread max - min = {hi!r} - ({lo!r}) overflows float64")
         gap = logit_gap(z)
         # Drawn logits have a gap of at least MIN_LOGIT_GAP, so only z can fail these.
@@ -380,7 +381,7 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
                 "draw 0 has a tied maximum (top-two gap 0), so the default grid "
                 "SWEEP_GAP_RATIOS / gap is undefined; give an explicit grid with --alpha-grid"
             )
-        if not alpha_grid and np.isinf(SWEEP_GAP_RATIOS[-1] / gap):
+        if not alpha_grid and math.isinf(SWEEP_GAP_RATIOS[-1] / gap):
             raise ValueError(
                 f"draw 0 has a top-two gap of {gap!r}, so the default grid "
                 "SWEEP_GAP_RATIOS / gap overflows; give an explicit grid with --alpha-grid"

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,22 +16,29 @@ from attnlab.attention import (
     scaled_logits,
 )
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, scheduled_attention
+from attnlab.simulate import make_toy_denoiser
 
 PAIRWISE_TOLERANCE = 1e-12
 
 
 def test_build_partition_contiguous_layout():
     p = build_partition(2, 3, 4)
-    assert p.text == (0, 1)
-    assert p.image == (2, 3, 4)
-    assert p.video == (5, 6, 7, 8)
+    assert p.text == range(0, 2)
+    assert p.image == range(2, 5)
+    assert p.video == range(5, 9)
     assert p.size == 9
-    assert p.conditioning == (0, 1, 2, 3, 4)
+    assert p.conditioning == range(0, 5)
+    # The partition is the three sizes; its groups are read-only ranges.
+    assert [f.name for f in dataclasses.fields(p)] == ["n_text", "n_image", "n_video"]
+    with pytest.raises(AttributeError):
+        p.video = range(0, 4)
+    with pytest.raises(TypeError):
+        KeyPartition(text=(3, 4), image=(5, 6), video=(0, 1, 2))
 
 
 def test_build_partition_allows_empty_group():
     p = build_partition(0, 2, 3)
-    assert p.text == ()
+    assert p.text == range(0, 0)
     assert p.size == 5
 
 
@@ -53,18 +61,59 @@ def test_build_partition_takes_numpy_integers():
     assert build_partition(np.int64(1), 2, np.int32(3)) == build_partition(1, 2, 3)
 
 
-def test_partition_rejects_overlap_and_gaps():
-    with pytest.raises(ValueError, match="disjoint"):
-        KeyPartition(text=(0, 1), image=(1, 2), video=(3,))
-    with pytest.raises(ValueError, match="disjoint"):
-        KeyPartition(text=(0,), image=(2,), video=(3,))  # index 1 missing
+@pytest.mark.parametrize("sizes, message", [
+    ((1.5, 2, 3), "^n_text must be a nonnegative integer, got 1.5$"),
+    ((1, 2.0, 3), "^n_image must be a nonnegative integer, got 2.0$"),
+    ((1, 2, "3"), "^n_video must be a nonnegative integer, got '3'$"),
+    ((-1, 2, 3), "^n_text must be a nonnegative integer, got -1$"),
+    ((1, 2, (3,)), r"^n_video must be a nonnegative integer, got \(3,\)$"),
+    ((0, 0, 0), "^all group sizes are zero; partition would be empty$"),
+])
+def test_key_partition_checks_its_sizes_as_build_partition_does(sizes, message):
+    # Direct construction runs the same checks: no constructor skips them.
+    for make in (KeyPartition, build_partition):
+        with pytest.raises(ValueError, match=message):
+            make(*sizes)
+        with pytest.raises(ValueError, match=message):
+            make(**dict(zip(("n_text", "n_image", "n_video"), sizes)))
+
+
+def test_key_partition_stores_numpy_integer_sizes_as_ints():
+    p = KeyPartition(np.int64(1), np.uint8(200), np.int32(3))
+    assert p == KeyPartition(1, 200, 3) == build_partition(1, 200, 3)
+    assert all(type(n) is int for n in dataclasses.astuple(p))
+    # Python ints: a uint8 sum would wrap, 200 + 56 to 0.
+    assert KeyPartition(0, np.uint8(200), np.uint8(56)).size == 256
 
 
 def test_partition_group_lookup():
     p = build_partition(1, 1, 1)
-    assert p.group("image") == (1,)
+    assert p.group("image") == range(1, 2)
     with pytest.raises(ValueError, match="unknown group"):
         p.group("audio")
+
+
+@pytest.mark.parametrize("position, cols", [
+    ("key-text", range(0, 3)), ("key-image", range(3, 7)), ("key-image and key-text", range(0, 7)),
+])
+def test_a_denoiser_cell_scales_only_its_targeted_conditioning_columns(position, cols):
+    # Tokens [3 text | 4 image | 5 video]: the scaled columns lie in [0, 7).
+    den = make_toy_denoiser(0, num_blocks=1, n_text=3, n_image=4, n_video=5)
+    x = np.random.default_rng(1).normal(size=(den.n_video, den.d_model))
+    tokens = np.vstack([den.cond_embed, x])
+    qk = tokens @ den.w_qk[0]
+    q, k, v = qk[0], qk[1], tokens @ den.w_v[0]
+    mod = ModulationConfig(gamma=1.35, targets=resolve_targets(position))
+    cell = ScheduleConfig(gates=BlockGateTable((1,)), total_steps=1, modulation=mod)
+    res = scheduled_attention(0, 1, q, k, v, den.partition, cell)
+    plain = scaled_logits(q, k)
+    assert res.gamma == 1.35
+    for j in range(12):
+        if j in cols:
+            np.testing.assert_allclose(res.logits[:, j], 1.35 * plain[:, j], rtol=1e-14)
+            assert not np.array_equal(res.logits[:, j], plain[:, j])
+        else:  # every video column, and the untargeted conditioning group
+            assert np.array_equal(res.logits[:, j], plain[:, j])
 
 
 def test_scaling_targets_reject_unknown_group():

@@ -15,7 +15,7 @@ import pytest
 
 import attnlab
 from attnlab import cli, numerics
-from attnlab.attention import attention_forward, build_partition
+from attnlab.attention import ModulationConfig, attention_forward, build_partition
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, scheduled_attention
 
 
@@ -51,6 +51,15 @@ def test_a_scaled_cell_tests_k_v_and_the_scaled_logits(finiteness_tests):
     res = scheduled_attention(0, 1, *_qkv(), build_partition(2, 2, 2), cell)
     assert res.gamma == 1.35
     assert finiteness_tests == [(6, 4), (6, 3), (6, 6)]
+
+
+def test_an_energy_cell_tests_its_plain_logits_once(finiteness_tests):
+    mod = ModulationConfig(mode="energy")
+    cell = ScheduleConfig(gates=BlockGateTable((1,)), total_steps=1, modulation=mod)
+    res = scheduled_attention(0, 1, *_qkv(), build_partition(2, 2, 2), cell)
+    assert 1.0 < res.gamma < mod.gamma_max
+    # The plain logits that set the coefficient, then K, V and the scaled logits.
+    assert finiteness_tests == [(6, 6), (6, 4), (6, 3), (6, 6)]
 
 
 def test_a_short_simulate_run_makes_a_fixed_number_of_tests(finiteness_tests, tmp_path):

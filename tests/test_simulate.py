@@ -82,6 +82,18 @@ def test_denoiser_names_a_non_finite_w_o(block):
         dataclasses.replace(den, w_o=w_o)
 
 
+def test_a_step_that_makes_a_non_finite_state_names_it():
+    # An in-place edit after construction: the last block's W_o writes the state.
+    den = make_toy_denoiser(0, num_blocks=2)
+    den.w_o[-1, 0, 0] = math.nan
+    x = sample_gaussian((den.n_video, den.d_model), seed=1)
+    coeffs = StepCoefficients.linear(1)
+    with pytest.raises(ValueError, match="^non-finite state$"):
+        ddim_step(den, x, 1, coeffs)
+    with pytest.raises(ValueError, match="^non-finite state$"):
+        run_trajectory(den, coeffs, _schedule(num_blocks=2, total_steps=1), x)
+
+
 def test_make_toy_denoiser_validation():
     with pytest.raises(ValueError, match="num_blocks"):
         make_toy_denoiser(seed=0, num_blocks=0)
@@ -318,9 +330,9 @@ def test_conflict_logits_layout():
     cfg = ConflictConfig()
     z, part = conflict_logits(seed=0, config=cfg)
     assert z.shape == (32, 30)
-    assert part.image == tuple(range(6, 14))
+    assert part.image == range(6, 14)
     # boosted image columns dominate on average
-    assert z[:, list(part.image)].mean() > z[:, list(part.text)].mean() + 1.0
+    assert z[:, 6:14].mean() > z[:, :6].mean() + 1.0
 
 
 def test_key_scale_factors_scale_key_rows_and_logit_columns_alike():

@@ -20,6 +20,7 @@ UNREACHED = {
     "simulate.ddim_step": "pinned by the acceptance module",
     "simulate.sharpening_curve": "pinned by the acceptance module",
     "numerics.softmax_vec": "pinned by the acceptance module",
+    "attention.energy_gamma": "the checked form of the kernel an energy-mode cell calls",
     "analysis.curvature_report": "named as a layer in BENCHMARK.json",
     "analysis.group_mass_report": "named as a layer in BENCHMARK.json",
     "tensorio.decode_tensor": "named as a layer in BENCHMARK.json",
