@@ -17,10 +17,8 @@ import importlib
 _EXPORTS = {
     "analysis": (
         "CurvatureReport",
-        "CurvatureRows",
         "EntropyReport",
         "GroupMassReport",
-        "GroupMassRows",
         "LipschitzReport",
         "curvature_report",
         "curvature_rows",

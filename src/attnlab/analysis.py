@@ -155,7 +155,8 @@ def entropy_alpha_report(z, s, alpha) -> EntropyReport:
     three probe points of every row make one softmax and entropy stack.
     """
     zm, stacked = _rows(z, "logits")
-    a = np.ravel(np.asarray(alpha, dtype=np.float64))
+    # A copy: the report's alpha must not follow a later edit of the caller's array.
+    a = np.ravel(np.array(alpha, dtype=np.float64))
     h = DEFAULT_FD_STEP
     bad = np.flatnonzero(a - h <= 0)
     if bad.size:
@@ -192,50 +193,36 @@ def logit_gap(z):
 class CurvatureReport:
     """Curvature of the log-partition at alpha and the decay bounds on it.
 
-    ``tail_mass`` is t = 1 - p_max, summed over the other entries of p so
-    that it does not cancel to 0; ``tail_bound`` is (m-1) exp(-alpha Delta)
-    with Delta the top-two logit gap; ``gershgorin_bound`` bounds the
-    unscaled curvature matrix diag(p) - p p^T by its largest Gershgorin row
-    sum 2 p_i (1 - p_i), taken as 2 p_max t for the top entry, so the Hessian
-    norm is at most alpha^2 * gershgorin_bound; ``decay_bound`` is
-    2 alpha^2 (m-1) exp(-alpha Delta). With a tied maximum (Delta = 0) the
-    gap-based bounds are vacuous and ``gap_applicable`` is False.
-    ``violations`` names any bound the computed norm exceeded.
+    ``p`` is softmax(alpha z) and ``min_eigenvalue`` the smallest eigenvalue
+    of the Hessian alpha^2 (diag(p) - p p^T), whose norm is
+    ``spectral_norm``. ``tail_mass`` is t = 1 - p_max, summed over the other
+    entries of p so that it does not cancel to 0; ``tail_bound`` is
+    (m-1) exp(-alpha Delta) with Delta the top-two logit gap;
+    ``gershgorin_bound`` bounds the unscaled curvature matrix diag(p) - p p^T
+    by its largest Gershgorin row sum 2 p_i (1 - p_i), taken as 2 p_max t for
+    the top entry, so the Hessian norm is at most alpha^2 * gershgorin_bound;
+    ``decay_bound`` is 2 alpha^2 (m-1) exp(-alpha Delta). With a tied maximum
+    (Delta = 0) the gap-based bounds are vacuous and ``gap_applicable`` is
+    False. ``violations`` names any bound the computed norm exceeded.
+
+    One alpha (:func:`curvature_report`) gives Python floats, the softmax
+    vector ``p`` and one tuple of names. A grid (:func:`curvature_rows`)
+    gives arrays with one entry per alpha, ``p`` the (k, m) softmax stack and
+    one ``violations`` tuple per alpha; ``logit_gap`` and ``gap_applicable``
+    belong to the logit vector. A stack of N logit vectors adds a leading
+    axis of length N to every field.
     """
 
     alpha: float
+    p: np.ndarray
     spectral_norm: float
+    min_eigenvalue: float
     gershgorin_bound: float
     tail_mass: float
     tail_bound: float
     decay_bound: float
     logit_gap: float
     gap_applicable: bool
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CurvatureRows:
-    """:class:`CurvatureReport` fields of one logit vector over a grid of alphas.
-
-    The per-alpha fields are arrays with one entry per alpha, in grid order,
-    and ``violations`` is one tuple per alpha. ``p`` is the (k, m) softmax
-    stack and ``min_eigenvalue`` the smallest Hessian eigenvalue at each
-    alpha. ``logit_gap`` and ``gap_applicable`` belong to the logit vector
-    and hold for every alpha. For a stack of N logit vectors, every field
-    gains a leading axis of length N (``logit_gap`` and ``gap_applicable``
-    become arrays, ``violations`` one tuple of per-alpha tuples per vector).
-    """
-
-    p: np.ndarray
-    spectral_norm: np.ndarray
-    min_eigenvalue: np.ndarray
-    gershgorin_bound: np.ndarray
-    tail_mass: np.ndarray
-    tail_bound: np.ndarray
-    decay_bound: np.ndarray
-    logit_gap: float | np.ndarray
-    gap_applicable: bool | np.ndarray
     violations: tuple
 
 
@@ -259,8 +246,9 @@ def _spectrum_ends(top, tail, t):
     lam_max, its root in [p_(2), min(top, Gershgorin)], is found in units of
     t (lam = t x, q = tail / t) on Phi = (top - lam) f / t, convex and
     decreasing there: Newton steps from the upper end, on the open rows,
-    bisecting when a step leaves the bracket; a row stops once its next
-    point is a bracket end, as a step that rounds to zero is. lam_min is the
+    bisecting when a step leaves the bracket or lands on its pole p_(2); a
+    row stops once its next point is a bracket end, as a step that rounds to
+    zero is. lam_min is the
     root nearest 0: 0 when p has an exact 0, else one Newton step from 0.
     """
     q = np.divide(tail, t[:, None], out=np.zeros_like(tail), where=t[:, None] > 0.0)
@@ -269,6 +257,7 @@ def _spectrum_ends(top, tail, t):
     # top / t >= 2 >= gersh once t <= top / 2, so the clamp keeps the minimum.
     hi = np.minimum(top / np.maximum(t, 0.5 * top), gersh)
     x = np.maximum(lo, hi)  # a tie, p_(2) = top, closes the bracket at top
+    pole = lo
     rows = np.flatnonzero(lo < hi)
     lo, hi = lo[rows], hi[rows]
     for _ in range(_SECULAR_STEPS):
@@ -278,7 +267,10 @@ def _spectrum_ends(top, tail, t):
         phi, dphi = _secular(xr, q[rows], top[rows], t[rows])
         lo, hi = np.where(phi >= 0.0, xr, lo), np.where(phi <= 0.0, xr, hi)
         step = xr - phi / dphi
-        x[rows] = xr = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        # lo starts at the pole q_max = p_(2) / t, where Phi is never evaluated: a
+        # step that lands on it (from a near tie) would close the row off the root.
+        inside = (lo <= step) & (step <= hi) & (step != pole[rows])
+        x[rows] = xr = np.where(inside, step, 0.5 * (lo + hi))
         open_ = (xr != lo) & (xr != hi)
         rows, lo, hi = rows[open_], lo[open_], hi[open_]
     full = np.flatnonzero((tail > 0.0).all(axis=1))
@@ -288,10 +280,11 @@ def _spectrum_ends(top, tail, t):
     return t * x, lam_min
 
 
-def curvature_rows(z, alphas) -> CurvatureRows:
+def curvature_rows(z, alphas) -> CurvatureReport:
     """Curvature and its decay bounds at every alpha of a grid, in one stacked pass.
 
-    The stack form of :func:`curvature_report`: row i equals
+    The stack form of :func:`curvature_report`, as a :class:`CurvatureReport`
+    of arrays whose ``alpha`` is the validated grid: entry i equals
     ``curvature_report(z, alphas[i])`` bit for bit, and the same inputs are
     rejected (non-finite or empty ``z``, any alpha <= 0), as is an empty grid.
     With an (N, k) grid, ``z`` is an (N, m) stack of logit vectors, row n of
@@ -302,7 +295,7 @@ def curvature_rows(z, alphas) -> CurvatureRows:
     alpha^2 (diag(p) - p p^T) is never formed: :func:`_spectrum_ends` solves
     for its extreme eigenvalues in O(m) per row and step.
     """
-    a = np.asarray(alphas, dtype=np.float64)
+    a = np.array(alphas, dtype=np.float64)  # a copy, as in entropy_alpha_report
     stacked = a.ndim == 2
     zm = as_matrix(z, "logits") if stacked else as_vector(z, "logits")[None, :]
     if a.size == 0:
@@ -352,27 +345,29 @@ def curvature_rows(z, alphas) -> CurvatureRows:
         2 * (tail_mass > tail_bound + _BOUND_SLACK) + 4 * (norm > decay_bound + slack)
     )
     per_alpha = (norm, af * af * lam_min, gersh, tail_mass, tail_bound, decay_bound)
-    cols = (p.reshape(n, k, m), *(c.reshape(n, k) for c in per_alpha))
+    cols = (a, p.reshape(n, k, m), *(c.reshape(n, k) for c in per_alpha))
     violations = tuple(
         tuple(_CURVATURE_VIOLATIONS[j] for j in row) for row in mask.reshape(n, k).tolist()
     )
     if stacked:
-        return CurvatureRows(*cols, delta, gap_applicable, violations)
-    return CurvatureRows(*(c[0] for c in cols), float(delta[0]), bool(gap_applicable[0]),
-                         violations[0])
+        return CurvatureReport(*cols, delta, gap_applicable, violations)
+    return CurvatureReport(*(c[0] for c in cols), float(delta[0]), bool(gap_applicable[0]),
+                           violations[0])
 
 
 def curvature_report(z, alpha: float) -> CurvatureReport:
-    """Curvature of the log-partition at one alpha: the one-alpha case of
-    :func:`curvature_rows`, with its checks and errors.
+    """Curvature of the log-partition at one alpha: the first entry of
+    ``curvature_rows(z, (alpha,))``, with its checks and errors, its floats
+    Python floats and ``p`` the softmax vector.
 
     The spectral norm is alpha^2 times the largest root of the secular
     equation of diag(p) - p p^T (see :func:`_spectrum_ends`).
     """
     r = curvature_rows(z, (alpha,))
-    floats = (r.spectral_norm, r.gershgorin_bound, r.tail_mass, r.tail_bound, r.decay_bound)
-    return CurvatureReport(alpha, *(float(c[0]) for c in floats), r.logit_gap, r.gap_applicable,
-                           r.violations[0])
+    # The per-alpha floats, spectral_norm to decay_bound, follow alpha and p.
+    return CurvatureReport(float(alpha), r.p[0],
+                           *(float(getattr(r, f.name)[0]) for f in fields(r)[2:8]),
+                           r.logit_gap, r.gap_applicable, r.violations[0])
 
 
 @dataclass(frozen=True)
@@ -428,7 +423,9 @@ class GroupMassReport:
 
     ``entropy_cond`` is the entropy of p restricted to text+image indices and
     renormalized; NaN flags a degenerate case (empty conditioning set or zero
-    conditioning mass) rather than raising.
+    conditioning mass) rather than raising. One row
+    (:func:`group_mass_report`) gives Python floats; a stack
+    (:func:`group_mass_rows`) gives arrays with one entry per row.
     """
 
     mass_text: float
@@ -437,21 +434,12 @@ class GroupMassReport:
     entropy_cond: float
 
 
-@dataclass(frozen=True)
-class GroupMassRows:
-    """:class:`GroupMassReport` fields for a stack of rows, one array entry per row."""
-
-    mass_text: np.ndarray
-    mass_image: np.ndarray
-    mass_video: np.ndarray
-    entropy_cond: np.ndarray
-
-
-def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
+def group_mass_rows(p, partition: KeyPartition) -> GroupMassReport:
     """Group masses and conditioning entropy of every row of ``p`` in one pass.
 
-    Row i equals ``group_mass_report(p[i], partition)`` bit for bit, and the
-    same inputs are rejected: a non-finite or negative entry, or a nonzero
+    Returns a :class:`GroupMassReport` of arrays, one entry per row. Row i
+    equals ``group_mass_report(p[i], partition)`` bit for bit, and the same
+    inputs are rejected: a non-finite or negative entry, or a nonzero
     conditioning row that does not renormalize to a sum of 1 within
     ``ENTROPY_SUM_TOLERANCE`` (the error gives the first such row's sum).
     """
@@ -477,7 +465,7 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
         if ok.all():
             ok = slice(None)  # no masked copy when every row has conditioning mass
         h_cond[ok] = _row_entropies(c[ok] / cond_mass[ok, None])
-    return GroupMassRows(
+    return GroupMassReport(
         mass_text=columns(partition.text).sum(axis=1),
         mass_image=columns(partition.image).sum(axis=1),
         mass_video=columns(partition.video).sum(axis=1),
@@ -486,7 +474,7 @@ def group_mass_rows(p, partition: KeyPartition) -> GroupMassRows:
 
 
 def group_mass_report(p, partition: KeyPartition) -> GroupMassReport:
-    """The single-row case of :func:`group_mass_rows`."""
+    """The single-row case of :func:`group_mass_rows`, its fields Python floats."""
     rows = group_mass_rows(as_vector(p, "distribution")[None, :], partition)
     return GroupMassReport(*(float(getattr(rows, f.name)[0]) for f in fields(rows)))
 

@@ -22,15 +22,20 @@ from .numerics import _all_finite, _max_scaled, _row_softmax, as_matrix, row_sof
 GROUP_NAMES = ("text", "image", "video")
 
 
+def _is_int(n) -> bool:
+    """Whether ``n`` is a Python or numpy integer; a bool is not a size."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class KeyPartition:
     """The fixed [text | image | video] key layout, held as its three group sizes.
 
-    Each size is a nonnegative integer (a Python or numpy int, stored as an
-    int), and not all are zero. The groups are read-only ranges in that order:
-    text, then image, then video, so the conditioning keys (text and image)
-    come first and the video keys last, and a group's logit columns are a
-    slice.
+    Each size is a nonnegative integer (a Python or numpy int, not a bool,
+    stored as an int), and not all are zero. The groups are read-only ranges
+    in that order: text, then image, then video, so the conditioning keys
+    (text and image) come first and the video keys last, and a group's logit
+    columns are a slice.
     """
 
     n_text: int
@@ -40,7 +45,7 @@ class KeyPartition:
     def __post_init__(self):
         for name in ("n_text", "n_image", "n_video"):
             n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 0:
+            if not _is_int(n) or n < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
             object.__setattr__(self, name, int(n))
         if not self.size:
@@ -129,23 +134,21 @@ class AttentionResult:
     gamma: float | None = None
 
 
-def scaled_logits(q, k, v_rows=None) -> np.ndarray:
+def scaled_logits(q, k) -> np.ndarray:
     """Q K^T / sqrt(d_k), d_k the key width, with shape/width validation.
 
-    ``v_rows``, when given, is the row count of a V that must have one row
-    per key (see :func:`attention_forward`). A NaN or an infinity in Q or K,
-    or a logit that overflows, raises ``ValueError`` naming the first of Q,
-    K and the logits that has one.
+    A NaN or an infinity in Q or K, or a logit that overflows, raises
+    ``ValueError`` naming the first of Q, K and the logits that has one.
 
     The product is formed under the caller's errstate and tested once. Only
     when that test fails, or a shape check does, or the product is empty
-    (which hides a non-finite input), are Q, then K, then the widths, then V's
-    rows checked before the logits are named; so the first bad input is
-    named as if each had been checked before the product.
+    (which hides a non-finite input), are Q, then K, then the widths checked
+    before the logits are named; so the first bad input is named as if each
+    had been checked before the product.
     """
     qm = np.asarray(q, dtype=np.float64)
     km = np.asarray(k, dtype=np.float64)
-    if qm.ndim == km.ndim == 2 and qm.shape[1] == km.shape[1] > 0 and v_rows in (None, len(km)):
+    if qm.ndim == km.ndim == 2 and qm.shape[1] == km.shape[1] > 0:
         z = qm @ km.T
         z /= math.sqrt(qm.shape[1])
         if z.size and _all_finite(z):
@@ -157,22 +160,23 @@ def scaled_logits(q, k, v_rows=None) -> np.ndarray:
         raise ValueError(f"Q cols ({qm.shape[1]}) != K cols ({km.shape[1]})")
     if qm.shape[1] == 0:
         raise ValueError("Q and K must have at least one column")
-    if v_rows not in (None, len(km)):
-        raise ValueError(f"V rows ({v_rows}) != K rows ({len(km)})")
     return as_matrix(z, "logits")
 
 
 def attention_forward(q, k, v) -> AttentionResult:
     """Plain scaled-dot-product attention: softmax(Q K^T / sqrt(d_k)) V.
 
-    V is checked first. The logits are then formed and tested once, and Q
-    and K are checked only when that test fails or the logits are empty, so a
+    V is checked first, then :func:`scaled_logits` forms and tests the
+    logits, and then V must have one row per logit column (per key). So a
     NaN or an infinity in V, Q, K or the logits, or a logit that overflows,
-    raises ``ValueError`` naming the first of them in that order. Tested
-    logits go to the unchecked softmax kernel.
+    raises ``ValueError`` naming the first of them in that order, before a V
+    with the wrong row count is named. Tested logits go to the unchecked
+    softmax kernel.
     """
     vm = as_matrix(v, "V")
-    logits = scaled_logits(q, k, len(vm))
+    logits = scaled_logits(q, k)
+    if len(vm) != logits.shape[1]:
+        raise ValueError(f"V rows ({len(vm)}) != K rows ({logits.shape[1]})")
     # Empty logits take the checked softmax, which rejects a row with no column.
     p = _row_softmax(logits) if logits.size else row_softmax(logits)
     return AttentionResult(logits=logits, probabilities=p, output=p @ vm)

@@ -20,6 +20,7 @@ from .attention import (
     KeyPartition,
     ScalingTargets,
     _check_positive_finite,
+    _is_int,
     build_partition,
     key_scale_factors,
     scaled_logits,
@@ -60,8 +61,9 @@ class StepCoefficients:
 
     @classmethod
     def linear(cls, total_steps: int) -> "StepCoefficients":
-        """The default table a_t = 1, b_t = 1/T; ``total_steps`` must be an integer >= 1."""
-        if not isinstance(total_steps, (int, np.integer)) or total_steps < 1:
+        """The default table a_t = 1, b_t = 1/T; ``total_steps`` must be an integer >= 1
+        (not a bool)."""
+        if not _is_int(total_steps) or total_steps < 1:
             raise ValueError(f"total_steps must be an integer >= 1, got {total_steps!r}")
         return cls(a=(1.0,) * total_steps, b=(1.0 / total_steps,) * total_steps)
 
@@ -147,18 +149,19 @@ def make_toy_denoiser(
     """Sample a denoiser with N(0, 1/sqrt(d_k))-style weights from one seed.
 
     The model width equals the value width ``d_v``; ``num_blocks`` and the key
-    width ``d_k`` must be at least 1. Each block draws W_q, W_k,
-    W_v and W_o in turn, and the draws are then stacked as
+    width ``d_k`` must be integers (not bools) of at least 1. Each block draws
+    W_q, W_k, W_v and W_o in turn, and the draws are then stacked as
     :class:`ToyDenoiser` holds them.
 
     Every post-attention projection is rescaled to spectral norm >= 1 so the
     product over blocks dominates each individual factor; see
     :class:`ToyDenoiser`.
     """
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    if d_k < 1:
-        raise ValueError("d_k must be >= 1")
+    for name, n in (("num_blocks", num_blocks), ("d_k", d_k)):
+        if not _is_int(n):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1")
     if min(n_text + n_image, n_video) < 1:
         raise ValueError("need at least one conditioning token and one video token")
     d_model = d_v
@@ -193,23 +196,25 @@ def _forward(
     after attention. It only reads: its return value is ignored, and every
     block continues with ``result.output``.
 
-    The state is checked here and the weights' shapes by
-    :class:`ToyDenoiser`. Every block runs :func:`scheduled_attention` (the
-    plain pass when ``schedule`` is None), whose attention calls check V and
-    test the logits once, and check Q and K only when that test fails; so a
-    NaN, an infinity or an overflow raises their ``ValueError``. Numpy's
-    floating-point warnings are silenced for the pass, since that error
-    reports what they would.
+    ``x`` is a 2-D float64 state that its caller has tested: ``ddim_step``
+    and ``deviation_bound_check`` test their input, and ``run_trajectory``
+    tests ``x0`` and each later state through its finite norm. Only its
+    shape is checked here, and the weights' shapes by :class:`ToyDenoiser`.
+    Every block runs :func:`scheduled_attention` (the plain pass when
+    ``schedule`` is None), whose attention calls check V and test the logits
+    once, and check Q and K only when that test fails; so a NaN, an infinity
+    or an overflow raises their ``ValueError``. Numpy's floating-point
+    warnings are silenced for the pass, since that error reports what they
+    would.
     """
-    h = as_matrix(x, "state")
-    if h.shape != (denoiser.n_video, denoiser.d_model):
+    if x.shape != (denoiser.n_video, denoiser.d_model):
         raise ValueError(
-            f"state shape {h.shape} != ({denoiser.n_video}, {denoiser.d_model})"
+            f"state shape {x.shape} != ({denoiser.n_video}, {denoiser.d_model})"
         )
     n_cond = denoiser.cond_embed.shape[0]
     # One [cond | video] buffer per pass: each block writes the next state
     # into its video rows.
-    tokens = np.vstack([denoiser.cond_embed, h])
+    tokens = np.vstack([denoiser.cond_embed, x])
     video = tokens[n_cond:]
     with np.errstate(all="ignore"):
         for l in range(denoiser.num_blocks):
@@ -225,6 +230,19 @@ def _forward(
     return video
 
 
+def _check_fit(denoiser, coeffs, schedule):
+    """Refuse a schedule whose step or block count is not the run's: phi(t)
+    would be taken over another T, or gates read for other blocks."""
+    if schedule.total_steps != coeffs.total_steps:
+        raise ValueError(
+            f"schedule has {schedule.total_steps} steps, coefficients {coeffs.total_steps}"
+        )
+    if denoiser.num_blocks != schedule.num_blocks:
+        raise ValueError(
+            f"denoiser has {denoiser.num_blocks} blocks, schedule {schedule.num_blocks}"
+        )
+
+
 def ddim_step(
     denoiser: ToyDenoiser,
     x,
@@ -234,12 +252,17 @@ def ddim_step(
 ) -> np.ndarray:
     """One update x <- a_t x + b_t eps_theta(x, t); t is 1-based.
 
-    The denoiser pass checks x; the returned state is tested too, so a
-    non-finite one raises ``ValueError`` at the step that makes it.
+    A schedule must fit the run as :func:`run_trajectory` requires: its step
+    count that of ``coeffs`` and its block count the denoiser's; that check
+    runs first, then the step range, then x is tested once. The returned
+    state is tested too, so a non-finite one raises ``ValueError`` at the
+    step that makes it.
     """
+    if schedule is not None:
+        _check_fit(denoiser, coeffs, schedule)
     if not 1 <= t <= coeffs.total_steps:
         raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
-    xm = np.asarray(x, dtype=np.float64)
+    xm = as_matrix(x, "state")
     eps = _forward(denoiser, xm, t, schedule)
     return as_matrix(coeffs.a[t - 1] * xm + coeffs.b[t - 1] * eps, "state")
 
@@ -394,14 +417,7 @@ def run_trajectory(
     ("non-finite state") at that step; the finite common case costs no extra
     test, since only a non-finite ``state_norm`` triggers one.
     """
-    if schedule.total_steps != coeffs.total_steps:
-        raise ValueError(
-            f"schedule has {schedule.total_steps} steps, coefficients {coeffs.total_steps}"
-        )
-    if denoiser.num_blocks != schedule.num_blocks:
-        raise ValueError(
-            f"denoiser has {denoiser.num_blocks} blocks, schedule {schedule.num_blocks}"
-        )
+    _check_fit(denoiser, coeffs, schedule)
     x = as_matrix(x0, "state").copy()
     n_cond = denoiser.cond_embed.shape[0]
     n_meas = denoiser.num_blocks * denoiser.n_video

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from attnlab.analysis import (
     CurvatureReport,
+    GroupMassReport,
     _row_entropies,
     curvature_report,
     curvature_rows,
@@ -196,10 +198,22 @@ def test_hessian_zero_row_sums_and_psd():
         assert np.linalg.eigvalsh(h).min() >= -1e-10
 
 
+def test_analysis_has_one_result_type_per_quantity():
+    # One vector gives Python floats and a stack gives arrays, in the same type.
+    types = sorted(
+        name for name, obj in vars(analysis).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == analysis.__name__
+    )
+    assert types == ["CurvatureReport", "EntropyReport", "GroupMassReport", "LipschitzReport"]
+
+
 def test_curvature_report_frozen_values():
     z = np.array([2.0, 1.0, 0.0])  # gap Delta = 1, m = 3
     rep = curvature_report(z, 1.0)
     assert isinstance(rep, CurvatureReport)
+    # The report keeps the softmax it was computed from.
+    assert _bits(rep.p) == _bits(softmax_vec(z))
     assert rep.logit_gap == pytest.approx(1.0)
     assert rep.gap_applicable
     # tail mass is the mass off the maximum, 1 - p_max; bound is 2 e^{-1}
@@ -256,12 +270,12 @@ def test_hessian_validation():
         curvature_report(np.array([1.0, 0.0]), 0.0)
 
 
-def _reference_curvature(z, alpha, norm, bound_slack=1e-12):
-    """The per-alpha loop form of every field around a given spectral norm.
+def _reference_curvature(z, alpha, norm, min_eigenvalue, bound_slack=1e-12):
+    """The per-alpha loop form of every field around the given extreme eigenvalues.
 
     One softmax per alpha; the tail mass and the corrected Gershgorin bound
     (2 p_max t for the top entry) over a one-vector tail; the violations
-    checked against ``norm``. Returns the CurvatureReport and p.
+    checked against ``norm``. Returns the CurvatureReport.
     """
     zv = np.asarray(z, dtype=np.float64)
     m = zv.size
@@ -287,11 +301,12 @@ def _reference_curvature(z, alpha, norm, bound_slack=1e-12):
             violations.append("tail")
         if norm > decay_bound + slack:
             violations.append("decay")
-    rep = CurvatureReport(
-        alpha, norm, gersh, tail_mass, tail_bound, decay_bound, delta, gap_applicable,
-        tuple(violations),
+    return CurvatureReport(
+        alpha=alpha, p=p, spectral_norm=norm, min_eigenvalue=min_eigenvalue,
+        gershgorin_bound=gersh, tail_mass=tail_mass, tail_bound=tail_bound,
+        decay_bound=decay_bound, logit_gap=delta, gap_applicable=gap_applicable,
+        violations=tuple(violations),
     )
-    return rep, p
 
 
 def _assert_matches_dense(rows, k, z, alpha):
@@ -302,30 +317,27 @@ def _assert_matches_dense(rows, k, z, alpha):
     assert abs(rows.min_eigenvalue[k] - eigs[0]) <= tol
 
 
+# The CurvatureReport fields that hold one float per alpha.
+PER_ALPHA = ("alpha", "spectral_norm", "min_eigenvalue", "gershgorin_bound", "tail_mass",
+             "tail_bound", "decay_bound")
+
+
 def _report_floats(rep):
-    return (rep.spectral_norm, rep.gershgorin_bound, rep.tail_mass, rep.tail_bound,
-            rep.decay_bound, rep.logit_gap)
+    return tuple(getattr(rep, name) for name in PER_ALPHA) + (rep.logit_gap,)
 
 
 def _report_bits(rep):
-    return _bits((rep.alpha,) + _report_floats(rep)), rep.gap_applicable, rep.violations
+    """Every CurvatureReport field; floats as hex, so equality is bitwise."""
+    return _bits(_report_floats(rep)), _bits(rep.p), rep.gap_applicable, rep.violations
 
 
-def _reports(rows, alphas):
-    """The per-alpha CurvatureReport of a CurvatureRows stack, its floats Python floats."""
-    columns = zip(
-        alphas,
-        rows.spectral_norm.tolist(),
-        rows.gershgorin_bound.tolist(),
-        rows.tail_mass.tolist(),
-        rows.tail_bound.tolist(),
-        rows.decay_bound.tolist(),
-        rows.violations,
-    )
+def _reports(rows):
+    """The per-alpha CurvatureReports of a ``curvature_rows`` grid, their floats Python floats."""
     return [
-        CurvatureReport(alpha, norm, gersh, tail_mass, tail_bound, decay_bound,
-                        rows.logit_gap, rows.gap_applicable, violations)
-        for alpha, norm, gersh, tail_mass, tail_bound, decay_bound, violations in columns
+        CurvatureReport(p=rows.p[k], logit_gap=rows.logit_gap, gap_applicable=rows.gap_applicable,
+                        violations=rows.violations[k],
+                        **{name: getattr(rows, name).tolist()[k] for name in PER_ALPHA})
+        for k in range(rows.alpha.size)
     ]
 
 
@@ -347,26 +359,33 @@ def _curvature_grids(draw):
 @example(case=(np.array([3.0]), [2.0]))
 @example(case=(np.array([1.0, 1.0, 0.0]), [1.0, 2.0]))
 @example(case=(np.array([30.0, 0.0, 0.0]), [2.0, 50.0, 50.0]))
+# A near tie: the first Newton step lands exactly on the pole p_(2), which once
+# closed the row there, 1.9e-9 relative below the norm.
+@example(case=(np.array([0.0, 1.1920929e-07, -1.0]), [0.03125]))
 def test_curvature_rows_match_one_alpha_reports_bit_for_bit(case):
     z, alphas = case
     rows = curvature_rows(z, alphas)
-    reps = _reports(rows, alphas)
+    assert isinstance(rows, CurvatureReport)
+    assert rows.alpha.tolist() == alphas  # the validated grid
+    reps = _reports(rows)
     assert len(reps) == len(alphas)
     for k, alpha in enumerate(alphas):
-        ref, ref_p = _reference_curvature(z, alpha, float(rows.spectral_norm[k]))
+        ref = _reference_curvature(
+            z, alpha, float(rows.spectral_norm[k]), float(rows.min_eigenvalue[k])
+        )
+        one = curvature_report(z, alpha)
         assert _report_bits(reps[k]) == _report_bits(ref)
-        assert _report_bits(curvature_report(z, alpha)) == _report_bits(ref)
-        assert _bits(rows.p[k]) == _bits(ref_p)
+        assert _report_bits(one) == _report_bits(ref)
         _assert_matches_dense(rows, k, z, alpha)
         # Python floats, so the CSV writer takes its exact-type fast path.
-        assert all(type(v) is float for v in _report_floats(reps[k]))
+        assert all(type(v) is float for v in _report_floats(one))
 
 
 def test_curvature_rows_cover_underflow_and_ties():
     # alpha = 50 on a gap of 30 underflows every tail entry of p to 0.
     rows = curvature_rows(np.array([30.0, 0.0, 0.0]), [50.0])
     assert (rows.p[0, 1:] == 0.0).all()
-    assert _reports(rows, [50.0])[0].tail_mass == 0.0
+    assert _reports(rows)[0].tail_mass == 0.0
     tied = curvature_rows(np.array([1.0, 1.0, 0.0]), [1.0, 2.0])
     assert not tied.gap_applicable
     assert tied.violations == ((), ())
@@ -480,11 +499,11 @@ def test_curvature_rows_violations_match_the_loop_form(monkeypatch, z):
     alphas = [0.1, 1.0, 5.0, 50.0]
     rows = curvature_rows(z, alphas)
     expected = [
-        _reference_curvature(z, a, float(norm), bound_slack=-1.0)[0].violations
-        for a, norm in zip(alphas, rows.spectral_norm)
+        _reference_curvature(z, a, float(norm), float(lam), bound_slack=-1.0).violations
+        for a, norm, lam in zip(alphas, rows.spectral_norm, rows.min_eigenvalue)
     ]
     assert list(rows.violations) == expected
-    assert [r.violations for r in _reports(rows, alphas)] == expected
+    assert [r.violations for r in _reports(rows)] == expected
     if rows.gap_applicable:
         assert ("gershgorin", "decay") in expected
         assert ("gershgorin", "tail", "decay") in expected
@@ -534,6 +553,16 @@ def test_an_alpha_whose_square_overflows_is_named():
     message = "alpha must keep the curvature and its decay bound finite, got 1e+160"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         curvature_rows(np.array([3.0, 0.0]), [1e160])
+
+
+def test_a_report_keeps_the_alphas_it_was_given():
+    # The stack forms hold their alpha grid as an array; editing the caller's
+    # array afterwards must not change a report already returned.
+    grid = np.array([1.0, 2.0])
+    rows = curvature_rows(np.array([1.0, 0.0]), grid)
+    slopes = entropy_alpha_report(np.array([[1.0, 0.0], [2.0, 0.0]]), (0, 1), grid)
+    grid[0] = 7.0
+    assert rows.alpha.tolist() == slopes.alpha.tolist() == [1.0, 2.0]
 
 
 def test_curvature_rows_reject_empty_grid():
@@ -681,6 +710,7 @@ def _stacks(draw):
 def test_group_mass_rows_match_row_reports_bit_for_bit(case):
     p, part = case
     rows = group_mass_rows(p, part)
+    assert isinstance(rows, GroupMassReport)
     for i in range(p.shape[0]):
         got = (rows.mass_text[i], rows.mass_image[i], rows.mass_video[i], rows.entropy_cond[i])
         rep = group_mass_report(p[i], part)
@@ -688,6 +718,7 @@ def test_group_mass_rows_match_row_reports_bit_for_bit(case):
         assert _bits(got) == _bits(
             (rep.mass_text, rep.mass_image, rep.mass_video, rep.entropy_cond)
         )
+        assert all(type(v) is float for v in dataclasses.astuple(rep))
 
 
 def test_group_mass_rows_of_contiguous_partitions_take_every_path():

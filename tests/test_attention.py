@@ -448,6 +448,19 @@ def test_a_non_finite_q_beside_a_3d_k_is_named_as_before(site, message):
         _SITES[site](q, np.ones((6, 4, 1)), np.ones((6, 3)))
 
 
+@pytest.mark.parametrize("q, message", [
+    ([[1.0, 1.0]], r"^V rows \(3\) != K rows \(2\)$"),
+    ([[np.nan, 1.0]], "^non-finite Q$"),
+    # attention_forward checks V's row count against the tested logits' columns,
+    # so logits that overflow are named first.
+    ([[1e200, 1.0]], "^non-finite logits$"),
+])
+def test_a_v_with_the_wrong_row_count_is_named_after_the_logits(q, message):
+    k = np.array([[1e200, 1.0], [1.0, 1.0]])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        attention_forward(np.array(q), k, np.ones((3, 2)))
+
+
 def test_scaled_logits_names_logits_that_overflow_under_a_silenced_errstate():
     # Finite Q and K whose product overflows: the logits are named even when
     # numpy's overflow warning is silenced, as the simulator's pass does.

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from attnlab import attention, scheduling, simulate
-from attnlab.attention import ModulationConfig, ScalingTargets, build_partition, resolve_targets
+from attnlab.attention import (
+    KeyPartition,
+    ModulationConfig,
+    ScalingTargets,
+    build_partition,
+    resolve_targets,
+)
 from attnlab.numerics import sample_gaussian, spectral_norm, spectral_norms
 from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
 from attnlab.simulate import (
@@ -92,6 +98,19 @@ def test_a_step_that_makes_a_non_finite_state_names_it():
         ddim_step(den, x, 1, coeffs)
     with pytest.raises(ValueError, match="^non-finite state$"):
         run_trajectory(den, coeffs, _schedule(num_blocks=2, total_steps=1), x)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (KeyPartition, (True, 0, 1), "^n_text must be a nonnegative integer, got True$"),
+    (build_partition, (1, False, 1), "^n_image must be a nonnegative integer, got False$"),
+    (StepCoefficients.linear, (True,), "^total_steps must be an integer >= 1, got True$"),
+    (lambda n: make_toy_denoiser(0, num_blocks=n), (True,), "^num_blocks must be an integer, got True$"),
+    (lambda n: make_toy_denoiser(0, d_k=n), (True,), "^d_k must be an integer, got True$"),
+])
+def test_a_bool_is_not_a_size(make, args, message):
+    # True would pass an integer check as 1 and build one group, step or block.
+    with pytest.raises(ValueError, match=message):
+        make(*args)
 
 
 def test_make_toy_denoiser_validation():
@@ -311,6 +330,25 @@ def test_trajectory_runs_baseline_only_on_scaled_cells(monkeypatch):
     assert traj.total_active_cells == 2 * 3  # blocks 0-1 x steps 1-3
     assert len(calls) + len(baselines) == cells + traj.total_active_cells
     assert len(calls) + len(baselines) < 2 * cells
+
+
+@pytest.mark.parametrize("num_blocks, total_steps, message", [
+    (4, 10, "^schedule has 10 steps, coefficients 25$"),
+    (6, 25, "^denoiser has 4 blocks, schedule 6$"),
+])
+def test_ddim_step_refuses_a_schedule_that_does_not_fit(num_blocks, total_steps, message):
+    # A 10-step schedule would take phi(t) over T = 10, not the run's 25; a
+    # 6-gate schedule gates blocks the denoiser does not have. A step refuses
+    # both as the trajectory does, before it checks the step's range.
+    den = make_toy_denoiser(seed=0, num_blocks=4)
+    x = sample_gaussian((den.n_video, den.d_model), seed=1)
+    coeffs = StepCoefficients.linear(25)
+    schedule = _schedule(num_blocks=num_blocks, total_steps=total_steps)
+    for t in (5, 26):
+        with pytest.raises(ValueError, match=message):
+            ddim_step(den, x, t, coeffs, schedule)
+    with pytest.raises(ValueError, match=message):
+        run_trajectory(den, coeffs, schedule, x)
 
 
 def test_trajectory_shape_mismatches_rejected():

@@ -36,7 +36,7 @@ from attnlab import analysis, simulate
 from attnlab import verification as V
 from attnlab.analysis import (
     DEFAULT_FD_STEP,
-    CurvatureRows,
+    CurvatureReport,
     EntropyReport,
     LipschitzReport,
     _variance_rows,
@@ -490,9 +490,9 @@ def test_trajectory_matches_the_full_baseline_loop(case):
 
 
 def _curvature_fields(rows):
-    """Every CurvatureRows field; floats as hex, so equality is bitwise."""
-    arrays = (rows.p, rows.spectral_norm, rows.min_eigenvalue, rows.gershgorin_bound,
-              rows.tail_mass, rows.tail_bound, rows.decay_bound)
+    """Every CurvatureReport field; floats as hex, so equality is bitwise."""
+    arrays = (rows.alpha, rows.p, rows.spectral_norm, rows.min_eigenvalue,
+              rows.gershgorin_bound, rows.tail_mass, rows.tail_bound, rows.decay_bound)
     return [_bits(np.asarray(a).tolist()) for a in arrays] + [
         _bits(np.asarray(rows.logit_gap).tolist()),
         np.asarray(rows.gap_applicable).tolist(),
@@ -505,7 +505,7 @@ def _stacked_curvature_matches_rows(z, alphas):
     assert stacked.p.shape == (z.shape[0], alphas.shape[1], z.shape[1])
     for n in range(z.shape[0]):
         one = curvature_rows(z[n], alphas[n])
-        row = CurvatureRows(*(getattr(stacked, f.name)[n] for f in fields(stacked)))
+        row = CurvatureReport(*(getattr(stacked, f.name)[n] for f in fields(stacked)))
         assert _curvature_fields(row) == _curvature_fields(one)
 
 
