@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attention import KeyPartition
-from .numerics import as_matrix, as_vector, row_softmax, spectral_norms
+from .numerics import _check_count, as_matrix, as_vector, row_softmax, spectral_norms
 
 ENTROPY_SUM_TOLERANCE = 1e-8
 DEFAULT_FD_STEP = 1e-5
@@ -483,10 +483,10 @@ def flops_overhead(
     scaled_blocks: int, total_blocks: int, scaled_steps: int, total_steps: int
 ) -> float:
     """Overhead fraction (L_s / L) * (T_s / T) of the product schedule."""
-    if total_blocks < 1 or total_steps < 1:
-        raise ValueError("totals must be >= 1")
-    if not 0 <= scaled_blocks <= total_blocks:
+    _check_count("total_blocks", total_blocks)
+    _check_count("total_steps", total_steps)
+    if not _check_count("scaled_blocks", scaled_blocks, 0) <= total_blocks:
         raise ValueError(f"scaled_blocks {scaled_blocks} out of range 0..{total_blocks}")
-    if not 0 <= scaled_steps <= total_steps:
+    if not _check_count("scaled_steps", scaled_steps, 0) <= total_steps:
         raise ValueError(f"scaled_steps {scaled_steps} out of range 0..{total_steps}")
     return (scaled_blocks / total_blocks) * (scaled_steps / total_steps)

@@ -17,25 +17,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _all_finite, _max_scaled, _row_softmax, as_matrix, row_softmax
+from .numerics import (
+    _all_finite,
+    _check_count,
+    _check_positive_finite,
+    _max_scaled,
+    _row_softmax,
+    as_matrix,
+    row_softmax,
+)
 
 GROUP_NAMES = ("text", "image", "video")
-
-
-def _is_int(n) -> bool:
-    """Whether ``n`` is a Python or numpy integer; a bool is not a size."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
 class KeyPartition:
     """The fixed [text | image | video] key layout, held as its three group sizes.
 
-    Each size is a nonnegative integer (a Python or numpy int, not a bool,
-    stored as an int), and not all are zero. The groups are read-only ranges
-    in that order: text, then image, then video, so the conditioning keys
-    (text and image) come first and the video keys last, and a group's logit
-    columns are a slice.
+    Each size is a count of at least 0 (a Python or numpy int, not a bool,
+    stored as an int; see ``numerics._check_count``), and not all are zero.
+    The groups are read-only ranges in that order: text, then image, then
+    video, so the conditioning keys (text and image) come first and the video
+    keys last, and a group's logit columns are a slice.
     """
 
     n_text: int
@@ -44,10 +47,7 @@ class KeyPartition:
 
     def __post_init__(self):
         for name in ("n_text", "n_image", "n_video"):
-            n = getattr(self, name)
-            if not _is_int(n) or n < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-            object.__setattr__(self, name, int(n))
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
         if not self.size:
             raise ValueError("all group sizes are zero; partition would be empty")
 
@@ -144,10 +144,15 @@ def scaled_logits(q, k) -> np.ndarray:
     when that test fails, or a shape check does, or the product is empty
     (which hides a non-finite input), are Q, then K, then the widths checked
     before the logits are named; so the first bad input is named as if each
-    had been checked before the product.
+    had been checked before the product. A K that numpy cannot convert (a
+    ragged one, say) is named after a non-finite Q, too.
     """
     qm = np.asarray(q, dtype=np.float64)
-    km = np.asarray(k, dtype=np.float64)
+    try:
+        km = np.asarray(k, dtype=np.float64)
+    except ValueError:
+        as_matrix(qm, "Q")
+        raise
     if qm.ndim == km.ndim == 2 and qm.shape[1] == km.shape[1] > 0:
         z = qm @ km.T
         z /= math.sqrt(qm.shape[1])
@@ -200,11 +205,6 @@ def key_scale_factors(partition: KeyPartition, key_groups, gamma: float) -> np.n
             )
         factors[idx.start:idx.stop] = gamma
     return factors
-
-
-def _check_positive_finite(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_gamma_max(gamma_max: float) -> None:

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .numerics import pca_top_k, row_softmax
+from .numerics import _check_count, pca_top_k, row_softmax
 
 DEFAULT_HIGH_QUANTILE = 0.2
 OTSU_BINS = 256
@@ -224,9 +224,8 @@ class BlockRatioTable:
             raise ValueError("ratio table must cover at least one block")
         if any(not 0.0 <= x <= 1.0 for x in r):
             raise ValueError("ratios must lie in [0, 1]")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
         object.__setattr__(self, "ratios", r)
+        object.__setattr__(self, "sample_count", _check_count("sample_count", self.sample_count))
 
     @property
     def num_blocks(self) -> int:
@@ -292,10 +291,8 @@ def calibrate_synthetic(
     spans both sides of any reasonable threshold. Fully determined by
     ``seed``; each latent has shape (1, *SYNTHETIC_SHAPE).
     """
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("num_blocks", num_blocks)
+    _check_count("samples", samples)
     d, t, h, w = SYNTHETIC_SHAPE
     n = t * h * w
     affinity = np.linspace(-1.0, 2.5, num_blocks)

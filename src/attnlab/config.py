@@ -108,17 +108,26 @@ def _invalid(path: tuple, message: str) -> ConfigError:
     return ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
-def _non_finite(value, path: tuple):
-    """(path, value) for each NaN or infinite float in ``value``, depth first.
+def _bad_numbers(schema: dict, value, path: tuple):
+    """(path, message) for each NaN or infinite float in ``value`` that passed
+    ``check_config``, and each float where ``schema`` asks for an integer,
+    depth first.
 
-    Every JSON Schema bound is false on NaN, and one bound cannot reject the
-    infinity on its other side, so ``check_config`` (like jsonschema) admits them.
+    Every JSON Schema bound is false on NaN, one bound cannot reject the
+    infinity on its other side, and an integral float is an integer to JSON
+    Schema, so ``check_config`` (like jsonschema) admits them all.
     """
-    if isinstance(value, float) and not math.isfinite(value):
-        yield path, value
-    elif isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            yield from _non_finite(item, path + (key,))
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            yield path, f"{value!r} is not a finite number"
+        elif schema.get("type") == "integer":
+            yield path, f"{value!r} is not an integer"
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _bad_numbers(schema["properties"][key], item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _bad_numbers(schema["items"], item, path + (i,))
 
 
 def read_config_file(path) -> dict:
@@ -173,9 +182,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The config ``data`` holds, over the defaults, or ``ConfigError``.
+
+        ``data`` is checked against the schema, then for a NaN or infinite
+        number and for a float where the schema asks for an integer (4.0 is an
+        integer to JSON Schema, but no size takes it), and then by resolving
+        its schedule once (see :meth:`schedule`).
+        """
         check_config(data)
-        for path, value in _non_finite(data, ()):
-            raise _invalid(path, f"{value!r} is not a finite number")
+        for error in _bad_numbers(_SCHEMA, data, ()):
+            raise _invalid(*error)
         defaults = cls()
         nested = {key: {**getattr(defaults, key), **data[key]} for key in _NESTED if key in data}
         cfg = replace(defaults, **{**data, **nested})

@@ -20,6 +20,21 @@ import numpy as np
 SYMMETRY_TOLERANCE = 1e-10
 
 
+def _check_count(name: str, n, least: int = 1) -> int:
+    """``n`` as an ``int``: every size is a Python or numpy int, not a bool, of at
+    least ``least``, else ``ValueError`` naming it. An exact int takes the first test."""
+    if type(n) is int and n >= least:
+        return n
+    if isinstance(n, np.integer) and n >= least:
+        return int(n)
+    raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _all_finite(a: np.ndarray) -> bool:
     # The sum of squares is NaN or inf when an entry is, or when the squares
     # overflow; only then is each entry tested. vdot prints no overflow warning.
@@ -166,7 +181,7 @@ def pca_top_k(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, f = xm.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if not 1 <= k <= min(n, f):
+    if not _check_count("k", k) <= min(n, f):
         raise ValueError(f"k={k} out of range for {n}x{f} data")
     centered = xm - xm.mean(axis=0)
     cov = centered.T @ centered / (n - 1)

@@ -18,12 +18,12 @@ from .attention import (
     AttentionResult,
     KeyPartition,
     ModulationConfig,
-    _check_positive_finite,
     _energy_gamma,
     apply_group_scaling,
     attention_forward,
     scaled_logits,
 )
+from .numerics import _check_count, _check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def window_preset(name: str) -> StepWindow:
 
 def step_fraction(t: int, total_steps: int) -> float:
     """phi(t) = (t-1)/(T-1); 0.0 for the single-step schedule."""
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    _check_count("total_steps", total_steps)
     if not 1 <= t <= total_steps:
         raise ValueError(f"step t={t} out of range 1..{total_steps}")
     if total_steps == 1:
@@ -77,7 +76,9 @@ def step_mask(t: int, total_steps: int, window: StepWindow) -> int:
 def active_steps(total_steps: int, window: StepWindow) -> tuple[int, ...]:
     """All 1-based steps whose phi(t) lies in the window."""
     return tuple(
-        t for t in range(1, total_steps + 1) if step_mask(t, total_steps, window)
+        t
+        for t in range(1, _check_count("total_steps", total_steps) + 1)
+        if step_mask(t, total_steps, window)
     )
 
 
@@ -101,6 +102,7 @@ class BlockGateTable:
 
     @classmethod
     def from_selected(cls, selected, num_blocks: int) -> "BlockGateTable":
+        _check_count("num_blocks", num_blocks)
         sel = {int(l) for l in selected}
         bad = [l for l in sel if not 0 <= l < num_blocks]
         if bad:
@@ -110,12 +112,12 @@ class BlockGateTable:
     @classmethod
     def first_half(cls, num_blocks: int) -> "BlockGateTable":
         """Gate the leading floor(L/2) blocks — the depth heuristic default."""
-        half = num_blocks // 2
+        half = _check_count("num_blocks", num_blocks) // 2
         return cls(tuple(1 if l < half else 0 for l in range(num_blocks)))
 
     @classmethod
     def uniform(cls, num_blocks: int, on: bool = True) -> "BlockGateTable":
-        return cls((1 if on else 0,) * num_blocks)
+        return cls((1 if on else 0,) * _check_count("num_blocks", num_blocks))
 
 
 def block_gate(foreground_ratio: float, tau: float, gamma: float) -> float:
@@ -138,8 +140,7 @@ class ScheduleConfig:
     modulation: ModulationConfig = field(default_factory=ModulationConfig)
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        _check_count("total_steps", self.total_steps)
 
     @property
     def num_blocks(self) -> int:

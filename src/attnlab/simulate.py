@@ -19,14 +19,14 @@ from .attention import (
     DEFAULT_TARGETS,
     KeyPartition,
     ScalingTargets,
-    _check_positive_finite,
-    _is_int,
     build_partition,
     key_scale_factors,
     scaled_logits,
 )
 from .numerics import (
     _all_finite,
+    _check_count,
+    _check_positive_finite,
     _max_scaled,
     _row_softmax,
     as_matrix,
@@ -61,10 +61,9 @@ class StepCoefficients:
 
     @classmethod
     def linear(cls, total_steps: int) -> "StepCoefficients":
-        """The default table a_t = 1, b_t = 1/T; ``total_steps`` must be an integer >= 1
-        (not a bool)."""
-        if not _is_int(total_steps) or total_steps < 1:
-            raise ValueError(f"total_steps must be an integer >= 1, got {total_steps!r}")
+        """The default table a_t = 1, b_t = 1/T; ``total_steps`` is a count of at
+        least 1 (a Python or numpy int, not a bool; see ``numerics._check_count``)."""
+        _check_count("total_steps", total_steps)
         return cls(a=(1.0,) * total_steps, b=(1.0 / total_steps,) * total_steps)
 
 
@@ -148,8 +147,9 @@ def make_toy_denoiser(
 ) -> ToyDenoiser:
     """Sample a denoiser with N(0, 1/sqrt(d_k))-style weights from one seed.
 
-    The model width equals the value width ``d_v``; ``num_blocks`` and the key
-    width ``d_k`` must be integers (not bools) of at least 1. Each block draws
+    The model width equals the value width ``d_v``. ``num_blocks``, the key
+    width ``d_k`` and ``d_v`` are counts of at least 1 (Python or numpy ints,
+    not bools; see ``numerics._check_count``). Each block draws
     W_q, W_k, W_v and W_o in turn, and the draws are then stacked as
     :class:`ToyDenoiser` holds them.
 
@@ -157,11 +157,8 @@ def make_toy_denoiser(
     product over blocks dominates each individual factor; see
     :class:`ToyDenoiser`.
     """
-    for name, n in (("num_blocks", num_blocks), ("d_k", d_k)):
-        if not _is_int(n):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1")
+    for name, n in (("num_blocks", num_blocks), ("d_k", d_k), ("d_v", d_v)):
+        _check_count(name, n)
     if min(n_text + n_image, n_video) < 1:
         raise ValueError("need at least one conditioning token and one video token")
     d_model = d_v
@@ -530,10 +527,8 @@ class ConflictConfig:
     targets: ScalingTargets = DEFAULT_TARGETS
 
     def __post_init__(self):
-        if min(self.n_text, self.n_image) < 1:
-            raise ValueError("conflict experiment needs text and image keys")
-        if self.n_queries < 1:
-            raise ValueError("n_queries must be >= 1")
+        for name in ("n_text", "n_image", "n_queries"):
+            _check_count(name, getattr(self, name))
         _check_positive_finite("gamma", self.gamma)
 
 

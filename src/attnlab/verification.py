@@ -48,7 +48,7 @@ from .analysis import (
 )
 from .attention import scaled_logits
 from .config import SUITE_NAMES
-from .numerics import row_softmax
+from .numerics import _check_count, row_softmax
 from .simulate import StepCoefficients, deviation_bound_check, make_toy_denoiser
 
 PAIRWISE_TOLERANCE = 1e-12
@@ -316,6 +316,8 @@ def run_suite(
 ) -> SuiteResult:
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; valid: {sorted(_SUITE_FUNCS)}")
+    _check_count("draws", draws, 0)
+    _check_count("probes", probes, 0)
     count = probes if name == "deviation" else draws
     result = _collect(name, *_SUITE_FUNCS[name](seed, count))
     if inject_bug and result.data:
@@ -369,6 +371,7 @@ def run_sweep(seed: int = 0, draws: int = 200, alpha_grid=None, z=None) -> Suite
     2/Delta, any curvature bound is violated, or (default grid only) the
     curvature at 50/Delta is not below COLLAPSE_NORM_LIMIT.
     """
+    _check_count("draws", draws, 0)
     if z is not None:
         # In Python floats an overflowing spread reads inf without a numpy warning.
         hi, lo = float(np.max(z)), float(np.min(z))

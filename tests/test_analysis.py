@@ -786,7 +786,7 @@ def test_flops_overhead_values():
 
 
 def test_flops_overhead_validation():
-    with pytest.raises(ValueError, match="totals"):
+    with pytest.raises(ValueError, match="^total_blocks must be an integer >= 1, got 0$"):
         flops_overhead(1, 0, 1, 25)
     with pytest.raises(ValueError, match="scaled_blocks"):
         flops_overhead(9, 8, 8, 25)

@@ -45,7 +45,7 @@ def test_build_partition_allows_empty_group():
 def test_build_partition_rejects_all_empty():
     with pytest.raises(ValueError, match="empty"):
         build_partition(0, 0, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^n_text must be an integer >= 0, got -1$"):
         build_partition(-1, 2, 3)
 
 
@@ -53,7 +53,7 @@ def test_build_partition_rejects_all_empty():
     ((1.5, 2, 3), "n_text"), ((1, 2.0, 3), "n_image"), ((1, 2, "3"), "n_video"),
 ])
 def test_build_partition_names_a_size_that_is_not_an_integer(sizes, name):
-    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
         build_partition(*sizes)
 
 
@@ -62,11 +62,11 @@ def test_build_partition_takes_numpy_integers():
 
 
 @pytest.mark.parametrize("sizes, message", [
-    ((1.5, 2, 3), "^n_text must be a nonnegative integer, got 1.5$"),
-    ((1, 2.0, 3), "^n_image must be a nonnegative integer, got 2.0$"),
-    ((1, 2, "3"), "^n_video must be a nonnegative integer, got '3'$"),
-    ((-1, 2, 3), "^n_text must be a nonnegative integer, got -1$"),
-    ((1, 2, (3,)), r"^n_video must be a nonnegative integer, got \(3,\)$"),
+    ((1.5, 2, 3), "^n_text must be an integer >= 0, got 1.5$"),
+    ((1, 2.0, 3), "^n_image must be an integer >= 0, got 2.0$"),
+    ((1, 2, "3"), "^n_video must be an integer >= 0, got '3'$"),
+    ((-1, 2, 3), "^n_text must be an integer >= 0, got -1$"),
+    ((1, 2, (3,)), r"^n_video must be an integer >= 0, got \(3,\)$"),
     ((0, 0, 0), "^all group sizes are zero; partition would be empty$"),
 ])
 def test_key_partition_checks_its_sizes_as_build_partition_does(sizes, message):
@@ -446,6 +446,20 @@ def test_a_non_finite_q_beside_a_3d_k_is_named_as_before(site, message):
     q = _in_state("nan", 6, 4, 1)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _SITES[site](q, np.ones((6, 4, 1)), np.ones((6, 3)))
+
+
+@pytest.mark.parametrize("site, q_state, message", [
+    ("attention_forward", "nan", "^non-finite Q$"),
+    ("scaled_logits", "nan", "^non-finite Q$"),
+    # A finite Q leaves numpy's conversion error to name the ragged K.
+    ("scaled_logits", "finite", "^setting an array element with a sequence"),
+    # The scaled cell checks K first, when it scales it.
+    ("scaled cell", "nan", "^setting an array element with a sequence"),
+])
+def test_a_non_finite_q_beside_a_ragged_k_is_named_first(site, q_state, message):
+    ragged_k = [[1.0] * 4] * 5 + [[1.0] * 3]
+    with pytest.raises(ValueError, match=message):
+        _SITES[site](_in_state(q_state, 6, 4, 1), ragged_k, np.ones((6, 3)))
 
 
 @pytest.mark.parametrize("q, message", [

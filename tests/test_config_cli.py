@@ -971,6 +971,55 @@ def test_rejected_config_exits_2_and_writes_nothing(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# The size flags each command takes, by config key, at a tiny value.
+SIZE_FLAGS = {
+    "verify": {"draws": ["--draws", "2"], "probes": ["--probes", "2"]},
+    "sweep": {"draws": ["--draws", "2"]},
+    "calibrate": {"samples": ["--samples", "1"], "num_blocks": ["--blocks", "2"]},
+    "simulate": {"total_steps": ["--steps", "2"], "num_blocks": ["--blocks", "2"]},
+}
+# Every integer config key, as its path in the file, at a valid integral float.
+INTEGER_KEYS = {
+    ("seed",): 1.0, ("draws",): 2.0, ("samples",): 1.0, ("probes",): 2.0,
+    ("total_steps",): 2.0, ("num_blocks",): 2.0, ("dims", "n_text"): 1.0,
+    ("dims", "n_image"): 1.0, ("dims", "n_video"): 2.0, ("dims", "d_k"): 2.0,
+    ("dims", "d_v"): 2.0,
+}
+INTEGER_KEY_RUNS = [
+    (command, path) for path in INTEGER_KEYS for command in sorted(READ_KEYS)
+    if path[0] in READ_KEYS[command]
+]
+
+
+def test_the_integer_key_table_covers_the_schema():
+    props = _SCHEMA["properties"]
+    integer = {(key,) for key in props if props[key].get("type") == "integer"}
+    integer |= {("dims", key) for key, sub in props["dims"]["properties"].items()
+                if sub["type"] == "integer"}
+    assert set(INTEGER_KEYS) == integer
+
+
+@pytest.mark.parametrize(
+    "command, path", INTEGER_KEY_RUNS, ids=[f"{c}-{'/'.join(p)}" for c, p in INTEGER_KEY_RUNS]
+)
+def test_an_integral_float_for_an_integer_key_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, path
+):
+    # JSON Schema counts 4.0 as an integer, but every size is an int: the run
+    # names the key before it writes a report.
+    value = INTEGER_KEYS[path]
+    data = {path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    flags = [f for key, pair in SIZE_FLAGS[command].items() if key != path[0] for f in pair]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config invalid at {'/'.join(path)}: {value!r} is not an integer\n"
+    )
+    assert not out.exists()
+
+
 # -- violations found by the checks themselves ----------------------------------
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,8 +14,17 @@ from attnlab.attention import (
     build_partition,
     resolve_targets,
 )
-from attnlab.numerics import sample_gaussian, spectral_norm, spectral_norms
-from attnlab.scheduling import BlockGateTable, ScheduleConfig, window_preset
+from attnlab.analysis import flops_overhead
+from attnlab.calibration import BlockRatioTable, calibrate_synthetic
+from attnlab.numerics import pca_top_k, sample_gaussian, spectral_norm, spectral_norms
+from attnlab.scheduling import (
+    BlockGateTable,
+    ScheduleConfig,
+    active_steps,
+    step_fraction,
+    window_preset,
+)
+from attnlab.verification import run_suite, run_sweep
 from attnlab.simulate import (
     ConflictConfig,
     StepCoefficients,
@@ -100,17 +110,68 @@ def test_a_step_that_makes_a_non_finite_state_names_it():
         run_trajectory(den, coeffs, _schedule(num_blocks=2, total_steps=1), x)
 
 
-@pytest.mark.parametrize("make, args, message", [
-    (KeyPartition, (True, 0, 1), "^n_text must be a nonnegative integer, got True$"),
-    (build_partition, (1, False, 1), "^n_image must be a nonnegative integer, got False$"),
-    (StepCoefficients.linear, (True,), "^total_steps must be an integer >= 1, got True$"),
-    (lambda n: make_toy_denoiser(0, num_blocks=n), (True,), "^num_blocks must be an integer, got True$"),
-    (lambda n: make_toy_denoiser(0, d_k=n), (True,), "^d_k must be an integer, got True$"),
-])
-def test_a_bool_is_not_a_size(make, args, message):
-    # True would pass an integer check as 1 and build one group, step or block.
-    with pytest.raises(ValueError, match=message):
-        make(*args)
+# Every library site that takes a size: id -> (a call with the size n, the
+# size's name, its least value).
+SIZE_SITES = {
+    "KeyPartition-n_text": (lambda n: KeyPartition(n, 1, 1), "n_text", 0),
+    "KeyPartition-n_image": (lambda n: KeyPartition(1, n, 1), "n_image", 0),
+    "KeyPartition-n_video": (lambda n: KeyPartition(1, 1, n), "n_video", 0),
+    "build_partition-n_image": (lambda n: build_partition(1, n, 1), "n_image", 0),
+    "StepCoefficients.linear": (StepCoefficients.linear, "total_steps", 1),
+    "make_toy_denoiser-num_blocks": (lambda n: make_toy_denoiser(0, num_blocks=n), "num_blocks", 1),
+    "make_toy_denoiser-d_k": (lambda n: make_toy_denoiser(0, d_k=n), "d_k", 1),
+    "make_toy_denoiser-d_v": (lambda n: make_toy_denoiser(0, d_v=n), "d_v", 1),
+    "step_fraction": (lambda n: step_fraction(1, n), "total_steps", 1),
+    "active_steps": (lambda n: active_steps(n, window_preset("early")), "total_steps", 1),
+    "ScheduleConfig": (
+        lambda n: ScheduleConfig(gates=BlockGateTable((1,)), total_steps=n), "total_steps", 1
+    ),
+    "BlockGateTable.first_half": (BlockGateTable.first_half, "num_blocks", 1),
+    "BlockGateTable.uniform": (BlockGateTable.uniform, "num_blocks", 1),
+    "BlockGateTable.from_selected": (
+        lambda n: BlockGateTable.from_selected([0], n), "num_blocks", 1
+    ),
+    "BlockRatioTable": (lambda n: BlockRatioTable((0.5,), n), "sample_count", 1),
+    "calibrate_synthetic-num_blocks": (
+        lambda n: calibrate_synthetic(0, num_blocks=n, samples=1), "num_blocks", 1
+    ),
+    "calibrate_synthetic-samples": (
+        lambda n: calibrate_synthetic(0, num_blocks=2, samples=n), "samples", 1
+    ),
+    "ConflictConfig-n_text": (lambda n: ConflictConfig(n_text=n), "n_text", 1),
+    "ConflictConfig-n_image": (lambda n: ConflictConfig(n_image=n), "n_image", 1),
+    "ConflictConfig-n_queries": (lambda n: ConflictConfig(n_queries=n), "n_queries", 1),
+    "flops_overhead-total_blocks": (lambda n: flops_overhead(0, n, 0, 1), "total_blocks", 1),
+    "flops_overhead-total_steps": (lambda n: flops_overhead(0, 1, 0, n), "total_steps", 1),
+    "flops_overhead-scaled_blocks": (lambda n: flops_overhead(n, 4, 0, 1), "scaled_blocks", 0),
+    "flops_overhead-scaled_steps": (lambda n: flops_overhead(0, 1, n, 4), "scaled_steps", 0),
+    "run_suite-draws": (lambda n: run_suite("curvature", draws=n), "draws", 0),
+    "run_suite-probes": (lambda n: run_suite("deviation", probes=n), "probes", 0),
+    "run_sweep-draws": (lambda n: run_sweep(draws=n), "draws", 0),
+    "pca_top_k": (lambda n: pca_top_k(np.eye(3), n), "k", 1),
+}
+
+
+@pytest.mark.parametrize("value", ["bool", "integral float", "float", "below the least"])
+@pytest.mark.parametrize("site", sorted(SIZE_SITES))
+def test_a_size_that_is_not_an_int_count_is_named(site, value):
+    # True would pass a bare comparison as 1, and a float would pass it only to
+    # fail later inside range() or numpy; each site names the size instead.
+    make, name, least = SIZE_SITES[site]
+    n = {"bool": True, "integral float": 2.0, "float": 2.5, "below the least": least - 1}[value]
+    message = f"{name} must be an integer >= {least}, got {n!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(n)
+
+
+def test_a_numpy_integer_size_is_kept_as_an_int():
+    part = KeyPartition(np.int64(3), np.int32(0), np.int64(2))
+    assert [type(n) for n in (part.n_text, part.n_image, part.n_video)] == [int, int, int]
+    assert part == KeyPartition(3, 0, 2)
+    table = BlockRatioTable((0.5,), np.int64(3))
+    assert type(table.sample_count) is int and table.sample_count == 3
 
 
 def test_make_toy_denoiser_validation():
@@ -463,7 +524,7 @@ def test_conflict_extreme_gamma_text_takeover():
 
 
 def test_conflict_config_validation():
-    with pytest.raises(ValueError, match="text and image"):
+    with pytest.raises(ValueError, match="^n_text must be an integer >= 1, got 0$"):
         ConflictConfig(n_text=0)
     with pytest.raises(ValueError, match="n_queries"):
         ConflictConfig(n_queries=0)
@@ -578,7 +639,7 @@ def test_denoiser_needs_a_block_and_a_key_column():
 
 
 def test_make_toy_denoiser_names_a_zero_key_width():
-    with pytest.raises(ValueError, match="^d_k must be >= 1$"):
+    with pytest.raises(ValueError, match="^d_k must be an integer >= 1, got 0$"):
         make_toy_denoiser(0, d_k=0)
 
 
