@@ -107,13 +107,12 @@ def _row_entropies(q: np.ndarray) -> np.ndarray:
 
 
 def _subset_indices(s, size: int) -> np.ndarray:
-    idx = np.asarray(list(s), dtype=np.intp)
-    if idx.size == 0:
+    """The distinct column indices ``s``, each an int in 0..size-1, ascending."""
+    idx = [_check_count("subset", i, 0, size - 1) for i in s]
+    if not idx:
         raise ValueError("index subset must be nonempty")
-    if len(set(idx.tolist())) != idx.size:
+    if len(set(idx)) != len(idx):
         raise ValueError("index subset contains duplicates")
-    if (idx < 0).any() or (idx >= size).any():
-        raise ValueError(f"index subset out of range 0..{size - 1}")
     return np.sort(idx)
 
 
@@ -483,10 +482,6 @@ def flops_overhead(
     scaled_blocks: int, total_blocks: int, scaled_steps: int, total_steps: int
 ) -> float:
     """Overhead fraction (L_s / L) * (T_s / T) of the product schedule."""
-    _check_count("total_blocks", total_blocks)
-    _check_count("total_steps", total_steps)
-    if not _check_count("scaled_blocks", scaled_blocks, 0) <= total_blocks:
-        raise ValueError(f"scaled_blocks {scaled_blocks} out of range 0..{total_blocks}")
-    if not _check_count("scaled_steps", scaled_steps, 0) <= total_steps:
-        raise ValueError(f"scaled_steps {scaled_steps} out of range 0..{total_steps}")
+    _check_count("scaled_blocks", scaled_blocks, 0, _check_count("total_blocks", total_blocks))
+    _check_count("scaled_steps", scaled_steps, 0, _check_count("total_steps", total_steps))
     return (scaled_blocks / total_blocks) * (scaled_steps / total_steps)

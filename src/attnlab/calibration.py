@@ -241,20 +241,23 @@ def select_blocks(table: BlockRatioTable, tau: float) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BlockFixture:
-    """A published gated-block table for a named backbone."""
+    """A published gated-block table for a named backbone.
+
+    ``num_blocks`` is a count and each of ``blocks`` an int in 0..num_blocks-1
+    (Python or numpy ints, not bools or floats; see ``numerics._check_count``),
+    stored as ints; the blocks are sorted and distinct.
+    """
 
     name: str
     num_blocks: int
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        b = tuple(int(x) for x in self.blocks)
+        n = _check_count("num_blocks", self.num_blocks)
+        b = tuple(_check_count("blocks", x, 0, n - 1) for x in self.blocks)
         if list(b) != sorted(set(b)):
             raise ValueError(f"fixture {self.name!r}: blocks must be sorted and unique")
-        if b and (b[0] < 0 or b[-1] >= self.num_blocks):
-            raise ValueError(
-                f"fixture {self.name!r}: block indices out of range 0..{self.num_blocks - 1}"
-            )
+        object.__setattr__(self, "num_blocks", n)
         object.__setattr__(self, "blocks", b)
 
 
@@ -271,9 +274,7 @@ def load_block_fixture(name: str) -> BlockFixture:
     if key not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; available: {sorted(_FIXTURES)}")
     entry = _FIXTURES[key]
-    return BlockFixture(
-        name=key, num_blocks=int(entry["num_blocks"]), blocks=tuple(entry["blocks"])
-    )
+    return BlockFixture(key, entry["num_blocks"], entry["blocks"])
 
 
 def calibrate_synthetic(

@@ -20,14 +20,16 @@ import numpy as np
 SYMMETRY_TOLERANCE = 1e-10
 
 
-def _check_count(name: str, n, least: int = 1) -> int:
-    """``n`` as an ``int``: every size is a Python or numpy int, not a bool, of at
-    least ``least``, else ``ValueError`` naming it. An exact int takes the first test."""
-    if type(n) is int and n >= least:
+def _check_count(name: str, n, least: int = 1, most: int | None = None) -> int:
+    """``n`` as an ``int``: every size and index is a Python or numpy int, not a
+    bool, in ``least..most`` (``most`` None: no upper bound), else ``ValueError``
+    naming it. An exact int takes the first test."""
+    if type(n) is int and least <= n and (most is None or n <= most):
         return n
-    if isinstance(n, np.integer) and n >= least:
+    if isinstance(n, np.integer) and least <= n and (most is None or n <= most):
         return int(n)
-    raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -174,15 +176,15 @@ def pca_top_k(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     is k x n_features with orthonormal rows ordered by decreasing eigenvalue
     and ``projections`` is n_samples x k. Sign convention: each component's
     largest-magnitude entry is positive, which makes the decomposition
-    deterministic. Zero-variance data raises ``ValueError('degenerate
+    deterministic. ``k`` is an int in 1..min(n_samples, n_features); see
+    :func:`_check_count`. Zero-variance data raises ``ValueError('degenerate
     covariance')``.
     """
     xm = as_matrix(x, "data")
     n, f = xm.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if not _check_count("k", k) <= min(n, f):
-        raise ValueError(f"k={k} out of range for {n}x{f} data")
+    k = _check_count("k", k, 1, min(n, f))
     centered = xm - xm.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     total_var = float(np.trace(cov))

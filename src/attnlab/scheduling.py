@@ -58,10 +58,12 @@ def window_preset(name: str) -> StepWindow:
 
 
 def step_fraction(t: int, total_steps: int) -> float:
-    """phi(t) = (t-1)/(T-1); 0.0 for the single-step schedule."""
-    _check_count("total_steps", total_steps)
-    if not 1 <= t <= total_steps:
-        raise ValueError(f"step t={t} out of range 1..{total_steps}")
+    """phi(t) = (t-1)/(T-1); 0.0 for the single-step schedule.
+
+    ``total_steps`` is a count and ``t`` an int in 1..total_steps, each checked
+    by ``numerics._check_count`` in that order: a bool or a float is no step.
+    """
+    _check_count("t", t, 1, _check_count("total_steps", total_steps))
     if total_steps == 1:
         return 0.0
     return (t - 1) / (total_steps - 1)
@@ -84,16 +86,18 @@ def active_steps(total_steps: int, window: StepWindow) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BlockGateTable:
-    """Per-block 0/1 gate flags, index l = 0..L-1."""
+    """Per-block 0/1 gate flags, index l = 0..L-1.
+
+    Each gate is an int in 0..1 (a Python or numpy int, not a bool or a float;
+    see ``numerics._check_count``) and is stored as an ``int``.
+    """
 
     gates: tuple[int, ...]
 
     def __post_init__(self):
-        g = tuple(int(x) for x in self.gates)
+        g = tuple(_check_count("gates", x, 0, 1) for x in self.gates)
         if not g:
             raise ValueError("gate table must cover at least one block")
-        if any(x not in (0, 1) for x in g):
-            raise ValueError("gates must be 0 or 1")
         object.__setattr__(self, "gates", g)
 
     @property
@@ -102,12 +106,9 @@ class BlockGateTable:
 
     @classmethod
     def from_selected(cls, selected, num_blocks: int) -> "BlockGateTable":
-        _check_count("num_blocks", num_blocks)
-        sel = {int(l) for l in selected}
-        bad = [l for l in sel if not 0 <= l < num_blocks]
-        if bad:
-            raise ValueError(f"selected block(s) {sorted(bad)} out of range 0..{num_blocks - 1}")
-        return cls(tuple(1 if l in sel else 0 for l in range(num_blocks)))
+        n = _check_count("num_blocks", num_blocks)
+        sel = {_check_count("selected", l, 0, n - 1) for l in selected}
+        return cls(tuple(1 if l in sel else 0 for l in range(n)))
 
     @classmethod
     def first_half(cls, num_blocks: int) -> "BlockGateTable":
@@ -147,11 +148,11 @@ class ScheduleConfig:
         return self.gates.num_blocks
 
     def is_active(self, block: int, t: int) -> bool:
-        if not 0 <= block < self.num_blocks:
-            raise ValueError(f"block {block} out of range 0..{self.num_blocks - 1}")
-        return bool(
-            step_mask(t, self.total_steps, self.window) and self.gates.gates[block]
-        )
+        """Whether cell (block, t) is scaled: ``block`` an int in 0..L-1 and ``t``
+        one in 1..T, checked in that order (see :func:`step_fraction`)."""
+        g = self.gates.gates
+        gate = g[_check_count("block", block, 0, len(g) - 1)]
+        return bool(step_mask(t, self.total_steps, self.window) and gate)
 
 
 def scheduled_attention(

@@ -159,13 +159,13 @@ def make_toy_denoiser(
     """
     for name, n in (("num_blocks", num_blocks), ("d_k", d_k), ("d_v", d_v)):
         _check_count(name, n)
-    if min(n_text + n_image, n_video) < 1:
+    partition = build_partition(n_text, n_image, n_video)
+    if not (partition.conditioning and partition.video):
         raise ValueError("need at least one conditioning token and one video token")
     d_model = d_v
-    partition = build_partition(n_text, n_image, n_video)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(d_k)
-    cond_embed = rng.normal(0.0, 1.0, size=(n_text + n_image, d_model))
+    cond_embed = rng.normal(0.0, 1.0, size=(len(partition.conditioning), d_model))
     shapes = ((d_model, d_k), (d_model, d_k), (d_model, d_v), (d_v, d_model))
     drawn = [[rng.normal(0.0, scale, size=s) for s in shapes] for _ in range(num_blocks)]
     w_o = np.array([w[3] for w in drawn])
@@ -253,12 +253,12 @@ def ddim_step(
     count that of ``coeffs`` and its block count the denoiser's; that check
     runs first, then the step range, then x is tested once. The returned
     state is tested too, so a non-finite one raises ``ValueError`` at the
-    step that makes it.
+    step that makes it. ``t`` is an int in 1..T, not a bool or a float; see
+    ``numerics._check_count``.
     """
     if schedule is not None:
         _check_fit(denoiser, coeffs, schedule)
-    if not 1 <= t <= coeffs.total_steps:
-        raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
+    _check_count("t", t, 1, coeffs.total_steps)
     xm = as_matrix(x, "state")
     eps = _forward(denoiser, xm, t, schedule)
     return as_matrix(coeffs.a[t - 1] * xm + coeffs.b[t - 1] * eps, "state")
@@ -291,12 +291,13 @@ def deviation_bound_check(
     so exactly one linear map (that block's post-projection, norm <=
     ``lipschitz_upper``) separates the perturbed attention output from the
     predicted noise and the per-query output bound transfers to the state.
+
+    ``t`` is an int in 1..T and ``query`` one in 0..n_video-1 (Python or
+    numpy ints, not bools or floats; see ``numerics._check_count``).
     """
-    if not 1 <= t <= coeffs.total_steps:
-        raise ValueError(f"step t={t} out of range 1..{coeffs.total_steps}")
+    t = _check_count("t", t, 1, coeffs.total_steps)
     _check_positive_finite("alpha", alpha)
-    if not 0 <= query < denoiser.n_video:
-        raise ValueError(f"probe query {query} out of range 0..{denoiser.n_video - 1}")
+    _check_count("query", query, 0, denoiser.n_video - 1)
     xm = as_matrix(x, "state")
     n_cond = denoiser.cond_embed.shape[0]
     row = n_cond + query
@@ -529,6 +530,7 @@ class ConflictConfig:
     def __post_init__(self):
         for name in ("n_text", "n_image", "n_queries"):
             _check_count(name, getattr(self, name))
+        _check_count("n_video", self.n_video, 0)
         _check_positive_finite("gamma", self.gamma)
 
 

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _check_count
+
 MAGIC = b"ATNB"
 VERSION = 1
 DTYPE_FLOAT64 = 1
@@ -207,13 +209,14 @@ class BlockReader:
         ``_SLAB_BYTES``, and at least one; stacked, the slabs equal
         ``read_tensor(path)[l]``. The next slab read, from any slice,
         overwrites the last one, so copy a slab to keep it. Reads and errors
-        are those of :meth:`read`, with each slab's absolute offset.
+        are those of :meth:`read`, with each slab's absolute offset. ``l`` is
+        an int in 0..dims[0]-1, else ``ValueError`` (see
+        ``numerics._check_count``).
         """
         h = self._header
         if len(h.dims) < 2:
             raise ValueError(f"a {len(h.dims)}-d tensor has no rows to read slabs of")
-        if not 0 <= l < h.dims[0]:
-            raise IndexError(f"slice {l} out of range for {h.dims[0]} slices")
+        l = _check_count("l", l, 0, h.dims[0] - 1)
         rows, row_shape = h.dims[1], h.dims[2:]
         row_size = math.prod(row_shape)
         row_bytes = row_size * h.dtype.itemsize

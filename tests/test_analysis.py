@@ -112,7 +112,7 @@ def test_entropy_report_subset_validation():
         entropy_alpha_report(z, [], 1.0)
     with pytest.raises(ValueError, match="duplicates"):
         entropy_alpha_report(z, [0, 0], 1.0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^subset must be an integer in 0\.\.1, got 2$"):
         entropy_alpha_report(z, [2], 1.0)
 
 
@@ -788,7 +788,7 @@ def test_flops_overhead_values():
 def test_flops_overhead_validation():
     with pytest.raises(ValueError, match="^total_blocks must be an integer >= 1, got 0$"):
         flops_overhead(1, 0, 1, 25)
-    with pytest.raises(ValueError, match="scaled_blocks"):
+    with pytest.raises(ValueError, match=r"^scaled_blocks must be an integer in 0\.\.8, got 9$"):
         flops_overhead(9, 8, 8, 25)
-    with pytest.raises(ValueError, match="scaled_steps"):
+    with pytest.raises(ValueError, match=r"^scaled_steps must be an integer in 0\.\.25, got 26$"):
         flops_overhead(4, 8, 26, 25)

@@ -307,7 +307,7 @@ def test_fixture_tables_load_and_validate():
 def test_fixture_validation_rules():
     with pytest.raises(ValueError, match="sorted and unique"):
         BlockFixture(name="x", num_blocks=4, blocks=(2, 1))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^blocks must be an integer in 0\.\.3, got 4$"):
         BlockFixture(name="x", num_blocks=4, blocks=(0, 4))
 
 

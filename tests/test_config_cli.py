@@ -1020,6 +1020,21 @@ def test_an_integral_float_for_an_integer_key_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gates, at", [([1.0, 0], 0), ([1, 0.0], 1)])
+def test_an_integral_float_gate_exits_2_and_writes_nothing(tmp_path, capsys, gates, at):
+    # The table above walks only the top-level and dims keys; a gate is an
+    # integer item inside block_gates.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"block_gates": {"source": "explicit", "gates": gates}}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--steps", "2", "--blocks", "2", "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config invalid at block_gates/gates/{at}: {gates[at]!r} is not an integer\n"
+    )
+    assert not out.exists()
+
+
 # -- violations found by the checks themselves ----------------------------------
 
 

@@ -27,9 +27,9 @@ def test_step_fraction_endpoints():
 
 
 def test_step_fraction_range_checks():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^t must be an integer in 1\.\.25, got 0$"):
         step_fraction(0, 25)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^t must be an integer in 1\.\.25, got 26$"):
         step_fraction(26, 25)
     with pytest.raises(ValueError, match="total_steps"):
         step_fraction(1, 0)
@@ -114,11 +114,11 @@ def test_gate_table_first_half():
 
 
 def test_gate_table_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
+    with pytest.raises(ValueError, match=r"^gates must be an integer in 0\.\.1, got 2$"):
         BlockGateTable((1, 2))
     with pytest.raises(ValueError, match="at least one block"):
         BlockGateTable(())
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^selected must be an integer in 0\.\.3, got 4$"):
         BlockGateTable.from_selected([4], 4)
 
 
@@ -128,32 +128,37 @@ def test_schedule_is_active_grid():
     assert cfg.is_active(0, 8)
     assert not cfg.is_active(0, 9)  # phi(9) = 1/3 > 0.30
     assert not cfg.is_active(1, 1)  # block gated off
-    with pytest.raises(ValueError, match="block 2"):
+    with pytest.raises(ValueError, match=r"^block must be an integer in 0\.\.1, got 2$"):
         cfg.is_active(2, 1)
 
 
 # (block, t) -> is_active's value, or the start of its error message, on three
 # blocks gated (1, 0, 1) over 11 steps with the early window [0, 0.30]. The
-# out-of-range steps raise even on the gated-off block 1.
+# out-of-range steps raise even on the gated-off block 1. Only an int (Python
+# or numpy, not a bool) is a block or a step: a Fraction or a float step would
+# be placed on the window between two steps, and True would be step 1.
 _IS_ACTIVE_CASES = [
-    (-1, 1, "block -1 out of range 0..2"),
-    (3, 1, "block 3 out of range 0..2"),
-    (0, 0, "step t=0 out of range 1..11"),
-    (0, 12, "step t=12 out of range 1..11"),
-    (1, 0, "step t=0 out of range 1..11"),
-    (1, 12, "step t=12 out of range 1..11"),
+    (-1, 1, "block must be an integer in 0..2, got -1"),
+    (3, 1, "block must be an integer in 0..2, got 3"),
+    (0, 0, "t must be an integer in 1..11, got 0"),
+    (0, 12, "t must be an integer in 1..11, got 12"),
+    (1, 0, "t must be an integer in 1..11, got 0"),
+    (1, 12, "t must be an integer in 1..11, got 12"),
     (0, 1, True),
     (0, 4, True),  # phi(4) = 0.3, the closed end of the window
-    (0, Fraction(4), False),  # phi is exactly 3/10, above the float 0.3
+    (0, Fraction(4), "t must be an integer in 1..11, got Fraction(4, 1)"),
     (0, 5, False),
     (1, 1, False),
     (2, 11, False),
-    (0, 2.5, True),  # phi = 0.15
-    (0, 4.5, False),  # phi = 0.35
-    (0, 0.5, "step t=0.5 out of range 1..11"),
-    (0, True, True),
+    (0, 2.5, "t must be an integer in 1..11, got 2.5"),
+    (0, 4.5, "t must be an integer in 1..11, got 4.5"),
+    (0, 0.5, "t must be an integer in 1..11, got 0.5"),
+    (0, True, "t must be an integer in 1..11, got True"),
     (0, np.int64(4), True),
-    (2, np.array(2), True),
+    (2, np.array(2), "t must be an integer in 1..11, got array(2)"),
+    (np.int64(2), 11, False),
+    (True, 1, "block must be an integer in 0..2, got True"),
+    (1.0, 1, "block must be an integer in 0..2, got 1.0"),
 ]
 
 
@@ -161,7 +166,7 @@ def test_is_active_values_and_errors_at_the_edges():
     cfg = ScheduleConfig(gates=BlockGateTable((1, 0, 1)), total_steps=11)
     for block, t, want in _IS_ACTIVE_CASES:
         if isinstance(want, str):
-            with pytest.raises(ValueError, match="^" + re.escape(want)):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 cfg.is_active(block, t)
         else:
             assert cfg.is_active(block, t) is want, (block, t)

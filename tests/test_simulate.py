@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -14,16 +16,18 @@ from attnlab.attention import (
     build_partition,
     resolve_targets,
 )
-from attnlab.analysis import flops_overhead
-from attnlab.calibration import BlockRatioTable, calibrate_synthetic
+from attnlab.analysis import entropy_alpha_report, flops_overhead
+from attnlab.calibration import BlockFixture, BlockRatioTable, calibrate_synthetic
 from attnlab.numerics import pca_top_k, sample_gaussian, spectral_norm, spectral_norms
 from attnlab.scheduling import (
     BlockGateTable,
     ScheduleConfig,
     active_steps,
     step_fraction,
+    step_mask,
     window_preset,
 )
+from attnlab.tensorio import BlockReader, write_tensor
 from attnlab.verification import run_suite, run_sweep
 from attnlab.simulate import (
     ConflictConfig,
@@ -111,7 +115,7 @@ def test_a_step_that_makes_a_non_finite_state_names_it():
 
 
 # Every library site that takes a size: id -> (a call with the size n, the
-# size's name, its least value).
+# size's name, its least value[, its most value]).
 SIZE_SITES = {
     "KeyPartition-n_text": (lambda n: KeyPartition(n, 1, 1), "n_text", 0),
     "KeyPartition-n_image": (lambda n: KeyPartition(1, n, 1), "n_image", 0),
@@ -140,15 +144,17 @@ SIZE_SITES = {
     ),
     "ConflictConfig-n_text": (lambda n: ConflictConfig(n_text=n), "n_text", 1),
     "ConflictConfig-n_image": (lambda n: ConflictConfig(n_image=n), "n_image", 1),
+    "ConflictConfig-n_video": (lambda n: ConflictConfig(n_video=n), "n_video", 0),
     "ConflictConfig-n_queries": (lambda n: ConflictConfig(n_queries=n), "n_queries", 1),
+    "BlockFixture-num_blocks": (lambda n: BlockFixture("x", n, ()), "num_blocks", 1),
     "flops_overhead-total_blocks": (lambda n: flops_overhead(0, n, 0, 1), "total_blocks", 1),
     "flops_overhead-total_steps": (lambda n: flops_overhead(0, 1, 0, n), "total_steps", 1),
-    "flops_overhead-scaled_blocks": (lambda n: flops_overhead(n, 4, 0, 1), "scaled_blocks", 0),
-    "flops_overhead-scaled_steps": (lambda n: flops_overhead(0, 1, n, 4), "scaled_steps", 0),
+    "flops_overhead-scaled_blocks": (lambda n: flops_overhead(n, 4, 0, 1), "scaled_blocks", 0, 4),
+    "flops_overhead-scaled_steps": (lambda n: flops_overhead(0, 1, n, 4), "scaled_steps", 0, 4),
     "run_suite-draws": (lambda n: run_suite("curvature", draws=n), "draws", 0),
     "run_suite-probes": (lambda n: run_suite("deviation", probes=n), "probes", 0),
     "run_sweep-draws": (lambda n: run_sweep(draws=n), "draws", 0),
-    "pca_top_k": (lambda n: pca_top_k(np.eye(3), n), "k", 1),
+    "pca_top_k": (lambda n: pca_top_k(np.eye(3), n), "k", 1, 3),
 }
 
 
@@ -157,9 +163,10 @@ SIZE_SITES = {
 def test_a_size_that_is_not_an_int_count_is_named(site, value):
     # True would pass a bare comparison as 1, and a float would pass it only to
     # fail later inside range() or numpy; each site names the size instead.
-    make, name, least = SIZE_SITES[site]
+    make, name, least, *most = SIZE_SITES[site]
     n = {"bool": True, "integral float": 2.0, "float": 2.5, "below the least": least - 1}[value]
-    message = f"{name} must be an integer >= {least}, got {n!r}"
+    bound = f"in {least}..{most[0]}" if most else f">= {least}"
+    message = f"{name} must be an integer {bound}, got {n!r}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -172,6 +179,99 @@ def test_a_numpy_integer_size_is_kept_as_an_int():
     assert part == KeyPartition(3, 0, 2)
     table = BlockRatioTable((0.5,), np.int64(3))
     assert type(table.sample_count) is int and table.sample_count == 3
+
+
+def _row_slabs(n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.atnb")
+        write_tensor(path, np.zeros((3, 2, 2)))
+        with BlockReader(path) as reader:
+            return [s.copy() for s in reader.row_slabs(n)]
+
+
+def _probe(t=1, query=0):
+    den = make_toy_denoiser(seed=7)
+    x = sample_gaussian((den.n_video, den.d_model), seed=8)
+    return deviation_bound_check(den, StepCoefficients.linear(8), t, x, 1.5, query=query)
+
+
+def _ddim(t):
+    den = make_toy_denoiser(seed=2)
+    x = sample_gaussian((den.n_video, den.d_model), seed=5)
+    return ddim_step(den, x, t, StepCoefficients.linear(3))
+
+
+_IS_ACTIVE = ScheduleConfig(gates=BlockGateTable((1, 0, 1)), total_steps=4)
+
+# Every library site that takes an index: id -> (a call with the index n, the
+# index's name, its least and most values).
+INDEX_SITES = {
+    "step_fraction-t": (lambda n: step_fraction(n, 4), "t", 1, 4),
+    "step_mask-t": (lambda n: step_mask(n, 4, window_preset("early")), "t", 1, 4),
+    "ScheduleConfig.is_active-block": (lambda n: _IS_ACTIVE.is_active(n, 1), "block", 0, 2),
+    "ScheduleConfig.is_active-t": (lambda n: _IS_ACTIVE.is_active(0, n), "t", 1, 4),
+    "BlockGateTable-gates": (lambda n: BlockGateTable((0, n)), "gates", 0, 1),
+    "BlockGateTable.from_selected-selected": (
+        lambda n: BlockGateTable.from_selected([0, n], 3), "selected", 0, 2
+    ),
+    "ddim_step-t": (_ddim, "t", 1, 3),
+    "deviation_bound_check-t": (lambda n: _probe(t=n), "t", 1, 8),
+    "deviation_bound_check-query": (lambda n: _probe(query=n), "query", 0, 7),
+    "entropy_alpha_report-s": (
+        lambda n: entropy_alpha_report(np.arange(3.0), [0, n], 1.0), "subset", 0, 2
+    ),
+    "sharpening_curve-subset": (
+        lambda n: sharpening_curve(np.zeros((2, 4)), [n], (1.0,)), "subset", 0, 3
+    ),
+    "BlockFixture-blocks": (lambda n: BlockFixture("x", 4, (n,)), "blocks", 0, 3),
+    "BlockReader.row_slabs-l": (_row_slabs, "l", 0, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["bool", "integral float", "float", "below the least", "above the most"]
+)
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+def test_an_index_that_is_not_an_int_in_range_is_named(site, value):
+    # True would index as 1 and a float would be truncated or placed between
+    # two steps; each site names the index instead, with its range.
+    make, name, least, most = INDEX_SITES[site]
+    n = {
+        "bool": True,
+        "integral float": 1.0,
+        "float": 1.5,
+        "below the least": least - 1,
+        "above the most": most + 1,
+    }[value]
+    message = f"{name} must be an integer in {least}..{most}, got {n!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(n)
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+def test_each_index_site_takes_a_numpy_integer(site):
+    make, _, _, most = INDEX_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_equal(make(np.int64(most)), make(most))
+
+
+def test_a_numpy_integer_index_is_kept_as_an_int():
+    gates = BlockGateTable((np.int64(1), np.int32(0))).gates
+    assert gates == (1, 0) and [type(g) for g in gates] == [int, int]
+    fixture = BlockFixture("x", np.int64(4), (np.int32(0), np.int64(3)))
+    assert fixture == BlockFixture("x", 4, (0, 3))
+    assert [type(n) for n in (fixture.num_blocks, *fixture.blocks)] == [int, int, int]
+    assert type(_probe(t=np.int64(2)).t) is int
+
+
+@pytest.mark.parametrize("n_text", ["3", None])
+def test_make_toy_denoiser_names_a_group_size_that_is_not_an_int(n_text):
+    # The partition is built before anything adds the group sizes.
+    with pytest.raises(ValueError, match=f"^n_text must be an integer >= 0, got {n_text!r}$"):
+        make_toy_denoiser(0, n_text=n_text)
 
 
 def test_make_toy_denoiser_validation():
@@ -198,7 +298,7 @@ def test_ddim_step_linear_update():
     assert eps.shape == x.shape
     coeffs = StepCoefficients(a=(0.9,) * 4, b=(0.1,) * 4)
     np.testing.assert_allclose(ddim_step(den, x, 2, coeffs), 0.9 * x + 0.1 * eps, atol=1e-14)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^t must be an integer in 1\.\.4, got 5$"):
         ddim_step(den, x, 5, coeffs)
 
 
@@ -221,7 +321,7 @@ def test_probe_rejects_a_non_finite_alpha(alpha):
 def test_probe_rejects_query_out_of_range():
     den = make_toy_denoiser(seed=7)
     x = sample_gaussian((den.n_video, den.d_model), seed=8)
-    with pytest.raises(ValueError, match="probe query 8 out of range"):
+    with pytest.raises(ValueError, match=r"^query must be an integer in 0\.\.7, got 8$"):
         deviation_bound_check(den, StepCoefficients.linear(8), 1, x, 1.5, query=den.n_video)
 
 
@@ -567,10 +667,14 @@ def test_sharpening_curve_consumes_a_gamma_generator_once():
 
 
 @pytest.mark.parametrize(
-    "subset, message", [([0, 0, 1], "duplicates"), ([7], "out of range"), ([-1], "out of range")]
+    "subset, fault", [([0, 0, 1], "duplicates"), ([7], "out of range"), ([-1], "out of range")]
 )
-def test_sharpening_curve_rejects_a_bad_subset(subset, message):
-    with pytest.raises(ValueError, match=message):
+def test_sharpening_curve_rejects_a_bad_subset(subset, fault):
+    message = {
+        "duplicates": "index subset contains duplicates",
+        "out of range": f"subset must be an integer in 0..3, got {subset[0]}",
+    }[fault]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sharpening_curve(np.zeros((2, 4)), subset, (1.0,))
 
 
